@@ -203,6 +203,27 @@ DifferentialOracle::finish_check(uint64_t seed, const char* check, std::string d
 }
 
 void
+DifferentialOracle::digest(const ReplayResult& r)
+{
+    replay_hash_.mix_pod(static_cast<uint64_t>(r.iter_us.size()));
+    for (const double t : r.iter_us)
+        replay_hash_.mix_pod(t);
+    for (const auto& [stream, kernels] : kernels_by_stream(r)) {
+        replay_hash_.mix_pod(stream);
+        replay_hash_.mix_pod(static_cast<uint64_t>(kernels.size()));
+        for (const prof::KernelEvent* ev : kernels) {
+            replay_hash_.mix(ev->name);
+            replay_hash_.mix_pod(ev->ts);
+            replay_hash_.mix_pod(ev->dur);
+        }
+    }
+    replay_hash_.mix_pod(r.numeric_digest);
+    replay_hash_.mix_pod(r.coverage.selected_ops);
+    replay_hash_.mix_pod(r.coverage.supported_ops);
+    counters_.replay_digest = replay_hash_.value();
+}
+
+void
 DifferentialOracle::check_case(const FuzzedCase& c)
 {
     ++counters_.traces;
@@ -249,10 +270,12 @@ DifferentialOracle::check_case(const FuzzedCase& c)
     finish_check(c.seed, "replay-vs-direct", [&]() -> std::string {
         try {
             const ReplayResult direct = Replayer(c.trace, prof_of(c), c.cfg).run();
+            digest(direct);
             PlanCache cache(4);
             cache.set_store_dir("");
             const auto plan = cache.get_or_build(c.trace, prof_of(c), c.cfg);
             const ReplayResult cached = Replayer(plan, c.cfg).run();
+            digest(cached);
             return compare_results(direct, cached);
         } catch (const std::exception& e) {
             return std::string("threw: ") + e.what();
@@ -268,7 +291,9 @@ DifferentialOracle::check_case(const FuzzedCase& c)
             ReplayConfig cfg1 = c.cfg;
             cfg1.opt_level = 1;
             const ReplayResult r0 = Replayer(c.trace, prof_of(c), cfg0).run();
+            digest(r0);
             const ReplayResult r1 = Replayer(c.trace, prof_of(c), cfg1).run();
+            digest(r1);
             // Digests excluded: dead-code elimination skips computing
             // outputs nothing reads, so final bindings differ across opt
             // levels by design while the timelines must not.
@@ -298,7 +323,9 @@ DifferentialOracle::check_case(const FuzzedCase& c)
                 core::plan_key(c.trace, prof_of(c), async_cfg))
                 return "MYST_ASYNC=0 and =1 plans alias to one PlanKey";
             const ReplayResult rs = Replayer(c.trace, prof_of(c), serial_cfg).run();
+            digest(rs);
             const ReplayResult ra = Replayer(c.trace, prof_of(c), async_cfg).run();
+            digest(ra);
             std::string diff = compare_stream_sequences(rs, ra);
             if (!diff.empty())
                 diff = "serial vs async: " + diff;

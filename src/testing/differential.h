@@ -42,7 +42,12 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "testing/trace_fuzzer.h"
+
+namespace mystique::core {
+struct ReplayResult;
+} // namespace mystique::core
 
 namespace mystique::testing {
 
@@ -51,6 +56,12 @@ struct DiffCounters {
     uint64_t traces = 0;     ///< fuzzed cases examined
     uint64_t checks = 0;     ///< individual differential checks run
     uint64_t mismatches = 0; ///< checks that failed (== failures().size())
+    /// FNV-1a over every ReplayResult check_case produced, in corpus order:
+    /// iter_us bits, per-stream kernel name/ts/dur, numeric_digest and
+    /// coverage counts.  Equal corpora replayed by output-equivalent code
+    /// give equal digests, so comparing it across two builds shows that a
+    /// refactor changed no replay output.
+    uint64_t replay_digest = 0;
 };
 
 /// One failed check, reproducible from the seed alone.
@@ -82,6 +93,10 @@ class DifferentialOracle {
     /// Counts the check; detail.empty() = pass, else records a failure.
     void finish_check(uint64_t seed, const char* check, std::string detail);
 
+    /// Folds @p r into counters_.replay_digest.
+    void digest(const core::ReplayResult& r);
+
+    Fnv1a replay_hash_;
     DiffCounters counters_;
     std::vector<DiffFailure> failures_;
 };

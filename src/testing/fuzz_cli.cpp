@@ -214,10 +214,11 @@ run_fuzz_cli(int argc, const char* const* argv, std::FILE* out, std::FILE* err)
     const bool ok = oracle.ok() && churn_violations == 0;
     std::fprintf(out,
                  "mystique-fuzz: traces=%llu checks=%llu mismatches=%llu "
-                 "faults_fired=%llu faults_survived=%llu status=%s\n",
+                 "replay_digest=%016llx faults_fired=%llu faults_survived=%llu status=%s\n",
                  static_cast<unsigned long long>(n.traces),
                  static_cast<unsigned long long>(n.checks),
                  static_cast<unsigned long long>(n.mismatches),
+                 static_cast<unsigned long long>(n.replay_digest),
                  static_cast<unsigned long long>(faults_fired),
                  static_cast<unsigned long long>(faults_survived),
                  ok ? "ok" : "FAILED");

@@ -75,6 +75,34 @@ TEST(FuzzCli, SmallCorpusPassesAndSummarizes)
     EXPECT_EQ(out.find("FAIL"), std::string::npos) << out;
 }
 
+/// The replay_digest=<16 hex> field of the summary line, or "" when absent.
+std::string
+replay_digest_field(const std::string& out)
+{
+    const std::string tag = " replay_digest=";
+    const std::size_t at = out.find(tag);
+    if (at == std::string::npos || at + tag.size() + 16 > out.size())
+        return {};
+    const std::string hex = out.substr(at + tag.size(), 16);
+    if (hex.find_first_not_of("0123456789abcdef") != std::string::npos ||
+        out[at + tag.size() + 16] != ' ')
+        return {};
+    return hex;
+}
+
+TEST(FuzzCli, ReplayDigestIsPrintedAndRepeatsForTheSameSeed)
+{
+    FaultGuard guard;
+    std::string first, second, other;
+    ASSERT_EQ(run_cli({"--seed", "7", "--iters", "2"}, &first, nullptr), 0) << first;
+    ASSERT_EQ(run_cli({"--seed", "7", "--iters", "2"}, &second, nullptr), 0) << second;
+    ASSERT_EQ(run_cli({"--seed", "8", "--iters", "2"}, &other, nullptr), 0) << other;
+    const std::string digest = replay_digest_field(first);
+    ASSERT_FALSE(digest.empty()) << first;
+    EXPECT_EQ(replay_digest_field(second), digest) << second;
+    EXPECT_NE(replay_digest_field(other), digest) << other;
+}
+
 TEST(FuzzCli, CaseReproducesExactlyOneSeed)
 {
     FaultGuard guard;
