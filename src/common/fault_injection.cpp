@@ -3,11 +3,11 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 
+#include "common/env.h"
 #include "common/error.h"
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -58,8 +58,8 @@ struct FaultInjection::Impl {
     void load_env_locked()
     {
         env_consumed = true;
-        const char* env = std::getenv("MYST_FAULT");
-        if (env == nullptr || *env == '\0')
+        const std::string env = env_string("MYST_FAULT");
+        if (env.empty())
             return;
         for (const std::string& spec : split(env, ',')) {
             const std::vector<std::string> parts = split(spec, ':');

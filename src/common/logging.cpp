@@ -2,9 +2,9 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 
+#include "common/env.h"
 #include "common/error.h"
 
 namespace mystique::log {
@@ -14,7 +14,10 @@ namespace {
 Level
 initial_level()
 {
-    if (const char* env = std::getenv("MYSTIQUE_LOG_LEVEL")) {
+    // Read on the first log call, often on an error path: a bad value falls
+    // back to warn instead of throwing.
+    const std::string env = env_string("MYSTIQUE_LOG_LEVEL");
+    if (!env.empty()) {
         try {
             return parse_level(env);
         } catch (const MystiqueError&) {

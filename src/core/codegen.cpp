@@ -8,12 +8,6 @@
 
 namespace mystique::core {
 
-Json
-plan_to_json(const Replayer& replayer)
-{
-    return replayer.plan()->to_json();
-}
-
 namespace {
 
 constexpr const char* kMainTemplate = R"cpp(/// Generated by mystique::core::generate_benchmark.

@@ -95,9 +95,4 @@ struct PackageVerification {
 /// Never throws on bad packages — problems come back as errors.
 PackageVerification verify_package(const std::string& directory);
 
-/// Serializes a replayer's plan (key, selection, streams, IR, coverage) to
-/// JSON — loadable for inspection and diffing.  Equivalent to
-/// `replayer.plan()->to_json()`.
-Json plan_to_json(const Replayer& replayer);
-
 } // namespace mystique::core

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 
+#include "common/env.h"
 #include "common/thread_pool.h"
 #include "core/plan_store.h"
 
@@ -36,8 +36,7 @@ PlanCache::open_store() const
             dir = *store_override_;
         } else {
             // Read at use time like every other runtime knob (docs/env_vars.md).
-            const char* env = std::getenv("MYST_PLAN_CACHE_DIR");
-            dir = env != nullptr ? env : "";
+            dir = env_string("MYST_PLAN_CACHE_DIR");
         }
     }
     if (dir.empty())

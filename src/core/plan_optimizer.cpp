@@ -430,14 +430,11 @@ unit_effects(const std::vector<ReconstructedOp>& ops,
 
 } // namespace
 
-DepGraph
-build_dep_graph(const std::vector<ReconstructedOp>& ops,
+std::vector<DepUnit>
+enumerate_units(const std::vector<ReconstructedOp>& ops,
                 const std::vector<FusedGroup>& groups)
 {
-    DepGraph graph;
-
-    // Enumerate units in program order (mirrors the serial hot loop: skipped
-    // ops and non-head group members never execute).
+    std::vector<DepUnit> units;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const ReconstructedOp& op = ops[i];
         DepUnit u;
@@ -469,8 +466,17 @@ build_dep_graph(const std::vector<ReconstructedOp>& ops,
                         op.kind == ReconstructedOp::Kind::kDirect ||
                         !touches_tensors;
         }
-        graph.units.push_back(std::move(u));
+        units.push_back(std::move(u));
     }
+    return units;
+}
+
+DepGraph
+build_dep_graph(const std::vector<ReconstructedOp>& ops,
+                const std::vector<FusedGroup>& groups)
+{
+    DepGraph graph;
+    graph.units = enumerate_units(ops, groups);
 
     // Def-use edges + barrier edges, one forward sweep.
     std::unordered_map<EffectKey, int, EffectKeyHash> last_writer;
@@ -558,29 +564,6 @@ dep_graph_fingerprint(const DepGraph& graph)
             h.mix_pod(d);
     }
     return h.value();
-}
-
-void
-execute_fused_group(fw::Session& session, const FusedGroup& group, TensorManager& tm)
-{
-    thread_local fw::FusedChainCall call; // reused: vectors keep capacity
-    call.stages = group.stages.data();
-    call.n_stages = group.stages.size();
-    call.dead = group.dead;
-    call.input = tm.resolve(group.input_meta);
-    call.operands.clear();
-    for (const auto& m : group.operand_metas)
-        call.operands.push_back(tm.resolve(m));
-    if (!group.dead)
-        call.out_shape = call.input.shape(); // what each verbatim link allocs
-
-    fw::run_fused_chain(session, call);
-
-    if (!group.dead)
-        tm.bind_output(group.output_meta, call.out);
-    call.input = fw::Tensor();
-    call.out = fw::Tensor();
-    call.operands.clear();
 }
 
 } // namespace mystique::core

@@ -25,6 +25,9 @@
 /// charge; only per-link CPU interpretation and intermediate materialization
 /// are removed.  Members keep their ReconstructedOp entries, so coverage
 /// accounting still counts the original ops a group subsumes.
+///
+/// Build-time code only: this header defines fused groups and the plan's
+/// dependency graph; the replay executor (core/replayer.cpp) runs them.
 
 #include <cstdint>
 #include <optional>
@@ -67,9 +70,10 @@ struct FusedGroup {
 OptimizerStats optimize_plan(std::vector<ReconstructedOp>& ops,
                              std::vector<FusedGroup>& groups);
 
-/// One schedulable unit of the async executor: a standalone non-skipped op,
-/// or a whole fused group (entered at its head member).  Skipped ops and
-/// non-head group members are not units — the serial walk skips them too.
+/// One executable unit of a plan: a standalone non-skipped op, or a whole
+/// fused group (entered at its head member).  Skipped ops and non-head group
+/// members are not units and never run — both executor walks run exactly
+/// the plan's units.
 struct DepUnit {
     int head = -1;      ///< op index of the unit's head
     int group = -1;     ///< fused-group id, or -1 for a standalone op
@@ -82,12 +86,19 @@ struct DepUnit {
 
 /// The per-plan dependency DAG, in program order: every dep points to an
 /// earlier unit, so program order is always a valid topological order and the
-/// serial walk is one legal schedule of the graph.
+/// serial walk (units in program order) is one legal schedule of the graph.
 struct DepGraph {
     std::vector<DepUnit> units;
 
     bool empty() const { return units.empty(); }
 };
+
+/// The units of a reconstructed-op sequence in program order, deps empty:
+/// the one definition of what replay executes.  build_dep_graph adds the
+/// edges; ReplayPlan::from_json checks a restored graph's unit fields
+/// against it.  One O(ops) pass.
+std::vector<DepUnit> enumerate_units(const std::vector<ReconstructedOp>& ops,
+                                     const std::vector<FusedGroup>& groups);
 
 /// Derives the dependency graph for a reconstructed-op sequence:
 ///
@@ -100,8 +111,9 @@ struct DepGraph {
 ///    serialize against everything around them.
 ///
 /// Pure function of (ops, groups), derived once at plan build and carried
-/// through serialization (restore verifies the stored graph against its
-/// fingerprint seal instead of re-deriving it).
+/// through serialization (restore re-enumerates the units, but takes the
+/// edges from the document under its fingerprint seal instead of
+/// re-deriving them).
 DepGraph build_dep_graph(const std::vector<ReconstructedOp>& ops,
                          const std::vector<FusedGroup>& groups);
 
@@ -139,10 +151,5 @@ void finalize_group(const std::vector<ReconstructedOp>& ops, FusedGroup& group,
 
 /// Recomputes the derivable counters from @p groups (optimize_us = 0).
 OptimizerStats derive_optimizer_stats(const std::vector<FusedGroup>& groups);
-
-/// Executes one group in the replay hot loop: resolves the chain input and
-/// operands, runs the loop-fused interpreter kernel, binds the final output.
-void execute_fused_group(fw::Session& session, const FusedGroup& group,
-                         TensorManager& tm);
 
 } // namespace mystique::core

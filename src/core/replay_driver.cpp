@@ -2,67 +2,27 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
+#include "common/env.h"
 #include "common/error.h"
 #include "common/fault_injection.h"
 #include "common/hash.h"
-#include "device/platform.h"
 
 namespace mystique::core {
 
-namespace {
-
-/// MYST_LOG=1 is the documented env toggle for sweep-stats output (printed
-/// unconditionally to stderr); it is unrelated to the MYST_LOG(level, msg)
-/// macro in common/logging.h, whose level comes from MYSTIQUE_LOG_LEVEL.
-bool
-sweep_log_enabled()
-{
-    const char* v = std::getenv("MYST_LOG");
-    return v != nullptr && v[0] == '1';
-}
-
-/// Resilience env knobs parse like MYST_OPT_LEVEL: unset/empty means the
-/// built-in default, anything else goes through strtoull (a garbage value
-/// reads as 0, which is a safe setting for every knob here).
-std::optional<uint64_t>
-env_u64(const char* name)
-{
-    const char* v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return std::nullopt;
-    return std::strtoull(v, nullptr, 10);
-}
-
-std::string
-env_string(const char* name)
-{
-    const char* v = std::getenv(name);
-    return v != nullptr ? v : "";
-}
-
-} // namespace
-
-/// One pooled replay worker: a Session + CommFabric constructed once and
-/// reused for every group this worker replays.
+/// One pooled replay worker: a single-rank Session + CommFabric constructed
+/// once and reused for every group this worker replays.
 struct ReplayDriver::Worker {
     explicit Worker(const ReplayConfig& cfg)
+        : session(std::make_unique<fw::Session>(cfg.session_options(0, 1))),
+          fabric(std::make_shared<comm::CommFabric>(1))
     {
-        fw::SessionOptions opts;
-        opts.platform = dev::platform(cfg.platform);
-        opts.mode = cfg.mode;
-        opts.seed = cfg.seed;
-        opts.rank = 0;
-        opts.world_size = 1;
-        opts.power_limit_w = cfg.power_limit_w;
-        opts.dispatch = fw::DispatchProfile::replay();
-        session = std::make_unique<fw::Session>(opts);
-        fabric = std::make_shared<comm::CommFabric>(1);
     }
 
     std::unique_ptr<fw::Session> session;
@@ -117,17 +77,25 @@ ReplayDriver::ensure_worker(std::size_t index)
 }
 
 void
-ReplayDriver::resolve_resilience(const et::TraceDatabase& db,
-                                 const std::vector<et::TraceGroup>& groups,
+ReplayDriver::resolve_resilience(const std::vector<et::TraceGroup>& groups,
                                  ResolvedResilience& res) const
 {
-    (void)db;
-    res.max_retries = max_retries_.has_value()
-                          ? *max_retries_
-                          : static_cast<int>(env_u64("MYST_SWEEP_RETRIES").value_or(0));
+    res.max_retries =
+        max_retries_.has_value()
+            ? *max_retries_
+            : static_cast<int>(env_u64("MYST_SWEEP_RETRIES", INT_MAX).value_or(0));
     res.max_retries = std::max(0, res.max_retries);
     res.backoff_ms =
         backoff_ms_.has_value() ? *backoff_ms_ : env_u64("MYST_SWEEP_BACKOFF_MS").value_or(10);
+    // The last retry sleeps backoff_ms << (max_retries - 1).  A shift of 64
+    // bits or more is undefined and a wrapped product sleeps a wrong time, so
+    // a pair whose largest sleep does not fit in 64 bits is rejected here,
+    // before any group runs.
+    if (res.backoff_ms != 0 && res.max_retries - 1 > std::countl_zero(res.backoff_ms))
+        MYST_THROW(ConfigError, "sweep retries=" << res.max_retries
+                                                 << " with backoff_ms=" << res.backoff_ms
+                                                 << ": the last backoff, backoff_ms << "
+                                                    "(retries - 1), overflows 64 bits");
     res.group_deadline_ms = group_deadline_ms_.has_value()
                                 ? group_deadline_ms_
                                 : env_u64("MYST_SWEEP_GROUP_DEADLINE_MS");
@@ -235,8 +203,10 @@ ReplayDriver::run_group_resilient(Worker& worker, const et::TraceDatabase& db,
     const int max_attempts = quarantined ? 1 : 1 + res.max_retries;
     for (int attempt = 1; attempt <= max_attempts; ++attempt) {
         if (attempt > 1) {
-            // Deterministic exponential backoff: 1×, 2×, 4×, ... the base.
-            const uint64_t sleep_ms = res.backoff_ms << (attempt - 2);
+            // Deterministic exponential backoff: 1×, 2×, 4×, ... the base
+            // (resolve_resilience bounds the shift whenever the base is
+            // nonzero).
+            const uint64_t sleep_ms = res.backoff_ms == 0 ? 0 : res.backoff_ms << (attempt - 2);
             res.retries.fetch_add(1, std::memory_order_relaxed);
             res.backoff_slept_ms.fetch_add(sleep_ms, std::memory_order_relaxed);
             if (sleep_ms > 0)
@@ -304,8 +274,12 @@ ReplayDriver::replay_groups(const et::TraceDatabase& db, std::size_t top_k,
         groups.resize(top_k);
     out.groups.resize(groups.size());
 
+    // MYST_LOG=1 prints the sweep stats below to stderr; it is unrelated to
+    // the MYST_LOG(level, msg) macro in common/logging.h, whose level comes
+    // from MYSTIQUE_LOG_LEVEL.  Read, like every knob, before any group runs.
+    const bool log_stats = env_flag("MYST_LOG");
     ResolvedResilience res;
-    resolve_resilience(db, groups, res);
+    resolve_resilience(groups, res);
 
     const std::size_t workers = std::min(parallelism_, groups.size());
     if (workers <= 1) {
@@ -382,7 +356,7 @@ ReplayDriver::replay_groups(const et::TraceDatabase& db, std::size_t top_k,
         out.arena.bytes_cached += s.bytes_cached;
     }
 
-    if (sweep_log_enabled()) {
+    if (log_stats) {
         std::fprintf(stderr,
                      "[mystique] sweep: %zu groups, parallelism=%zu, "
                      "weighted_mean_iter_us=%.2f\n"

@@ -44,7 +44,7 @@
 ///    from MYST_SWEEP_RETRIES / MYST_SWEEP_BACKOFF_MS, re-read per sweep);
 ///  - **deadlines** — a per-group soft deadline (set_group_deadline_ms /
 ///    MYST_SWEEP_GROUP_DEADLINE_MS) enforced by a cooperative CancelToken the
-///    Replayer polls between ops (status `timed_out`; never retried), plus a
+///    Replayer polls between plan units (status `timed_out`; never retried), plus a
 ///    sweep-level deadline (set_sweep_deadline_ms) that marks groups it
 ///    could not start as `skipped`;
 ///  - **journal + quarantine** — with a journal directory configured
@@ -170,9 +170,11 @@ class ReplayDriver {
     /// (MYST_SWEEP_RETRIES; default 0).  Timeouts are never retried.
     void set_max_retries(std::optional<int> retries) { max_retries_ = retries; }
     /// Base backoff in ms before retry attempt n sleeps
-    /// `backoff << (n-1)` (MYST_SWEEP_BACKOFF_MS; default 10).
+    /// `backoff << (n-1)` (MYST_SWEEP_BACKOFF_MS; default 10).  A sweep whose
+    /// last sleep would overflow 64 bits throws ConfigError before any group
+    /// runs.
     void set_backoff_ms(std::optional<uint64_t> ms) { backoff_ms_ = ms; }
-    /// Per-group soft deadline in ms, polled between replayed ops
+    /// Per-group soft deadline in ms, polled between replayed plan units
     /// (MYST_SWEEP_GROUP_DEADLINE_MS; default none).  0 = already expired.
     void set_group_deadline_ms(std::optional<uint64_t> ms) { group_deadline_ms_ = ms; }
     /// Sweep-level deadline in ms: groups not yet *started* when it passes
@@ -219,8 +221,9 @@ class ReplayDriver {
                                           ResolvedResilience& res);
     /// Snapshots the resilience knobs (setters first, environment second)
     /// and opens/loads the journal for one sweep over @p groups.
-    void resolve_resilience(const et::TraceDatabase& db,
-                            const std::vector<et::TraceGroup>& groups,
+    /// Throws ConfigError for a malformed knob, or for a retries/backoff pair
+    /// whose largest sleep overflows 64 bits.
+    void resolve_resilience(const std::vector<et::TraceGroup>& groups,
                             ResolvedResilience& res) const;
 
     ReplayConfig cfg_;

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
+#include <climits>
 #include <mutex>
 #include <unordered_map>
 
+#include "common/env.h"
 #include "common/error.h"
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "device/platform.h"
 #include "framework/op_registry.h"
 #include "jit/ir.h"
 
@@ -53,19 +55,27 @@ category_from_name(const std::string& name)
 int
 default_opt_level()
 {
-    const char* env = std::getenv("MYST_OPT_LEVEL");
-    if (env == nullptr || *env == '\0')
-        return 1;
-    return std::atoi(env);
+    return static_cast<int>(env_u64("MYST_OPT_LEVEL", INT_MAX).value_or(1));
 }
 
 int
 default_async_level()
 {
-    const char* env = std::getenv("MYST_ASYNC");
-    if (env == nullptr || *env == '\0')
-        return 1;
-    return std::atoi(env);
+    return static_cast<int>(env_u64("MYST_ASYNC", INT_MAX).value_or(1));
+}
+
+fw::SessionOptions
+ReplayConfig::session_options(int rank, int world) const
+{
+    fw::SessionOptions opts;
+    opts.platform = dev::platform(platform);
+    opts.mode = mode;
+    opts.seed = seed;
+    opts.rank = rank;
+    opts.world_size = world;
+    opts.power_limit_w = power_limit_w;
+    opts.dispatch = fw::DispatchProfile::replay();
+    return opts;
 }
 
 uint64_t
@@ -169,10 +179,8 @@ ReplayConfig::from_json(const Json& j)
             cfg.custom_ops.register_op(n);
     }
     cfg.emulate_world_size = static_cast<int>(j.at("emulate_world_size").as_int());
-    // Pre-optimizer documents carry no opt_level: they were verbatim plans.
-    cfg.opt_level = static_cast<int>(j.get_int("opt_level", 0));
-    // Pre-executor documents carry no async_level: they replayed serially.
-    cfg.async_level = static_cast<int>(j.get_int("async_level", 0));
+    cfg.opt_level = static_cast<int>(j.at("opt_level").as_int());
+    cfg.async_level = static_cast<int>(j.at("async_level").as_int());
     cfg.collect_profiler = j.at("collect_profiler").as_bool();
     return cfg;
 }
@@ -303,14 +311,6 @@ ReplayPlan::build(std::shared_ptr<const et::ExecutionTrace> trace,
 }
 
 std::shared_ptr<const ReplayPlan>
-ReplayPlan::build_with_key(const et::ExecutionTrace& trace, const prof::ProfilerTrace* prof,
-                           const ReplayConfig& cfg, const PlanKey& key)
-{
-    return build_impl(nullptr, std::make_shared<et::ExecutionTrace>(trace), prof, cfg,
-                      &key);
-}
-
-std::shared_ptr<const ReplayPlan>
 ReplayPlan::build_with_key(std::shared_ptr<const et::ExecutionTrace> trace,
                            const prof::ProfilerTrace* prof, const ReplayConfig& cfg,
                            const PlanKey& key)
@@ -403,6 +403,13 @@ kind_name(ReconstructedOp::Kind kind)
     return "?";
 }
 
+/// A dep-graph unit's "flags" column value: comm (bit 0), barrier (bit 1).
+int64_t
+unit_flags(const DepUnit& u)
+{
+    return (u.comm ? 1 : 0) | (u.barrier ? 2 : 0);
+}
+
 Json
 coverage_to_json(const CoverageStats& cov)
 {
@@ -453,9 +460,7 @@ ReplayPlan::to_json() const
     // The selection is implied (op order IS selection order; an op is
     // supported iff its kind is not "skipped"), and subtree groupings are
     // build-phase scaffolding for stream/coverage derivation — both restored
-    // facts, so neither is serialized.  from_json still accepts the legacy
-    // spelling (explicit "selection", inline "ir" strings, per-op
-    // name/tid annotations).
+    // facts, so neither is serialized.
     Json ops = Json::array();
     Json ir_table = Json::array();
     std::unordered_map<std::string_view, int64_t> ir_index;
@@ -521,7 +526,8 @@ ReplayPlan::to_json() const
     // index in program order — because the restore path parses this on
     // every disk hit and per-unit objects cost several times as much to
     // parse as flat arrays.  flags packs comm (bit 0) and barrier (bit 1);
-    // deps are unit indices.
+    // deps are unit indices.  Restore re-derives every column but deps from
+    // the ops and checks the document against them.
     Json dep_j = Json::object();
     Json heads = Json::array();
     Json groups_col = Json::array();
@@ -532,8 +538,7 @@ ReplayPlan::to_json() const
         heads.push_back(Json(static_cast<int64_t>(u.head)));
         groups_col.push_back(Json(static_cast<int64_t>(u.group)));
         streams_col.push_back(Json(static_cast<int64_t>(u.stream)));
-        flags_col.push_back(
-            Json(static_cast<int64_t>((u.comm ? 1 : 0) | (u.barrier ? 2 : 0))));
+        flags_col.push_back(Json(unit_flags(u)));
         Json deps = Json::array();
         for (const int d : u.deps)
             deps.push_back(Json(static_cast<int64_t>(d)));
@@ -566,8 +571,8 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
     plan->trace_ = plan->owned_trace_.get();
     plan->key_ = PlanKey::from_json(j.at("key"));
     // Only full-provenance documents deserialize: a partial key means this
-    // JSON is a one-shot Replayer dump (plan_to_json for inspection), not a
-    // generate_benchmark package — a plan rebuilt from it could never be
+    // JSON is a one-shot Replayer dump (plan()->to_json() for inspection),
+    // not a generate_benchmark package — a plan rebuilt from it could never be
     // verified or cached under its true identity.
     if (plan->key_.is_partial())
         MYST_THROW(ParseError,
@@ -575,66 +580,30 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
                    "from generate_benchmark packages carry full provenance");
     plan->coverage_ = coverage_from_json(j.at("coverage"));
 
-    // Restore the selection: current documents imply it from the ops array
-    // (op order is selection order; supported ⇔ kind != "skipped"); legacy
-    // documents spell it out, subtree scaffolding included.
-    const Json::Array& ops_j = j.at("ops").as_array();
-    if (const Json* selection_j = j.find("selection")) {
-        for (const Json& s : selection_j->at("ops").as_array()) {
-            const int64_t node_id = s.at("node_id").as_int();
-            const et::Node* node = plan->trace_->find(node_id);
-            if (node == nullptr)
-                MYST_THROW(ParseError, "plan json: selected node " +
-                                           std::to_string(node_id) +
-                                           " is not in the trace");
-            plan->selection_.ops.push_back(
-                {node_id, s.at("supported").as_bool(), et::resolve_op_id(*node)});
-        }
-        for (const Json& s : selection_j->at("subtrees").as_array()) {
-            std::vector<int64_t>& ids =
-                plan->selection_.subtree_ids[s.at("root").as_int()];
-            for (const Json& id : s.at("nodes").as_array())
-                ids.push_back(id.as_int());
-        }
-    } else {
-        plan->selection_.ops.reserve(ops_j.size());
-        for (const Json& o : ops_j) {
-            const int64_t node_id = o.at("node_id").as_int();
-            const et::Node* node = plan->trace_->find(node_id);
-            if (node == nullptr)
-                MYST_THROW(ParseError, "plan json: selected node " +
-                                           std::to_string(node_id) +
-                                           " is not in the trace");
-            plan->selection_.ops.push_back(
-                {node_id, o.get_string("kind", "compiled_ir") != "skipped",
-                 et::resolve_op_id(*node)});
-        }
-    }
-    if (ops_j.size() != plan->selection_.ops.size())
-        MYST_THROW(ParseError, "plan json: ops/selection length mismatch");
-    plan->ops_.reserve(ops_j.size());
+    // Restore the selection and the ops in one pass: op order is selection
+    // order, and an op is supported iff its kind is not "skipped".
     // Compiled callables restore from the *recorded* IR text rather than
     // re-deriving it from each node's schema — the document already carries
     // the exact IR the generating process executed, and traces repeat ops
-    // across iterations and layers, so compiling each distinct text once
-    // (ops with equal IR share one jit::Function; execution state lives in
-    // the per-rank session, never in the function) makes restore a parse
-    // instead of a full reconstruction pass.  That cost asymmetry is what
-    // the disk tier's micro_plan_disk gate is built on.
-    const Json::Array* ir_table = nullptr;
-    if (const Json* t = j.find("ir_table"))
-        ir_table = &t->as_array();
-    // One compiled function per distinct IR text; ops resolved through the
-    // table share by index, legacy inline strings share by content.
-    std::vector<const jit::Function*> compiled_by_ref(
-        ir_table != nullptr ? ir_table->size() : 0, nullptr);
-    std::unordered_map<std::string, const jit::Function*> compiled_by_text;
-    for (std::size_t i = 0; i < ops_j.size(); ++i) {
-        const Json& o = ops_j[i];
-        const SelectedOp& sel = plan->selection_.ops[i];
-        if (o.at("node_id").as_int() != sel.node_id)
-            MYST_THROW(ParseError, "plan json: ops/selection order mismatch");
-        const et::Node* node = plan->trace_->find(sel.node_id);
+    // across iterations and layers, so compiling each distinct ir_table
+    // entry once (ops with equal IR share one jit::Function; execution state
+    // lives in the per-rank session, never in the function) makes restore a
+    // parse instead of a full reconstruction pass.  That cost asymmetry is
+    // what the disk tier's micro_plan_disk gate is built on.
+    const Json::Array& ops_j = j.at("ops").as_array();
+    const Json::Array& ir_table = j.at("ir_table").as_array();
+    std::vector<const jit::Function*> compiled(ir_table.size(), nullptr);
+    plan->selection_.ops.reserve(ops_j.size());
+    plan->ops_.reserve(ops_j.size());
+    for (const Json& o : ops_j) {
+        const int64_t node_id = o.at("node_id").as_int();
+        const et::Node* node = plan->trace_->find(node_id);
+        if (node == nullptr)
+            MYST_THROW(ParseError, "plan json: selected node " + std::to_string(node_id) +
+                                       " is not in the trace");
+        const std::string recorded_kind = o.get_string("kind", "compiled_ir");
+        const SelectedOp sel{node_id, recorded_kind != "skipped", et::resolve_op_id(*node)};
+        plan->selection_.ops.push_back(sel);
 
         ReconstructedOp op;
         op.node = node;
@@ -644,44 +613,28 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
         // matches the one the plan was generated under — replaying anyway
         // would silently execute a different benchmark.
         op.kind = Reconstructor::decide_kind(*node, sel.supported);
-        const std::string recorded_kind = o.get_string("kind", "compiled_ir");
         if (kind_name(op.kind) != recorded_kind)
             MYST_THROW(MystiqueError,
-                       "plan json: node " + std::to_string(sel.node_id) + " ('" +
-                           node->name + "') reconstructs as " + kind_name(op.kind) +
+                       "plan json: node " + std::to_string(node_id) + " ('" + node->name +
+                           "') reconstructs as " + kind_name(op.kind) +
                            " but the plan was generated with " + recorded_kind +
                            " — op registry mismatch with the generating process");
 
         if (op.kind == ReconstructedOp::Kind::kCompiledIr) {
+            const int64_t ref = o.at("ir").as_int();
+            if (ref < 0 || static_cast<std::size_t>(ref) >= ir_table.size())
+                MYST_THROW(ParseError, "plan json: op ir reference " + std::to_string(ref) +
+                                           " is outside the ir_table");
+            op.ir_text = ir_table[static_cast<std::size_t>(ref)].as_string();
+            const jit::Function*& fn = compiled[static_cast<std::size_t>(ref)];
             // Malformed IR makes parse_ir throw ParseError → the caller
             // (plan store / package import) treats the document as corrupt.
-            auto compile = [&](const std::string& text) {
-                jit::Graph graph = jit::parse_ir(text);
-                return &plan->reconstructor_.create_function(
+            if (fn == nullptr)
+                fn = &plan->reconstructor_.create_function(
                     strprintf("%s_n%lld", node->name.c_str(),
                               static_cast<long long>(node->id)),
-                    std::move(graph));
-            };
-            const Json& ir_j = o.at("ir");
-            if (ir_j.is_int()) {
-                const int64_t ref = ir_j.as_int();
-                if (ir_table == nullptr || ref < 0 ||
-                    static_cast<std::size_t>(ref) >= ir_table->size())
-                    MYST_THROW(ParseError, "plan json: op ir reference " +
-                                               std::to_string(ref) +
-                                               " is outside the ir_table");
-                op.ir_text = (*ir_table)[static_cast<std::size_t>(ref)].as_string();
-                const jit::Function*& slot = compiled_by_ref[static_cast<std::size_t>(ref)];
-                if (slot == nullptr)
-                    slot = compile(op.ir_text);
-                op.fn = slot;
-            } else {
-                op.ir_text = ir_j.as_string(); // legacy inline spelling
-                auto it = compiled_by_text.find(op.ir_text);
-                if (it == compiled_by_text.end())
-                    it = compiled_by_text.emplace(op.ir_text, compile(op.ir_text)).first;
-                op.fn = it->second;
-            }
+                    jit::parse_ir(op.ir_text));
+            op.fn = fn;
         }
         if (const Json* stream = o.find("stream"))
             op.stream = static_cast<int>(stream->as_int());
@@ -716,46 +669,43 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
         plan->opt_stats_ = derive_optimizer_stats(plan->fused_groups_);
     }
 
-    // Dependency graph: restored from the document, not re-derived — the
-    // disk-hit path must stay far cheaper than a plan build.  Integrity is
-    // held by two cheap O(graph) passes instead: structural validation (a
-    // forward or self edge is a cycle) and the fingerprint seal emitted by
-    // to_json.  An edited unit, a dropped edge, or a truncated array breaks
-    // the seal; ParseError sends the store entry to quarantine instead of
-    // deadlocking the async executor.  Documents without a graph (hand-
-    // authored manifests) fall back to deriving it from the restored ops.
-    if (const Json* dep_j = j.find("dep_graph")) {
-        const auto& heads = dep_j->at("head").as_array();
-        const auto& groups_col = dep_j->at("group").as_array();
-        const auto& streams_col = dep_j->at("stream").as_array();
-        const auto& flags_col = dep_j->at("flags").as_array();
-        const auto& deps_col = dep_j->at("deps").as_array();
-        if (groups_col.size() != heads.size() || streams_col.size() != heads.size() ||
-            flags_col.size() != heads.size() || deps_col.size() != heads.size())
-            MYST_THROW(ParseError, "plan json: dep_graph columns disagree on length");
-        DepGraph recorded;
-        recorded.units.reserve(heads.size());
-        for (std::size_t ui = 0; ui < heads.size(); ++ui) {
-            DepUnit u;
-            u.head = static_cast<int>(heads[ui].as_int());
-            u.group = static_cast<int>(groups_col[ui].as_int());
-            u.stream = static_cast<int>(streams_col[ui].as_int());
-            const int64_t flags = flags_col[ui].as_int();
-            u.comm = (flags & 1) != 0;
-            u.barrier = (flags & 2) != 0;
-            for (const Json& d : deps_col[ui].as_array())
-                u.deps.push_back(static_cast<int>(d.as_int()));
-            recorded.units.push_back(std::move(u));
-        }
-        validate_dep_graph(recorded, plan->ops_.size());
-        if (j.find("dep_graph_fp") == nullptr ||
-            dep_graph_fingerprint(recorded) != fp_parse(j, "dep_graph_fp"))
-            MYST_THROW(ParseError, "plan json: dep_graph does not match its seal "
-                                   "(tampered or stale document)");
-        plan->dep_graph_ = std::move(recorded);
-    } else {
-        plan->dep_graph_ = build_dep_graph(plan->ops_, plan->fused_groups_);
+    // Dependency graph.  Its units decide what both executor walks run, so
+    // they are not read from the document but derived from the restored ops
+    // (one O(ops) pass), and every recorded unit column must agree with
+    // them: a dropped, reordered or re-streamed unit throws even when the
+    // document was resealed.  Only the deps — the part that costs a def-use
+    // analysis to derive — come from the document, held by structural
+    // validation (a forward or self edge is a cycle) and the fingerprint
+    // seal emitted by to_json.  ParseError sends a store entry to quarantine
+    // instead of replaying a wrong schedule.
+    const Json& dep_j = j.at("dep_graph");
+    const auto& heads = dep_j.at("head").as_array();
+    const auto& groups_col = dep_j.at("group").as_array();
+    const auto& streams_col = dep_j.at("stream").as_array();
+    const auto& flags_col = dep_j.at("flags").as_array();
+    const auto& deps_col = dep_j.at("deps").as_array();
+    DepGraph graph;
+    graph.units = enumerate_units(plan->ops_, plan->fused_groups_);
+    const std::size_t n_units = graph.units.size();
+    if (heads.size() != n_units || groups_col.size() != n_units ||
+        streams_col.size() != n_units || flags_col.size() != n_units ||
+        deps_col.size() != n_units)
+        MYST_THROW(ParseError, "plan json: dep_graph columns do not hold the "
+                                   << n_units << " units the ops give");
+    for (std::size_t ui = 0; ui < n_units; ++ui) {
+        DepUnit& u = graph.units[ui];
+        if (heads[ui].as_int() != u.head || groups_col[ui].as_int() != u.group ||
+            streams_col[ui].as_int() != u.stream || flags_col[ui].as_int() != unit_flags(u))
+            MYST_THROW(ParseError,
+                       "plan json: dep_graph unit " << ui << " is not the unit its ops give");
+        for (const Json& d : deps_col[ui].as_array())
+            u.deps.push_back(static_cast<int>(d.as_int()));
     }
+    validate_dep_graph(graph, plan->ops_.size());
+    if (dep_graph_fingerprint(graph) != fp_parse(j, "dep_graph_fp"))
+        MYST_THROW(ParseError, "plan json: dep_graph does not match its seal "
+                               "(tampered or stale document)");
+    plan->dep_graph_ = std::move(graph);
     return plan;
 }
 

@@ -43,11 +43,13 @@
 namespace mystique::core {
 
 /// Default optimizer level: MYST_OPT_LEVEL when set, else 1 (optimizer on).
-/// Read per call so tests can flip the environment between builds.
+/// Read per call so tests can flip the environment between builds; a value
+/// that is not a base-10 integer throws ConfigError.
 int default_opt_level();
 
 /// Default async-executor level: MYST_ASYNC when set, else 1 (multi-stream
-/// executor on).  Read per call so tests can flip the environment.
+/// executor on).  Read per call so tests can flip the environment; a value
+/// that is not a base-10 integer throws ConfigError.
 int default_async_level();
 
 /// Replay configuration.
@@ -79,8 +81,8 @@ struct ReplayConfig {
     /// plans never alias in the memory or disk tier.
     int opt_level = default_opt_level();
 
-    /// Multi-stream async executor (core/replayer): 0 = serial op-by-op
-    /// walk, > 0 = dependency-tracked execution that runs independent
+    /// Multi-stream async executor (core/replayer): 0 = serial walk over
+    /// the plan's units in program order, > 0 = dependency-tracked execution that runs independent
     /// streams concurrently and overlaps collectives with compute.  Part of
     /// fingerprint(): async and serial replays model different device
     /// timelines, so their plans must never alias in either cache tier.
@@ -88,6 +90,11 @@ struct ReplayConfig {
 
     /// Collect a profiler trace of the replay run (needed for similarity).
     bool collect_profiler = true;
+
+    /// The replay Session options for @p rank of a @p world -rank replay:
+    /// this config's platform, mode, seed and power limit under the replay
+    /// dispatch profile.  Every replay session is configured here.
+    fw::SessionOptions session_options(int rank, int world) const;
 
     /// Stable hash over the plan-shaping fields only: platform, mode, filter,
     /// embedding, custom-op set, emulate_world_size.  Harness knobs that do
@@ -195,9 +202,10 @@ class ReplayPlan {
     /// opt_level 0); ReconstructedOp::fused_group indexes into this.
     const std::vector<FusedGroup>& fused_groups() const { return fused_groups_; }
     const OptimizerStats& optimizer_stats() const { return opt_stats_; }
-    /// Per-plan dependency DAG over executable units (built at every opt
-    /// level — the async executor schedules from it; serial replay ignores
-    /// it).  Units appear in program order; see plan_optimizer.h.
+    /// Per-plan dependency DAG over executable units, built at every opt
+    /// level and restored with every plan.  Its units are what replay runs:
+    /// the serial walk takes them in program order, the async executor
+    /// schedules them by their edges.  See plan_optimizer.h.
     const DepGraph& dep_graph() const { return dep_graph_; }
     /// The identity the plan was built under.  Plans from build() /
     /// the PlanCache carry the full key; borrowed one-shot plans carry only
@@ -208,13 +216,9 @@ class ReplayPlan {
     ReplayPlan(const ReplayPlan&) = delete;
     ReplayPlan& operator=(const ReplayPlan&) = delete;
 
-    /// build() with a key the caller already computed (the PlanCache hashes
-    /// the key for its lookup first; this avoids hashing everything twice).
-    static std::shared_ptr<const ReplayPlan>
-    build_with_key(const et::ExecutionTrace& trace, const prof::ProfilerTrace* prof,
-                   const ReplayConfig& cfg, const PlanKey& key);
-
-    /// Shared-ownership spelling of build_with_key() (see build() above).
+    /// Shared-ownership build() with a key the caller already computed (the
+    /// PlanCache hashes the key for its lookup first; this avoids hashing
+    /// everything twice).
     static std::shared_ptr<const ReplayPlan>
     build_with_key(std::shared_ptr<const et::ExecutionTrace> trace,
                    const prof::ProfilerTrace* prof, const ReplayConfig& cfg,
@@ -228,10 +232,12 @@ class ReplayPlan {
     /// Rebuilds a plan from to_json() output against @p trace (the packaged
     /// `execution_trace.json`).  Selection, coverage, the key, and stream
     /// assignments are restored verbatim from the JSON; compiled-IR callables
-    /// are regenerated from the trace's recorded schemas (deterministic, so
+    /// are compiled from the document's ir_table (deterministic, so
     /// `from_json(plan.to_json(), trace)->to_json() == plan.to_json()`).
     /// The plan copies @p trace, as build() does.  Throws ParseError /
-    /// MystiqueError when the JSON references nodes absent from the trace.
+    /// MystiqueError when the JSON references nodes absent from the trace,
+    /// lacks a v3 section (ir_table, dep_graph and its seal), or carries a
+    /// dep_graph whose units are not the ones its ops give.
     static std::shared_ptr<const ReplayPlan> from_json(const Json& j,
                                                        const et::ExecutionTrace& trace);
 

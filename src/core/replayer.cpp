@@ -7,11 +7,11 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "core/plan_cache.h"
+#include "framework/fused_chain.h"
 #include "sim/timeline.h"
 
 namespace mystique::core {
@@ -62,18 +62,55 @@ build_schedule(const DepGraph& graph)
     return sched;
 }
 
-/// Clears the async-executor session state on every exit path (including a
-/// CancelledError thrown between units), so a caught cancellation can never
-/// leave a dangling clock override or sticky reseed mode on a reused session.
-struct AsyncModeGuard {
-    fw::Session& session;
-    ~AsyncModeGuard()
-    {
-        session.set_clock_override(nullptr);
-        session.set_node_reseed_mode(false);
-        session.set_stream_override(std::nullopt);
+/// Executes one fused group: resolves the chain input and operands, runs the
+/// loop-fused interpreter kernel, binds the final output.
+void
+execute_fused_group(fw::Session& session, const FusedGroup& group, TensorManager& tm)
+{
+    thread_local fw::FusedChainCall call; // reused: vectors keep capacity
+    call.stages = group.stages.data();
+    call.n_stages = group.stages.size();
+    call.dead = group.dead;
+    call.input = tm.resolve(group.input_meta);
+    call.operands.clear();
+    for (const auto& m : group.operand_metas)
+        call.operands.push_back(tm.resolve(m));
+    if (!group.dead)
+        call.out_shape = call.input.shape(); // what each verbatim link allocs
+
+    fw::run_fused_chain(session, call);
+
+    if (!group.dead)
+        tm.bind_output(group.output_meta, call.out);
+    call.input = fw::Tensor();
+    call.out = fw::Tensor();
+    call.operands.clear();
+}
+
+/// Runs one plan unit on its recorded thread and stream: a whole fused group
+/// as one loop-fused interpreter call issued at its head, or one standalone
+/// op.  The only dispatcher of plan units; both walks call it.  Under node
+/// reseeding (the async lanes) a standalone op's randomness is keyed on its
+/// node, and fused groups reseed per stage inside run_fused_chain; otherwise
+/// draws follow the sequential order byte-for-byte.
+void
+run_unit(fw::Session& session, const ReplayPlan& plan, const DepUnit& unit, TensorManager& tm)
+{
+    if (unit.group >= 0) {
+        const FusedGroup& group = plan.fused_groups()[static_cast<std::size_t>(unit.group)];
+        session.switch_thread(group.tid);
+        session.set_stream_override(group.stream);
+        execute_fused_group(session, group, tm);
+    } else {
+        const ReconstructedOp& op = plan.ops()[static_cast<std::size_t>(unit.head)];
+        if (session.node_reseed_mode())
+            session.reseed_for_node(op.node->id);
+        session.switch_thread(op.node->tid);
+        session.set_stream_override(op.stream);
+        execute_reconstructed(session, op, tm);
     }
-};
+    session.set_stream_override(std::nullopt);
+}
 
 /// Runs one iteration of the dependency-tracked multi-stream executor.
 ///
@@ -95,7 +132,6 @@ run_async_iteration(fw::Session& session, const ReplayPlan& plan, TensorManager&
                     const AsyncSchedule& sched, const CancelToken* cancel,
                     sim::TimeUs iter_start)
 {
-    const std::vector<ReconstructedOp>& ops = plan.ops();
     const DepGraph& graph = plan.dep_graph();
     const std::size_t n_units = graph.units.size();
     const std::size_t first_record = session.device().records().size();
@@ -106,7 +142,6 @@ run_async_iteration(fw::Session& session, const ReplayPlan& plan, TensorManager&
     for (auto& clk : clocks)
         clk.reset(iter_start);
 
-    AsyncModeGuard guard{session};
     session.set_node_reseed_mode(true);
 
     std::size_t executed = 0;
@@ -131,25 +166,12 @@ run_async_iteration(fw::Session& session, const ReplayPlan& plan, TensorManager&
         // Same cooperative cancel contract as the serial walk: between
         // units, never inside one.
         if (cancel != nullptr)
-            cancel->throw_if_expired("replay cancelled between ops");
+            cancel->throw_if_expired("replay cancelled between units");
 
         const int u = sched.lanes[pick].units[next[pick]];
-        const DepUnit& unit = graph.units[static_cast<std::size_t>(u)];
-        const ReconstructedOp& op = ops[static_cast<std::size_t>(unit.head)];
+        // Under the lane clock, switch_thread only relabels tid.
         session.set_clock_override(&clocks[pick]);
-        if (unit.group >= 0) {
-            const FusedGroup& group =
-                plan.fused_groups()[static_cast<std::size_t>(unit.group)];
-            session.switch_thread(group.tid); // relabel only, under override
-            session.set_stream_override(group.stream);
-            execute_fused_group(session, group, tm);
-        } else {
-            session.reseed_for_node(op.node->id);
-            session.switch_thread(op.node->tid);
-            session.set_stream_override(op.stream);
-            execute_reconstructed(session, op, tm);
-        }
-        session.set_stream_override(std::nullopt);
+        run_unit(session, plan, graph.units[static_cast<std::size_t>(u)], tm);
 
         ++next[pick];
         ++executed;
@@ -214,51 +236,27 @@ class DistributedReplayPool {
     }
 
     /// The cached session for @p rank, rewound for a fresh replay.  Rebuilt
-    /// only when the session-shaping parameters (platform, mode, seed, power
-    /// limit, world size) changed since the slot was last used; a rebuild
-    /// drops that rank's arena, a reuse keeps it.
+    /// only when the slot's session options differ from the ones @p cfg
+    /// gives for (rank, world); a rebuild drops that rank's arena, a reuse
+    /// keeps it.
     fw::Session& rank_session(int rank, int world, const ReplayConfig& cfg)
     {
-        Fnv1a h;
-        h.mix(cfg.platform);
-        h.mix_pod(cfg.mode);
-        h.mix_pod(cfg.seed);
-        h.mix_pod(cfg.power_limit_w.has_value());
-        if (cfg.power_limit_w.has_value())
-            h.mix_pod(*cfg.power_limit_w);
-        h.mix_pod(world);
-        const uint64_t opts_fp = h.value();
-
+        fw::SessionOptions opts = cfg.session_options(rank, world);
         if (sessions_.size() < static_cast<std::size_t>(world))
             sessions_.resize(static_cast<std::size_t>(world));
-        Slot& slot = sessions_[static_cast<std::size_t>(rank)];
-        if (slot.session == nullptr || slot.opts_fp != opts_fp) {
-            fw::SessionOptions opts;
-            opts.platform = dev::platform(cfg.platform);
-            opts.mode = cfg.mode;
-            opts.seed = cfg.seed;
-            opts.rank = rank;
-            opts.world_size = world;
-            opts.power_limit_w = cfg.power_limit_w;
-            opts.dispatch = fw::DispatchProfile::replay();
-            slot.session = std::make_unique<fw::Session>(opts);
-            slot.opts_fp = opts_fp;
-        } else {
-            slot.session->reset_for_replay();
-        }
-        return *slot.session;
+        std::unique_ptr<fw::Session>& slot = sessions_[static_cast<std::size_t>(rank)];
+        if (slot == nullptr || slot->options() != opts)
+            slot = std::make_unique<fw::Session>(std::move(opts));
+        else
+            slot->reset_for_replay();
+        return *slot;
     }
 
   private:
     DistributedReplayPool() = default;
 
-    struct Slot {
-        uint64_t opts_fp = 0;
-        std::unique_ptr<fw::Session> session;
-    };
-
     std::unique_ptr<ThreadPool> pool_;
-    std::vector<Slot> sessions_;
+    std::vector<std::unique_ptr<fw::Session>> sessions_;
 };
 
 } // namespace
@@ -308,15 +306,7 @@ Replayer::register_process_groups(fw::Session& session,
 ReplayResult
 Replayer::run(const CancelToken* cancel)
 {
-    fw::SessionOptions opts;
-    opts.platform = dev::platform(cfg_.platform);
-    opts.mode = cfg_.mode;
-    opts.seed = cfg_.seed;
-    opts.rank = 0;
-    opts.world_size = 1;
-    opts.power_limit_w = cfg_.power_limit_w;
-    opts.dispatch = fw::DispatchProfile::replay();
-    fw::Session session(opts);
+    fw::Session session(cfg_.session_options(0, 1));
     auto fabric = std::make_shared<comm::CommFabric>(1);
     return run_with(session, fabric, cancel);
 }
@@ -330,37 +320,44 @@ Replayer::run_with(fw::Session& session, const std::shared_ptr<comm::CommFabric>
     // Replay executes recorded backward ops explicitly; no taping.
     session.set_grad_enabled(false);
 
-    const std::vector<ReconstructedOp>& ops = plan_->ops();
-
     TensorManager tm(session, cfg_.embedding);
     std::vector<const et::Node*> selected_nodes;
-    selected_nodes.reserve(ops.size());
-    for (const auto& op : ops) {
+    selected_nodes.reserve(plan_->ops().size());
+    for (const auto& op : plan_->ops()) {
         if (op.kind != ReconstructedOp::Kind::kSkipped)
             selected_nodes.push_back(op.node);
     }
     tm.analyze(selected_nodes);
     tm.instantiate_externals();
 
-    // The profiler is a stack local; detach on every exit path (including
-    // exceptions) so a reused session can never hold a dangling pointer.
+    // The profiler is a stack local, and the async walk installs lane clocks,
+    // node reseeding and stream overrides.  Undo all of it on every exit
+    // path of either walk (a CancelledError between units included), so a
+    // reused session never holds a dangling pointer or a sticky mode.
     prof::ProfilerSession profiler;
     session.attach_profiler(&profiler);
-    struct ProfilerDetach {
+    struct ExitGuard {
         fw::Session& session;
-        ~ProfilerDetach() { session.attach_profiler(nullptr); }
-    } detach_guard{session};
+        ~ExitGuard()
+        {
+            session.attach_profiler(nullptr);
+            session.set_clock_override(nullptr);
+            session.set_node_reseed_mode(false);
+            session.set_stream_override(std::nullopt);
+        }
+    } exit_guard{session};
 
     ReplayResult result;
     result.coverage = plan_->coverage();
 
-    // The dependency-tracked multi-stream executor (MYST_ASYNC, §4.5's
-    // stream semantics taken to their concurrent conclusion) replaces the
-    // program-order walk whenever the config asks for it and the plan
-    // carries a dependency graph.  The schedule skeleton is built once per
-    // replay; per-iteration state (lane clocks, retired-edge counters) is
-    // local to run_async_iteration.
-    const bool async_mode = cfg_.async_level > 0 && !plan_->dep_graph().empty();
+    // Both walks run the plan's dependency-graph units through run_unit.
+    // The serial walk takes them in program order on the session's own
+    // clocks; the multi-stream executor (MYST_ASYNC, §4.5's stream semantics
+    // taken to their concurrent conclusion) schedules them over per-stream
+    // lanes.  The schedule skeleton is built once per replay; per-iteration
+    // state (lane clocks, retired-edge counters) is local to
+    // run_async_iteration.
+    const bool async_mode = cfg_.async_level > 0;
     AsyncSchedule sched;
     if (async_mode)
         sched = build_schedule(plan_->dep_graph());
@@ -381,31 +378,13 @@ Replayer::run_with(fw::Session& session, const std::shared_ptr<comm::CommFabric>
         if (async_mode) {
             iter_end = run_async_iteration(session, *plan_, tm, sched, cancel, iter_start);
         } else {
-            for (const auto& op : ops) {
-                // Cooperative deadline/cancel point: between ops, never inside
-                // one — a kernel that started always completes, so cancellation
-                // can never tear the simulated device state.
+            for (const DepUnit& unit : plan_->dep_graph().units) {
+                // Cooperative deadline/cancel point: between units, never
+                // inside one — a kernel that started always completes, so
+                // cancellation can never tear the simulated device state.
                 if (cancel != nullptr)
-                    cancel->throw_if_expired("replay cancelled between ops");
-                if (op.kind == ReconstructedOp::Kind::kSkipped)
-                    continue;
-                if (op.fused_group >= 0) {
-                    // Members replay as one loop-fused interpreter call issued
-                    // at the head; the rest of the group is already covered.
-                    if (!op.fused_head)
-                        continue;
-                    const FusedGroup& group =
-                        plan_->fused_groups()[static_cast<std::size_t>(op.fused_group)];
-                    session.switch_thread(group.tid);
-                    session.set_stream_override(group.stream);
-                    execute_fused_group(session, group, tm);
-                    session.set_stream_override(std::nullopt);
-                    continue;
-                }
-                session.switch_thread(op.node->tid);
-                session.set_stream_override(op.stream);
-                execute_reconstructed(session, op, tm);
-                session.set_stream_override(std::nullopt);
+                    cancel->throw_if_expired("replay cancelled between units");
+                run_unit(session, *plan_, unit, tm);
             }
             session.switch_thread(fw::kMainThread);
             iter_end = session.sync_device();

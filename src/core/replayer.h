@@ -8,10 +8,19 @@
 /// Replay used to be monolithic: every Replayer instance re-ran selection,
 /// coverage, reconstruction and stream assignment.  Those stages are now the
 /// immutable, shareable **ReplayPlan** (core/replay_plan.h); the Replayer is
-/// a thin per-rank *executor* that walks a plan's OpId-indexed ops against
-/// its own Session/TensorManager.  One plan can back any number of executors
+/// a thin per-rank *executor* that runs a plan's units against its own
+/// Session/TensorManager.  One plan can back any number of executors
 /// concurrently — run_distributed hands N rank threads read-only references
 /// to plans built once, instead of rebuilding N identical ones.
+///
+/// ## One executor path
+///
+/// The plan's dependency-graph units (core/plan_optimizer.h: a standalone
+/// op or a whole fused group) are the only definition of what runs, and one
+/// dispatcher runs a unit.  The serial walk takes the units in program order
+/// on the session's clocks; the async walk (MYST_ASYNC) schedules the same
+/// units over per-stream lanes.  ReplayConfig::session_options configures
+/// every replay Session.
 ///
 /// ## Cache lifecycle
 ///
@@ -85,14 +94,17 @@ class Replayer {
 
     /// Runs with an externally-provided session and fabric (distributed
     /// ranks share a fabric; each rank owns a Replayer on its thread).
-    /// Leaves the session reusable: the profiler is detached on return.
+    /// Leaves the session reusable: on every exit path the profiler is
+    /// detached and the clock override, node reseeding and stream override
+    /// are cleared.
     ///
     /// @param cancel  optional cooperative cancellation token.  Polled
-    ///        *between* replayed ops — never mid-kernel, so the simulator's
+    ///        before every plan unit — never mid-kernel, so the simulator's
     ///        determinism is preserved up to the cut.  An expired token
-    ///        throws CancelledError at the next op boundary; the session is
-    ///        left in a mid-iteration state and must be reset_for_replay()ed
-    ///        before reuse (the sweep driver always does).
+    ///        throws CancelledError at the next unit boundary (a plan with no
+    ///        units never polls); the session is left in a mid-iteration
+    ///        state and must be reset_for_replay()ed before reuse (the sweep
+    ///        driver always does).
     ReplayResult run_with(fw::Session& session,
                           const std::shared_ptr<comm::CommFabric>& fabric,
                           const CancelToken* cancel = nullptr);

@@ -37,6 +37,8 @@ struct PlatformSpec {
     double min_power_limit_w = 0.0;///< lowest settable power limit
     double min_freq_scale = 0.25;  ///< DVFS floor (fraction of max clocks)
     double alpha_power = 2.2;      ///< dynamic power ∝ freq_scale^alpha
+
+    bool operator==(const PlatformSpec&) const = default;
 };
 
 /// Returns the built-in platform with the given name

@@ -56,6 +56,8 @@ struct DispatchProfile {
     static DispatchProfile eager();
     /// Replay-mode constants (§5: single generated program, direct calls).
     static DispatchProfile replay();
+
+    bool operator==(const DispatchProfile&) const = default;
 };
 
 /// Session construction options.
@@ -67,6 +69,8 @@ struct SessionOptions {
     int world_size = 1;
     std::optional<double> power_limit_w;
     DispatchProfile dispatch = DispatchProfile::eager();
+
+    bool operator==(const SessionOptions&) const = default;
 };
 
 /// Thread IDs used in traces (Figure 4 shows these two).

@@ -1,27 +1,16 @@
 #include "framework/storage_arena.h"
 
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 
+#include "common/env.h"
 #include "common/error.h"
 
 namespace mystique::fw {
 
-namespace {
-
-bool
-poison_env_enabled()
-{
-    const char* v = std::getenv("MYST_ARENA_POISON");
-    return v != nullptr && v[0] == '1';
-}
-
-} // namespace
-
 StorageArena::StorageArena(int64_t max_cached_bytes)
-    : max_cached_bytes_(max_cached_bytes), poison_(poison_env_enabled())
+    : max_cached_bytes_(max_cached_bytes), poison_(env_flag("MYST_ARENA_POISON"))
 {
     MYST_CHECK_MSG(max_cached_bytes_ >= 0, "negative arena cache cap");
 }

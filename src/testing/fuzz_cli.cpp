@@ -17,6 +17,8 @@
 #define MYST_GETPID getpid
 #endif
 
+#include "common/env.h"
+#include "common/error.h"
 #include "common/fault_injection.h"
 #include "testing/differential.h"
 #include "testing/fault_churn.h"
@@ -34,21 +36,6 @@ parse_u64(const char* text)
     if (end == text || *end != '\0')
         return std::nullopt;
     return static_cast<uint64_t>(v);
-}
-
-uint64_t
-default_iters(std::FILE* err, bool& bad)
-{
-    const char* env = std::getenv("MYST_FUZZ_ITERS");
-    if (env == nullptr || *env == '\0')
-        return 25;
-    const std::optional<uint64_t> v = parse_u64(env);
-    if (!v.has_value()) {
-        std::fprintf(err, "mystique-fuzz: bad value for MYST_FUZZ_ITERS: '%s'\n", env);
-        bad = true;
-        return 25;
-    }
-    return *v;
 }
 
 void
@@ -87,10 +74,13 @@ run_fuzz_cli(int argc, const char* const* argv, std::FILE* out, std::FILE* err)
     const char* prog = argc > 0 ? argv[0] : "mystique-fuzz";
 
     uint64_t base_seed = 7;
-    bool bad_env = false;
-    uint64_t iters = default_iters(err, bad_env);
-    if (bad_env)
+    uint64_t iters = 25;
+    try {
+        iters = env_u64("MYST_FUZZ_ITERS").value_or(25);
+    } catch (const ConfigError& e) {
+        std::fprintf(err, "mystique-fuzz: %s\n", e.what());
         return 2;
+    }
     bool have_case = false;
     uint64_t one_case = 0;
     bool churn = false;

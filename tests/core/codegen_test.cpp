@@ -110,6 +110,21 @@ TEST(ReplayConfigJson, RoundTripsEveryField)
     EXPECT_EQ(ReplayConfig::from_json(dflt.to_json()).fingerprint(), dflt.fingerprint());
 }
 
+TEST(ReplayConfigJson, LevelsAreRequired)
+{
+    // Every writer emits both levels; a document missing one was not
+    // written by a v3 producer and must not default to some level.
+    const Json full = ReplayConfig().to_json();
+    for (const char* field : {"opt_level", "async_level"}) {
+        Json doc = Json::object();
+        for (const auto& [key, value] : full.as_object()) {
+            if (key != field)
+                doc.set(key, value);
+        }
+        EXPECT_THROW((void)ReplayConfig::from_json(doc), ParseError) << field;
+    }
+}
+
 TEST(PlanJson, RoundTripEqualsInMemoryPlan)
 {
     const auto& r0 = traced("param_linear").rank0();
@@ -145,7 +160,7 @@ TEST(PlanJson, PartialKeysAreMarkedNotZeroFilled)
     // A one-shot Replayer dump carries a partial key: the document must say
     // so explicitly rather than presenting zero-valued fingerprints.
     const Replayer one_shot(r0.trace, &r0.prof, cfg);
-    const Json j = plan_to_json(one_shot);
+    const Json j = one_shot.plan()->to_json();
     EXPECT_TRUE(j.at("key").get_bool("partial", false));
     EXPECT_FALSE(j.at("key").contains("trace_fp"));
     const PlanKey back = PlanKey::from_json(j.at("key"));

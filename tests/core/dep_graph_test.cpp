@@ -300,6 +300,82 @@ TEST(DepGraph, TamperedGraphQuarantinesOnRestore)
     EXPECT_THROW((void)ReplayPlan::from_json(doc3, t), ParseError);
 }
 
+/// @p doc with its dep_graph columns rewritten from @p graph and the seal
+/// recomputed — what a hand-edited document must do to pass the seal.
+Json
+resealed(Json doc, const DepGraph& graph)
+{
+    Json heads = Json::array(), groups = Json::array(), streams = Json::array(),
+         flags = Json::array(), deps = Json::array();
+    for (const DepUnit& u : graph.units) {
+        heads.push_back(Json(static_cast<int64_t>(u.head)));
+        groups.push_back(Json(static_cast<int64_t>(u.group)));
+        streams.push_back(Json(static_cast<int64_t>(u.stream)));
+        flags.push_back(Json(static_cast<int64_t>((u.comm ? 1 : 0) | (u.barrier ? 2 : 0))));
+        Json d = Json::array();
+        for (const int e : u.deps)
+            d.push_back(Json(static_cast<int64_t>(e)));
+        deps.push_back(std::move(d));
+    }
+    Json dep = Json::object();
+    dep.set("head", std::move(heads));
+    dep.set("group", std::move(groups));
+    dep.set("stream", std::move(streams));
+    dep.set("flags", std::move(flags));
+    dep.set("deps", std::move(deps));
+    doc.set("dep_graph", std::move(dep));
+    doc.set("dep_graph_fp", Json(std::to_string(dep_graph_fingerprint(graph))));
+    return doc;
+}
+
+TEST(DepGraph, ResealedGraphWithWrongUnitsIsRejectedOnRestore)
+{
+    // Units decide what both executor walks run, so a restored graph's units
+    // must be exactly what its ops give — even when the document was
+    // resealed and every structural check passes.
+    const std::vector<int64_t> shape{2, 8};
+    et::ExecutionTrace t;
+    t.add_node(relu_node(0, f32_meta(1, shape), f32_meta(2, shape)));
+    t.add_node(relu_node(1, f32_meta(2, shape), f32_meta(3, shape)));
+    t.add_node(all_reduce_node(2, f32_meta(3, shape), f32_meta(3, shape)));
+    const auto plan = ReplayPlan::build(t, nullptr, replay_cfg(0));
+    const Json good = plan->to_json();
+    const DepGraph& g = graph_of(plan);
+    ASSERT_EQ(g.units.size(), 3u);
+    ASSERT_NE(g.units[0].stream, g.units[2].stream);
+
+    // The helper encodes faithfully: the unmodified graph, resealed, restores.
+    EXPECT_NO_THROW((void)ReplayPlan::from_json(resealed(good, g), t));
+
+    // One executable unit dropped: async replay would skip the collective.
+    DepGraph dropped = g;
+    dropped.units.pop_back();
+    EXPECT_THROW((void)ReplayPlan::from_json(resealed(good, dropped), t), ParseError);
+
+    // Two units' streams swapped: replay would run them on the wrong lanes.
+    DepGraph swapped = g;
+    std::swap(swapped.units[0].stream, swapped.units[2].stream);
+    EXPECT_THROW((void)ReplayPlan::from_json(resealed(good, swapped), t), ParseError);
+}
+
+TEST(DepGraph, PlanWithoutIrTableOrGraphIsRejected)
+{
+    // v3 documents always carry both; the graph-less and ir_table-less
+    // readers are gone, so a document missing either is corrupt.
+    const std::vector<int64_t> shape{2, 8};
+    et::ExecutionTrace t;
+    t.add_node(relu_node(0, f32_meta(1, shape), f32_meta(2, shape)));
+    const Json good = ReplayPlan::build(t, nullptr, replay_cfg(0))->to_json();
+    for (const char* section : {"ir_table", "dep_graph", "dep_graph_fp"}) {
+        Json doc = Json::object();
+        for (const auto& [key, value] : good.as_object()) {
+            if (key != section)
+                doc.set(key, value);
+        }
+        EXPECT_THROW((void)ReplayPlan::from_json(doc, t), ParseError) << section;
+    }
+}
+
 TEST(DepGraph, AsyncReplayMatchesSerialPerStream)
 {
     // End-to-end executor contract on a fuzzed multi-stream case: per-stream

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -497,6 +499,86 @@ TEST(ReplayDriverResilience, QuarantineAfterRepeatedFailuresAndProbeHeals)
     const DatabaseReplayResult resumed = after.replay_groups(fx.db, SIZE_MAX, &fx.profs);
     expect_all_ok(resumed);
     EXPECT_EQ(resumed.journal_resumed, resumed.groups.size());
+}
+
+/// Sets (or unsets, for nullopt) one variable for the test's scope and
+/// restores the previous value afterwards.
+class ScopedEnv {
+  public:
+    ScopedEnv(const char* name, std::optional<std::string> value) : name_(name)
+    {
+        if (const char* old = std::getenv(name))
+            old_ = old;
+        set(value);
+    }
+    ~ScopedEnv() { set(old_); }
+    ScopedEnv(const ScopedEnv&) = delete;
+    ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  private:
+    void set(const std::optional<std::string>& value)
+    {
+        if (value.has_value())
+            ::setenv(name_, value->c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+
+    const char* name_;
+    std::optional<std::string> old_;
+};
+
+TEST(ReplayDriverResilience, OverflowingBackoffIsRejectedBeforeAnyGroupRuns)
+{
+    // The last retry sleeps backoff << (retries - 1).  A pair whose largest
+    // sleep does not fit in 64 bits is a configuration error, refused before
+    // any group replays — no plan is even fetched.
+    FaultGuard guard;
+    ScopedEnv no_retries("MYST_SWEEP_RETRIES", std::nullopt);
+    ScopedEnv no_backoff("MYST_SWEEP_BACKOFF_MS", std::nullopt);
+    SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
+    const auto rejected = [&](std::optional<int> retries, std::optional<uint64_t> backoff) {
+        PlanCache cache(16);
+        ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
+        driver.set_max_retries(retries);
+        driver.set_backoff_ms(backoff);
+        EXPECT_THROW((void)driver.replay_groups(fx.db, SIZE_MAX, &fx.profs), ConfigError);
+        EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
+    };
+    rejected(65, 1);          // a 64-bit shift
+    rejected(64, 2);          // 2 << 63 wraps
+    rejected(2, UINT64_MAX);  // UINT64_MAX << 1 wraps
+    {
+        ScopedEnv env("MYST_SWEEP_RETRIES", "65"); // on the default 10 ms base
+        rejected(std::nullopt, std::nullopt);
+    }
+    {
+        ScopedEnv env("MYST_SWEEP_RETRIES", "abc"); // used to read as 0
+        rejected(std::nullopt, std::nullopt);
+    }
+
+    // The largest sleep that fits, 1 << 63, is accepted.
+    {
+        PlanCache cache(16);
+        ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
+        driver.set_max_retries(64);
+        driver.set_backoff_ms(1);
+        expect_all_ok(driver.replay_groups(fx.db, SIZE_MAX, &fx.profs));
+    }
+
+    // retries=3 on a 1 ms base behaves as before: a group that keeps failing
+    // is attempted 4 times and sleeps 1 + 2 + 4 ms.
+    FaultInjection::instance().arm("sweep.group", 1, FaultMode::kEvery);
+    PlanCache cache(16);
+    ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
+    driver.set_max_retries(3);
+    driver.set_backoff_ms(1);
+    const DatabaseReplayResult got = driver.replay_groups(fx.db, SIZE_MAX, &fx.profs);
+    EXPECT_EQ(got.groups_failed, got.groups.size());
+    for (const GroupReplayResult& g : got.groups)
+        EXPECT_EQ(g.attempts, 4u);
+    EXPECT_EQ(got.retries, 3u * got.groups.size());
+    EXPECT_EQ(got.backoff_ms, 7u * got.groups.size());
 }
 
 TEST(ReplayDriverResilience, JournalFaultsAreAbsorbed)
