@@ -82,10 +82,11 @@ struct ReplayConfig {
     int opt_level = default_opt_level();
 
     /// Multi-stream async executor (core/replayer): 0 = serial walk over
-    /// the plan's units in program order, > 0 = dependency-tracked execution that runs independent
-    /// streams concurrently and overlaps collectives with compute.  Part of
-    /// fingerprint(): async and serial replays model different device
-    /// timelines, so their plans must never alias in either cache tier.
+    /// the plan's units in program order, > 0 = dependency-tracked
+    /// execution that runs independent streams concurrently and overlaps
+    /// collectives with compute.  Part of fingerprint(): async and serial
+    /// replays model different device timelines, so their plans must never
+    /// alias in either cache tier.
     int async_level = default_async_level();
 
     /// Collect a profiler trace of the replay run (needed for similarity).

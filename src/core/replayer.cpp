@@ -320,10 +320,12 @@ Replayer::run_with(fw::Session& session, const std::shared_ptr<comm::CommFabric>
     // Replay executes recorded backward ops explicitly; no taping.
     session.set_grad_enabled(false);
 
+    const std::vector<ReconstructedOp>& ops = plan_->ops();
+
     TensorManager tm(session, cfg_.embedding);
     std::vector<const et::Node*> selected_nodes;
-    selected_nodes.reserve(plan_->ops().size());
-    for (const auto& op : plan_->ops()) {
+    selected_nodes.reserve(ops.size());
+    for (const auto& op : ops) {
         if (op.kind != ReconstructedOp::Kind::kSkipped)
             selected_nodes.push_back(op.node);
     }
