@@ -1,9 +1,9 @@
 #include "common/env.h"
 
-#include <charconv>
 #include <cstdlib>
 
 #include "common/error.h"
+#include "common/string_util.h"
 
 namespace mystique {
 
@@ -13,9 +13,8 @@ env_u64(const char* name, uint64_t max)
     const std::string v = env_string(name);
     if (v.empty())
         return std::nullopt;
-    uint64_t n = 0;
-    const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
-    if (ec != std::errc() || ptr != v.data() + v.size() || n > max)
+    const std::optional<uint64_t> n = parse_u64(v);
+    if (!n.has_value() || *n > max)
         MYST_THROW(ConfigError, name << "='" << v << "': expected a base-10 integer in [0, "
                                      << max << "]");
     return n;

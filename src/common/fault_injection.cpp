@@ -1,7 +1,6 @@
 #include "common/fault_injection.h"
 
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <mutex>
 #include <thread>
@@ -67,10 +66,8 @@ struct FaultInjection::Impl {
                 MYST_THROW(ConfigError,
                            "MYST_FAULT: expected <site>:<nth>[:<mode>], got '" << spec
                                                                               << "'");
-            uint64_t nth = 0;
-            const std::string& n = parts[1];
-            const auto [ptr, ec] = std::from_chars(n.data(), n.data() + n.size(), nth);
-            if (ec != std::errc() || ptr != n.data() + n.size() || nth == 0)
+            const std::optional<uint64_t> nth = parse_u64(parts[1]);
+            if (!nth.has_value() || *nth == 0)
                 MYST_THROW(ConfigError, "MYST_FAULT: bad count in '" << spec << "'");
             FaultMode mode = FaultMode::kOnce;
             if (parts.size() == 3) {
@@ -85,10 +82,10 @@ struct FaultInjection::Impl {
                                                                             << "'");
             }
             Site& s = site_locked(parts[0]);
-            s.nth = nth;
+            s.nth = *nth;
             s.mode = mode;
             s.armed = true;
-            MYST_INFO("fault injection: armed '" << parts[0] << "' nth=" << nth
+            MYST_INFO("fault injection: armed '" << parts[0] << "' nth=" << *nth
                                                  << " via MYST_FAULT");
         }
         enabled.store(true, std::memory_order_relaxed);

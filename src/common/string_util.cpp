@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -67,6 +68,16 @@ bool
 ends_with(std::string_view text, std::string_view suffix)
 {
     return text.size() >= suffix.size() && text.substr(text.size() - suffix.size()) == suffix;
+}
+
+std::optional<uint64_t>
+parse_u64(std::string_view text)
+{
+    uint64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc() || ptr != text.data() + text.size())
+        return std::nullopt;
+    return v;
 }
 
 std::string

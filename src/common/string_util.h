@@ -4,6 +4,7 @@
 /// String helpers shared by the schema parser, IR parser and formatters.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +24,10 @@ std::string_view trim(std::string_view text);
 
 bool starts_with(std::string_view text, std::string_view prefix);
 bool ends_with(std::string_view text, std::string_view suffix);
+
+/// A complete base-10 unsigned 64-bit number — no sign, whitespace, trailing
+/// characters or overflow — else nullopt.
+std::optional<uint64_t> parse_u64(std::string_view text);
 
 /// Joins tokens with a separator.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);

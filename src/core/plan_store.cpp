@@ -1,6 +1,5 @@
 #include "core/plan_store.h"
 
-#include <charconv>
 #include <exception>
 #include <filesystem>
 #include <utility>
@@ -89,15 +88,11 @@ PlanStore::load(const PlanKey& key, std::shared_ptr<const et::ExecutionTrace> tr
         const std::string_view plan_bytes(
             text.data() + plan_pos + std::char_traits<char>::length(kPlanMarker),
             text.size() - plan_pos - std::char_traits<char>::length(kPlanMarker) - 1);
-        uint64_t recorded = 0;
-        {
-            const std::string& rec = entry.at("plan_hash").as_string();
-            const auto [ptr, ec] =
-                std::from_chars(rec.data(), rec.data() + rec.size(), recorded);
-            if (ec != std::errc() || ptr != rec.data() + rec.size())
-                MYST_THROW(ParseError, "plan store entry: bad plan_hash");
-        }
-        if (hash_bytes(plan_bytes) != recorded)
+        const std::optional<uint64_t> recorded =
+            parse_u64(entry.at("plan_hash").as_string());
+        if (!recorded.has_value())
+            MYST_THROW(ParseError, "plan store entry: bad plan_hash");
+        if (hash_bytes(plan_bytes) != *recorded)
             MYST_THROW(ParseError, "plan store entry: plan content does not match its "
                                    "recorded hash (entry corrupted or edited)");
 

@@ -1,7 +1,6 @@
 #include "core/replay_plan.h"
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <mutex>
 #include <unordered_map>
@@ -31,11 +30,10 @@ uint64_t
 fp_parse(const Json& j, std::string_view key)
 {
     const std::string& s = j.at(key).as_string();
-    uint64_t v = 0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc() || ptr != s.data() + s.size())
+    const std::optional<uint64_t> v = parse_u64(s);
+    if (!v.has_value())
         MYST_THROW(ParseError, "plan json: bad fingerprint '" + s + "'");
-    return v;
+    return *v;
 }
 
 dev::OpCategory

@@ -15,12 +15,10 @@
 ///
 /// ## One executor path
 ///
-/// The plan's dependency-graph units (core/plan_optimizer.h: a standalone
-/// op or a whole fused group) are the only definition of what runs, and one
-/// dispatcher runs a unit.  The serial walk takes the units in program order
-/// on the session's clocks; the async walk (MYST_ASYNC) schedules the same
-/// units over per-stream lanes.  ReplayConfig::session_options configures
-/// every replay Session.
+/// A plan's dependency-graph units (core/plan_optimizer.h) are what runs:
+/// the serial walk takes them in program order, the async walk (MYST_ASYNC)
+/// schedules them over per-stream lanes, and both dispatch a unit the same
+/// way.  ReplayConfig::session_options configures every replay Session.
 ///
 /// ## Cache lifecycle
 ///
@@ -112,8 +110,6 @@ class Replayer {
     const std::shared_ptr<const ReplayPlan>& plan() const { return plan_; }
     const Selection& selection() const { return plan_->selection(); }
     const CoverageStats& coverage_stats() const { return plan_->coverage(); }
-    /// Generated IR text per replayed ATen node (for codegen/inspection).
-    const std::vector<ReconstructedOp>& reconstructed() const { return plan_->ops(); }
 
     /// Replays N traces on N concurrent rank tasks sharing one fabric.
     /// Trace count may be smaller than the original world size when combined

@@ -1,6 +1,5 @@
 #include "core/sweep_journal.h"
 
-#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +10,7 @@
 #include "common/fs_util.h"
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace mystique::core {
 
@@ -38,14 +38,13 @@ bits_to_double(uint64_t bits)
 }
 
 uint64_t
-u64_field(const Json& j, std::string_view key)
+u64_of(const Json& value)
 {
-    const std::string& s = j.at(key).as_string();
-    uint64_t v = 0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc() || ptr != s.data() + s.size())
-        MYST_THROW(ParseError, "sweep journal: bad uint64 field '" << s << "'");
-    return v;
+    const std::string& s = value.as_string();
+    const std::optional<uint64_t> v = parse_u64(s);
+    if (!v.has_value())
+        MYST_THROW(ParseError, "sweep journal: bad uint64 value '" << s << "'");
+    return *v;
 }
 
 Json
@@ -73,20 +72,14 @@ record_from_json(const Json& j)
     if (j.get_int("v", 0) != 1)
         MYST_THROW(ParseError, "sweep journal: unknown record version");
     SweepJournalRecord rec;
-    rec.sweep_fp = u64_field(j, "sweep");
-    rec.group_fp = u64_field(j, "group");
+    rec.sweep_fp = u64_of(j.at("sweep"));
+    rec.group_fp = u64_of(j.at("group"));
     rec.status = group_status_from_string(j.at("status").as_string());
     rec.attempts = static_cast<uint32_t>(j.get_int("attempts", 0));
-    rec.population_weight = bits_to_double(u64_field(j, "weight_bits"));
-    rec.mean_iter_us = bits_to_double(u64_field(j, "mean_bits"));
-    for (const Json& it : j.at("iter_us_bits").as_array()) {
-        uint64_t bits = 0;
-        const std::string& s = it.as_string();
-        const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), bits);
-        if (ec != std::errc() || ptr != s.data() + s.size())
-            MYST_THROW(ParseError, "sweep journal: bad iteration bits '" << s << "'");
-        rec.iter_us.push_back(bits_to_double(bits));
-    }
+    rec.population_weight = bits_to_double(u64_of(j.at("weight_bits")));
+    rec.mean_iter_us = bits_to_double(u64_of(j.at("mean_bits")));
+    for (const Json& it : j.at("iter_us_bits").as_array())
+        rec.iter_us.push_back(bits_to_double(u64_of(it)));
     rec.error = j.get_string("error", "");
     return rec;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <optional>
@@ -20,6 +19,7 @@
 #include "common/env.h"
 #include "common/error.h"
 #include "common/fault_injection.h"
+#include "common/string_util.h"
 #include "testing/differential.h"
 #include "testing/fault_churn.h"
 #include "testing/trace_fuzzer.h"
@@ -27,16 +27,6 @@
 namespace mystique::testing {
 
 namespace {
-
-std::optional<uint64_t>
-parse_u64(const char* text)
-{
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0')
-        return std::nullopt;
-    return static_cast<uint64_t>(v);
-}
 
 void
 print_usage(std::FILE* err, const char* prog)

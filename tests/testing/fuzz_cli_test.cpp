@@ -129,6 +129,10 @@ TEST(FuzzCli, UsageErrorsExitTwo)
     EXPECT_EQ(run_cli({"--iters", "12x"}, nullptr, &err), 2);
     EXPECT_NE(err.find("bad value for --iters"), std::string::npos) << err;
 
+    // Signs are not digits: "-1" must not wrap to 2^64 - 1.
+    EXPECT_EQ(run_cli({"--seed", "-1"}, nullptr, &err), 2);
+    EXPECT_NE(err.find("bad value for --seed: '-1'"), std::string::npos) << err;
+
     EXPECT_EQ(run_cli({"--case"}, nullptr, &err), 2);
     EXPECT_NE(err.find("--case needs a value"), std::string::npos) << err;
 
