@@ -54,7 +54,9 @@ namespace mystique::core {
 /// pins "opt_level" at top level (verified against the embedded config).
 /// v3: replay_plan.json carries the executor dependency graph ("dep_graph")
 /// and the replay config serializes "async_level".
-inline constexpr int kPackageFormatVersion = 3;
+/// v4: replay_plan.json drops "dep_graph", its seal and the "identity" /
+/// "optimizer" blocks, which import derives — v3 packages are rejected.
+inline constexpr int kPackageFormatVersion = 4;
 /// Generator identity recorded in the manifest.
 inline constexpr const char* kGeneratorVersion = "mystique-codegen/1.0";
 

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "common/error.h"
-#include "common/hash.h"
 #include "framework/kernel_utils.h"
 #include "framework/op_registry.h"
 
@@ -394,42 +393,67 @@ struct EffectKeyHash {
     }
 };
 
-void
-collect_meta_keys(const et::TensorMeta& m, std::vector<EffectKey>& out)
-{
-    out.push_back({false, m.tensor_id});
-    if (m.storage_id >= 0)
-        out.push_back({true, m.storage_id});
-}
+/// Def-use state of one effect key: its last writer, and the newest entry
+/// of the list of units that read it since that write.
+struct EffectSlot {
+    int last_writer = -1;
+    int last_reader = -1; ///< index into EffectSlots::readers, or -1
+};
 
-/// Reads/writes of one unit, as recorded-tensor keys.
+/// Effect keys resolved to dense slots.  Each key occurrence costs one hash
+/// lookup; the def-use sweep then indexes the slot vector.  Restore runs
+/// this sweep on every disk hit, so the reader lists share one pool instead
+/// of allocating a vector per slot.
+struct EffectSlots {
+    std::unordered_map<EffectKey, int, EffectKeyHash> index;
+    std::vector<EffectSlot> slots;
+    /// Every slot's reader list: (unit, previous entry of the list or -1).
+    std::vector<std::pair<int, int>> readers;
+
+    void resolve(const EffectKey& k, std::vector<int>& out)
+    {
+        const auto [it, fresh] = index.try_emplace(k, static_cast<int>(slots.size()));
+        if (fresh)
+            slots.emplace_back();
+        out.push_back(it->second);
+    }
+
+    void resolve_meta(const et::TensorMeta& m, std::vector<int>& out)
+    {
+        resolve({false, m.tensor_id}, out);
+        if (m.storage_id >= 0)
+            resolve({true, m.storage_id}, out);
+    }
+};
+
+/// Reads/writes of one unit, as effect slots.
 void
 unit_effects(const std::vector<ReconstructedOp>& ops,
              const std::vector<FusedGroup>& groups, const DepUnit& u,
-             std::vector<EffectKey>& reads, std::vector<EffectKey>& writes)
+             EffectSlots& effects, std::vector<int>& reads, std::vector<int>& writes)
 {
     reads.clear();
     writes.clear();
     if (u.group >= 0) {
         const FusedGroup& g = groups[static_cast<std::size_t>(u.group)];
-        collect_meta_keys(g.input_meta, reads);
+        effects.resolve_meta(g.input_meta, reads);
         for (const auto& m : g.operand_metas)
-            collect_meta_keys(m, reads);
+            effects.resolve_meta(m, reads);
         if (!g.dead)
-            collect_meta_keys(g.output_meta, writes);
+            effects.resolve_meta(g.output_meta, writes);
         return;
     }
     const et::Node& node = *ops[static_cast<std::size_t>(u.head)].node;
     for (const auto& arg : node.inputs)
         for (const auto& t : arg.tensors)
-            collect_meta_keys(t, reads);
+            effects.resolve_meta(t, reads);
     for (const auto& arg : node.outputs)
         for (const auto& t : arg.tensors)
-            collect_meta_keys(t, writes);
+            effects.resolve_meta(t, writes);
 }
 
-} // namespace
-
+/// The units of a reconstructed-op sequence in program order, deps empty.
+/// One O(ops) pass.
 std::vector<DepUnit>
 enumerate_units(const std::vector<ReconstructedOp>& ops,
                 const std::vector<FusedGroup>& groups)
@@ -471,6 +495,8 @@ enumerate_units(const std::vector<ReconstructedOp>& ops,
     return units;
 }
 
+} // namespace
+
 DepGraph
 build_dep_graph(const std::vector<ReconstructedOp>& ops,
                 const std::vector<FusedGroup>& groups)
@@ -478,15 +504,15 @@ build_dep_graph(const std::vector<ReconstructedOp>& ops,
     DepGraph graph;
     graph.units = enumerate_units(ops, groups);
 
-    // Def-use edges + barrier edges, one forward sweep.
-    std::unordered_map<EffectKey, int, EffectKeyHash> last_writer;
-    std::unordered_map<EffectKey, std::vector<int>, EffectKeyHash> readers_since_write;
+    // Def-use edges + barrier edges, one forward sweep.  Each unit's edges
+    // collect in one scratch vector, so its deps allocate once.
+    EffectSlots effects;
     int last_barrier = -1;
-    std::vector<EffectKey> reads, writes;
+    std::vector<int> reads, writes, deps;
     for (std::size_t ui = 0; ui < graph.units.size(); ++ui) {
         DepUnit& u = graph.units[ui];
         const int self = static_cast<int>(ui);
-        std::vector<int>& deps = u.deps;
+        deps.clear();
 
         if (u.barrier) {
             // Runs after every earlier unit since (and including) the
@@ -497,73 +523,38 @@ build_dep_graph(const std::vector<ReconstructedOp>& ops,
         } else {
             if (last_barrier >= 0)
                 deps.push_back(last_barrier);
-            unit_effects(ops, groups, u, reads, writes);
-            for (const EffectKey& k : reads) { // RAW
-                const auto it = last_writer.find(k);
-                if (it != last_writer.end())
-                    deps.push_back(it->second);
+            unit_effects(ops, groups, u, effects, reads, writes);
+            for (const int s : reads) { // RAW
+                const EffectSlot& slot = effects.slots[static_cast<std::size_t>(s)];
+                if (slot.last_writer >= 0)
+                    deps.push_back(slot.last_writer);
             }
-            for (const EffectKey& k : writes) {
-                const auto it = last_writer.find(k); // WAW
-                if (it != last_writer.end())
-                    deps.push_back(it->second);
-                const auto rit = readers_since_write.find(k); // WAR
-                if (rit != readers_since_write.end())
-                    deps.insert(deps.end(), rit->second.begin(), rit->second.end());
+            for (const int s : writes) { // WAW, then WAR
+                const EffectSlot& slot = effects.slots[static_cast<std::size_t>(s)];
+                if (slot.last_writer >= 0)
+                    deps.push_back(slot.last_writer);
+                for (int r = slot.last_reader; r >= 0;
+                     r = effects.readers[static_cast<std::size_t>(r)].second)
+                    deps.push_back(effects.readers[static_cast<std::size_t>(r)].first);
             }
-            for (const EffectKey& k : reads)
-                readers_since_write[k].push_back(self);
-            for (const EffectKey& k : writes) {
-                last_writer[k] = self;
-                readers_since_write[k].clear();
+            for (const int s : reads) {
+                EffectSlot& slot = effects.slots[static_cast<std::size_t>(s)];
+                effects.readers.emplace_back(self, slot.last_reader);
+                slot.last_reader = static_cast<int>(effects.readers.size()) - 1;
+            }
+            for (const int s : writes) {
+                EffectSlot& slot = effects.slots[static_cast<std::size_t>(s)];
+                slot.last_writer = self;
+                slot.last_reader = -1;
             }
         }
 
         std::sort(deps.begin(), deps.end());
         deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
         deps.erase(std::remove(deps.begin(), deps.end(), self), deps.end());
+        u.deps.assign(deps.begin(), deps.end());
     }
     return graph;
-}
-
-void
-validate_dep_graph(const DepGraph& graph, std::size_t n_ops)
-{
-    for (std::size_t ui = 0; ui < graph.units.size(); ++ui) {
-        const DepUnit& u = graph.units[ui];
-        if (u.head < 0 || static_cast<std::size_t>(u.head) >= n_ops)
-            MYST_THROW(ParseError, "dep-graph unit head " << u.head << " out of range");
-        int prev = -1;
-        for (const int d : u.deps) {
-            if (d < 0)
-                MYST_THROW(ParseError, "dep-graph edge target " << d << " negative");
-            if (d >= static_cast<int>(ui))
-                MYST_THROW(ParseError, "dep-graph edge points forward (cycle): unit "
-                                           << ui << " depends on " << d);
-            if (d <= prev)
-                MYST_THROW(ParseError,
-                           "dep-graph deps not strictly ascending in unit " << ui);
-            prev = d;
-        }
-    }
-}
-
-uint64_t
-dep_graph_fingerprint(const DepGraph& graph)
-{
-    Fnv1a h;
-    h.mix_pod(static_cast<uint64_t>(graph.units.size()));
-    for (const DepUnit& u : graph.units) {
-        h.mix_pod(u.head);
-        h.mix_pod(u.group);
-        h.mix_pod(u.stream);
-        h.mix_pod(u.comm);
-        h.mix_pod(u.barrier);
-        h.mix_pod(static_cast<uint64_t>(u.deps.size()));
-        for (const int d : u.deps)
-            h.mix_pod(d);
-    }
-    return h.value();
 }
 
 } // namespace mystique::core

@@ -82,6 +82,8 @@ struct DepUnit {
     bool barrier = false; ///< scheduling barrier: runs after everything
                           ///< before it, before everything after it
     std::vector<int> deps; ///< earlier unit indices (strictly ascending)
+
+    bool operator==(const DepUnit&) const = default;
 };
 
 /// The per-plan dependency DAG, in program order: every dep points to an
@@ -90,15 +92,8 @@ struct DepUnit {
 struct DepGraph {
     std::vector<DepUnit> units;
 
-    bool empty() const { return units.empty(); }
+    bool operator==(const DepGraph&) const = default;
 };
-
-/// The units of a reconstructed-op sequence in program order, deps empty:
-/// the one definition of what replay executes.  build_dep_graph adds the
-/// edges; ReplayPlan::from_json checks a restored graph's unit fields
-/// against it.  One O(ops) pass.
-std::vector<DepUnit> enumerate_units(const std::vector<ReconstructedOp>& ops,
-                                     const std::vector<FusedGroup>& groups);
 
 /// Derives the dependency graph for a reconstructed-op sequence:
 ///
@@ -110,26 +105,13 @@ std::vector<DepUnit> enumerate_units(const std::vector<ReconstructedOp>& ops,
 ///    ops, and ops touching no recorded tensors (unknown side effects) all
 ///    serialize against everything around them.
 ///
-/// Pure function of (ops, groups), derived once at plan build and carried
-/// through serialization (restore re-enumerates the units, but takes the
-/// edges from the document under its fingerprint seal instead of
-/// re-deriving them).
+/// Pure function of (ops, groups): ReplayPlan::build and
+/// ReplayPlan::from_json both derive the graph with this call, so plan
+/// documents never carry it.  Units come in program order — the one
+/// definition of what replay executes — and every edge points to an earlier
+/// unit.
 DepGraph build_dep_graph(const std::vector<ReconstructedOp>& ops,
                          const std::vector<FusedGroup>& groups);
-
-/// Structural validation for restored graphs: unit heads in range, dep lists
-/// strictly ascending with every edge pointing to an *earlier* unit (a
-/// forward or self edge would be a cycle through program order).  Throws
-/// ParseError so corrupt store entries quarantine instead of deadlocking the
-/// executor.
-void validate_dep_graph(const DepGraph& graph, std::size_t n_ops);
-
-/// Stable order-sensitive fingerprint over every unit field and edge.
-/// Serialized plans are sealed with it ("dep_graph_fp") so the restore path
-/// can detect a tampered or truncated graph by hashing the parsed units —
-/// no O(plan) re-derivation on the disk-hit path (the disk tier's whole
-/// point is being much cheaper than a build).
-uint64_t dep_graph_fingerprint(const DepGraph& graph);
 
 /// Input-consumer multiplicity of every tensor id across the plan's
 /// non-skipped ops — the single-consumer legality oracle shared by the

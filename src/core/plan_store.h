@@ -13,8 +13,9 @@
 /// whose key already pins the trace's structural fingerprint, so the trace
 /// the plan must bind to is the one in hand, verified by construction.
 /// Entries therefore stay plan-sized (no embedded trace copy), and a disk
-/// hit costs one parse plus a compile of each *distinct* recorded IR text —
-/// never a selection + coverage + reconstruction pass.
+/// hit costs one parse, a compile of each *distinct* recorded IR text and
+/// one def-use pass over the restored ops for the dependency graph — never
+/// a selection + coverage + reconstruction pass.
 ///
 /// ## Durability contract
 ///
@@ -45,7 +46,9 @@ namespace mystique::core {
 /// config "opt_level") — v1 entries quarantine-and-rebuild.
 /// v3: plan documents carry the executor dependency graph ("dep_graph",
 /// config "async_level") — v2 entries quarantine-and-rebuild.
-inline constexpr int kPlanStoreFormatVersion = 3;
+/// v4: plan documents drop "dep_graph", its seal and the "identity" /
+/// "optimizer" blocks; restore derives them — v3 entries quarantine-and-rebuild.
+inline constexpr int kPlanStoreFormatVersion = 4;
 
 class PlanStore {
   public:

@@ -401,13 +401,6 @@ kind_name(ReconstructedOp::Kind kind)
     return "?";
 }
 
-/// A dep-graph unit's "flags" column value: comm (bit 0), barrier (bit 1).
-int64_t
-unit_flags(const DepUnit& u)
-{
-    return (u.comm ? 1 : 0) | (u.barrier ? 2 : 0);
-}
-
 Json
 coverage_to_json(const CoverageStats& cov)
 {
@@ -486,8 +479,8 @@ ReplayPlan::to_json() const
     // Fused groups (opt_level > 0 builds only).  Members are op indices;
     // stages, metas and descs are deterministic derivations from the trace
     // (finalize_group), so only the discovery result crosses the boundary.
-    // The "identity" / "optimizer" blocks are informational re-derivations —
-    // from_json recomputes both, keeping to_json∘from_json lossless.
+    // The optimizer counters and the dependency graph derive from the
+    // restored ops and groups, so the document carries neither.
     if (!fused_groups_.empty()) {
         Json groups = Json::array();
         for (const FusedGroup& g : fused_groups_) {
@@ -498,57 +491,10 @@ ReplayPlan::to_json() const
             gj.set("members", std::move(members));
             if (g.dead)
                 gj.set("dead", Json(true));
-            Json identity = Json::array();
-            for (std::size_t k = 0; k < g.stages.size(); ++k) {
-                if (g.stages[k].identity)
-                    identity.push_back(Json(static_cast<int64_t>(k)));
-            }
-            if (!identity.as_array().empty())
-                gj.set("identity", std::move(identity));
             groups.push_back(std::move(gj));
         }
         j.set("fused_groups", std::move(groups));
-        const OptimizerStats derived = derive_optimizer_stats(fused_groups_);
-        Json opt = Json::object();
-        opt.set("ops_fused", Json(derived.ops_fused));
-        opt.set("ops_eliminated", Json(derived.ops_eliminated));
-        opt.set("chains_formed", Json(derived.chains_formed));
-        opt.set("ops_simplified", Json(derived.ops_simplified));
-        j.set("optimizer", std::move(opt));
     }
-
-    // Dependency graph: cached in the document and sealed with its
-    // fingerprint, so a restore can verify the bytes without re-deriving
-    // the graph from the ops (the disk tier must stay much cheaper than a
-    // build).  Columnar layout — one array per unit field, parallel by unit
-    // index in program order — because the restore path parses this on
-    // every disk hit and per-unit objects cost several times as much to
-    // parse as flat arrays.  flags packs comm (bit 0) and barrier (bit 1);
-    // deps are unit indices.  Restore re-derives every column but deps from
-    // the ops and checks the document against them.
-    Json dep_j = Json::object();
-    Json heads = Json::array();
-    Json groups_col = Json::array();
-    Json streams_col = Json::array();
-    Json flags_col = Json::array();
-    Json deps_col = Json::array();
-    for (const DepUnit& u : dep_graph_.units) {
-        heads.push_back(Json(static_cast<int64_t>(u.head)));
-        groups_col.push_back(Json(static_cast<int64_t>(u.group)));
-        streams_col.push_back(Json(static_cast<int64_t>(u.stream)));
-        flags_col.push_back(Json(unit_flags(u)));
-        Json deps = Json::array();
-        for (const int d : u.deps)
-            deps.push_back(Json(static_cast<int64_t>(d)));
-        deps_col.push_back(std::move(deps));
-    }
-    dep_j.set("head", std::move(heads));
-    dep_j.set("group", std::move(groups_col));
-    dep_j.set("stream", std::move(streams_col));
-    dep_j.set("flags", std::move(flags_col));
-    dep_j.set("deps", std::move(deps_col));
-    j.set("dep_graph", std::move(dep_j));
-    j.set("dep_graph_fp", fp_json(dep_graph_fingerprint(dep_graph_)));
     return j;
 }
 
@@ -667,43 +613,9 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
         plan->opt_stats_ = derive_optimizer_stats(plan->fused_groups_);
     }
 
-    // Dependency graph.  Its units decide what both executor walks run, so
-    // they are not read from the document but derived from the restored ops
-    // (one O(ops) pass), and every recorded unit column must agree with
-    // them: a dropped, reordered or re-streamed unit throws even when the
-    // document was resealed.  Only the deps — the part that costs a def-use
-    // analysis to derive — come from the document, held by structural
-    // validation (a forward or self edge is a cycle) and the fingerprint
-    // seal emitted by to_json.  ParseError sends a store entry to quarantine
-    // instead of replaying a wrong schedule.
-    const Json& dep_j = j.at("dep_graph");
-    const auto& heads = dep_j.at("head").as_array();
-    const auto& groups_col = dep_j.at("group").as_array();
-    const auto& streams_col = dep_j.at("stream").as_array();
-    const auto& flags_col = dep_j.at("flags").as_array();
-    const auto& deps_col = dep_j.at("deps").as_array();
-    DepGraph graph;
-    graph.units = enumerate_units(plan->ops_, plan->fused_groups_);
-    const std::size_t n_units = graph.units.size();
-    if (heads.size() != n_units || groups_col.size() != n_units ||
-        streams_col.size() != n_units || flags_col.size() != n_units ||
-        deps_col.size() != n_units)
-        MYST_THROW(ParseError, "plan json: dep_graph columns do not hold the "
-                                   << n_units << " units the ops give");
-    for (std::size_t ui = 0; ui < n_units; ++ui) {
-        DepUnit& u = graph.units[ui];
-        if (heads[ui].as_int() != u.head || groups_col[ui].as_int() != u.group ||
-            streams_col[ui].as_int() != u.stream || flags_col[ui].as_int() != unit_flags(u))
-            MYST_THROW(ParseError,
-                       "plan json: dep_graph unit " << ui << " is not the unit its ops give");
-        for (const Json& d : deps_col[ui].as_array())
-            u.deps.push_back(static_cast<int>(d.as_int()));
-    }
-    validate_dep_graph(graph, plan->ops_.size());
-    if (dep_graph_fingerprint(graph) != fp_parse(j, "dep_graph_fp"))
-        MYST_THROW(ParseError, "plan json: dep_graph does not match its seal "
-                               "(tampered or stale document)");
-    plan->dep_graph_ = std::move(graph);
+    // Dependency graph: the same derivation build() runs, so nothing in a
+    // document can change what replay runs or in which order.
+    plan->dep_graph_ = build_dep_graph(plan->ops_, plan->fused_groups_);
     return plan;
 }
 

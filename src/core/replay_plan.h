@@ -203,8 +203,8 @@ class ReplayPlan {
     /// opt_level 0); ReconstructedOp::fused_group indexes into this.
     const std::vector<FusedGroup>& fused_groups() const { return fused_groups_; }
     const OptimizerStats& optimizer_stats() const { return opt_stats_; }
-    /// Per-plan dependency DAG over executable units, built at every opt
-    /// level and restored with every plan.  Its units are what replay runs:
+    /// Per-plan dependency DAG over executable units, derived at every opt
+    /// level by build() and from_json() alike.  Its units are what replay runs:
     /// the serial walk takes them in program order, the async executor
     /// schedules them by their edges.  See plan_optimizer.h.
     const DepGraph& dep_graph() const { return dep_graph_; }
@@ -235,10 +235,12 @@ class ReplayPlan {
     /// assignments are restored verbatim from the JSON; compiled-IR callables
     /// are compiled from the document's ir_table (deterministic, so
     /// `from_json(plan.to_json(), trace)->to_json() == plan.to_json()`).
+    /// The optimizer counters and the dependency graph are derived from the
+    /// restored ops and fused groups by the same calls build() makes.
     /// The plan copies @p trace, as build() does.  Throws ParseError /
     /// MystiqueError when the JSON references nodes absent from the trace,
-    /// lacks a v3 section (ir_table, dep_graph and its seal), or carries a
-    /// dep_graph whose units are not the ones its ops give.
+    /// lacks a required section (ir_table, ops), or records a fused group
+    /// or reconstruction kind this process cannot reproduce.
     static std::shared_ptr<const ReplayPlan> from_json(const Json& j,
                                                        const et::ExecutionTrace& trace);
 

@@ -146,10 +146,11 @@ run_async_iteration(fw::Session& session, const ReplayPlan& plan, TensorManager&
 
     std::size_t executed = 0;
     while (executed < n_units) {
-        // Pick the eligible lane head with the earliest clock.  A stalled
-        // graph (no eligible head while work remains) can only mean a
-        // malformed dependency graph; validate_dep_graph makes that
-        // unreachable for derived graphs, so fail loudly.
+        // Pick the eligible lane head with the earliest clock.  Every edge
+        // build_dep_graph emits points to an earlier unit, so the earliest
+        // remaining unit in program order is always an eligible lane head;
+        // a stall (no eligible head while work remains) is a bug, so fail
+        // loudly.
         std::size_t pick = sched.lanes.size();
         for (std::size_t li = 0; li < sched.lanes.size(); ++li) {
             if (next[li] >= sched.lanes[li].units.size())

@@ -247,8 +247,9 @@ DifferentialOracle::check_case(const FuzzedCase& c)
         }
     }());
 
-    // 3. Plan JSON round-trip fidelity: byte-identical re-serialization and
-    // an unchanged key.
+    // 3. Plan JSON round-trip fidelity: byte-identical re-serialization, an
+    // unchanged key, and the dependency graph restore derives (the document
+    // does not carry it) equal to the built one.
     finish_check(c.seed, "plan-roundtrip", [&]() -> std::string {
         try {
             const auto plan = core::ReplayPlan::build(c.trace, prof_of(c), c.cfg);
@@ -258,6 +259,8 @@ DifferentialOracle::check_case(const FuzzedCase& c)
                 return "restored plan carries a different key";
             if (restored->to_json().dump() != j.dump())
                 return "restored plan re-serializes differently";
+            if (restored->dep_graph() != plan->dep_graph())
+                return "restored plan derives a different dependency graph";
             return {};
         } catch (const std::exception& e) {
             return std::string("threw: ") + e.what();

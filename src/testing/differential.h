@@ -15,7 +15,8 @@
 ///  2. opt-level invariance: plans built at opt_level 0 (verbatim) and 1
 ///     (fused/eliminated) replay to identical timelines, kernel for kernel.
 ///  3. plan JSON round-trip: `from_json(plan.to_json(), trace)` re-emits the
-///     byte-identical document and carries the same key.
+///     byte-identical document, carries the same key, and derives the same
+///     dependency graph.
 ///  4. PlanKey stability: the key is a pure function of (trace, prof, cfg),
 ///     unchanged when the trace itself round-trips through JSON.
 ///  5. sweep parallelism (check_sweep): a ReplayDriver database sweep is

@@ -406,37 +406,6 @@ TEST_F(PlanStoreCorruption, KindDriftedEntryQuarantinesAndRebuilds)
     expect_quarantine_and_rebuild(entry);
 }
 
-TEST_F(PlanStoreCorruption, ResealedEntryWithADroppedUnitQuarantinesAndRebuilds)
-{
-    const std::string entry = seed_entry();
-    // Drop the last dep-graph unit and make the entry pass every integrity
-    // check: recompute dep_graph_fp over the shortened graph and plan_hash
-    // over the edited plan.  The quarantine must then come from
-    // ReplayPlan::from_json checking each unit against the restored ops —
-    // the units decide what replay executes.
-    const auto& r0 = traced("param_linear").rank0();
-    DepGraph graph = ReplayPlan::build(r0.trace, &r0.prof, tiny_replay())->dep_graph();
-    ASSERT_FALSE(graph.units.empty());
-    graph.units.pop_back();
-
-    Json doc = Json::parse_file(entry);
-    Json plan_j = doc.at("plan");
-    Json dep = plan_j.at("dep_graph");
-    for (const char* column : {"head", "group", "stream", "flags", "deps"}) {
-        Json values = dep.at(column);
-        values.as_array().pop_back();
-        dep.set(column, std::move(values));
-    }
-    plan_j.set("dep_graph", std::move(dep));
-    plan_j.set("dep_graph_fp", Json(std::to_string(dep_graph_fingerprint(graph))));
-    Fnv1a h;
-    h.mix(plan_j.dump());
-    doc.set("plan_hash", Json(std::to_string(h.value())));
-    doc.set("plan", std::move(plan_j));
-    doc.dump_file(entry);
-    expect_quarantine_and_rebuild(entry);
-}
-
 TEST_F(PlanStoreCorruption, ConcurrentFetchWritesBackExactlyOnce)
 {
     const auto& r0 = traced("param_linear").rank0();

@@ -259,11 +259,15 @@ TEST(Replayer, EmbeddingConfigShiftsTiming)
     cfg.embedding.distribution = EmbeddingGenConfig::Distribution::kZipf;
     cfg.embedding.zipf_s = 1.2;
     Replayer zipf(trace, nullptr, cfg);
+    // Bind each result: a range-for over run().prof.kernels() would iterate
+    // a member of a destroyed temporary.
+    const ReplayResult uniform_result = uniform.run();
+    const ReplayResult zipf_result = zipf.run();
     double emb_uniform = 0.0, emb_zipf = 0.0;
-    for (const auto& k : uniform.run().prof.kernels())
+    for (const auto& k : uniform_result.prof.kernels())
         if (k.kind == dev::KernelKind::kEmbedding)
             emb_uniform += k.dur;
-    for (const auto& k : zipf.run().prof.kernels())
+    for (const auto& k : zipf_result.prof.kernels())
         if (k.kind == dev::KernelKind::kEmbedding)
             emb_zipf += k.dur;
     EXPECT_GT(emb_uniform, 0.0);

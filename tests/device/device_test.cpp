@@ -175,7 +175,9 @@ TEST(Device, StreamFifoOrdering)
 TEST(Device, StreamsOverlap)
 {
     Device dev(a100());
-    const auto& k1 = dev.launch(gemm_desc(100), kComputeStream, 0.0);
+    // A copy: the second launch may reallocate the record storage that
+    // launch()'s returned reference points into.
+    const KernelRecord k1 = dev.launch(gemm_desc(100), kComputeStream, 0.0);
     const auto& k2 = dev.launch(memcpy_desc(100), kMemcpyStream, 0.0);
     EXPECT_TRUE(k1.interval.overlaps(k2.interval));
 }
