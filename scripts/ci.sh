@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build, and run the full test suite.
-# Mirrors .github/workflows/ci.yml for local / non-Actions runners.
+# The build-and-test job of .github/workflows/ci.yml runs this script, so a
+# local run checks exactly what CI checks on each push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -6,8 +6,8 @@
 #include <unordered_map>
 
 #include "common/error.h"
-#include "framework/kernel_utils.h"
 #include "framework/op_registry.h"
+#include "framework/pointwise.h"
 
 namespace mystique::core {
 
@@ -43,18 +43,18 @@ scalar_arg(const et::Node& node, std::size_t slot)
 }
 
 /// Single place for fusion legality (tentpole contract).  Returns the
-/// allowlist entry when @p op can be a fused-chain member: a compiled-IR
-/// pointwise op with one float32 tensor output, a float32 slot-0 tensor
-/// input of the same numel (the chain value), a well-formed scalar/operand
-/// argument, and no extra host cost that per-member dispatch replication
-/// would miss.
-const fw::FusedKernelInfo*
+/// pointwise table row (framework/pointwise.h) when @p op can be a
+/// fused-chain member: a compiled-IR op with a row, one float32 tensor
+/// output, a float32 slot-0 tensor input of the same numel (the chain
+/// value), the scalar/operand arguments its row's argument kind names, and
+/// no extra host cost that per-member dispatch replication would miss.
+const fw::PointwiseInfo*
 fusable_info(const ReconstructedOp& op)
 {
     if (op.kind != ReconstructedOp::Kind::kCompiledIr || op.node == nullptr)
         return nullptr;
     const OpId id = op_identity(op);
-    const fw::FusedKernelInfo* info = fw::fused_kernel_info(id);
+    const fw::PointwiseInfo* info = fw::fused_kernel_info(id);
     if (info == nullptr)
         return nullptr;
     const fw::OpDef* def = fw::OpRegistry::instance().find(id);
@@ -73,7 +73,7 @@ fusable_info(const ReconstructedOp& op)
     if (node.inputs[0].tensors[0].numel != node.outputs[0].tensors[0].numel)
         return nullptr;
 
-    if (info->norm_head) {
+    if (info->args == fw::PointwiseArgs::kNormHead) {
         // batch_norm head: NCHW input, defined per-channel gamma/beta, and a
         // recorded eps — the stage recomputes batch stats, so everything it
         // reads must be resolvable.
@@ -90,23 +90,18 @@ fusable_info(const ReconstructedOp& op)
                 node.inputs[slot].tensors[0].numel != channels)
                 return nullptr;
         }
-        if (!scalar_arg(node, 4).has_value())
-            return nullptr;
-        return info;
-    }
-    if (info->n_tensor_inputs >= 2) {
+    } else if (info->tensor_operand()) {
         if (node.inputs.size() < 2 || node.inputs[1].kind != et::Argument::Kind::kTensor ||
             node.inputs[1].tensors.size() != 1 ||
             !is_f32_meta(node.inputs[1].tensors[0]))
             return nullptr;
         const int64_t bn = node.inputs[1].tensors[0].numel;
         const int64_t n = node.inputs[0].tensors[0].numel;
-        if (bn != n && !(info->allow_broadcast && bn > 0 && n % bn == 0))
+        if (bn != n && !(info->broadcasts() && bn > 0 && n % bn == 0))
             return nullptr;
     }
-    if (info->has_alpha && !scalar_arg(node, 2).has_value())
-        return nullptr;
-    if (info->is_scalar_op && !scalar_arg(node, 1).has_value())
+    const int slot = info->scalar_slot();
+    if (slot > 0 && !scalar_arg(node, static_cast<std::size_t>(slot)).has_value())
         return nullptr;
     return info;
 }
@@ -167,7 +162,7 @@ finalize_group(const std::vector<ReconstructedOp>& ops, FusedGroup& group,
         counts = &local;
     }
     const ReconstructedOp& first = ops[static_cast<std::size_t>(group.members.front())];
-    const fw::FusedKernelInfo* first_info = fusable_info(first);
+    const fw::PointwiseInfo* first_info = fusable_info(first);
     if (first_info == nullptr)
         MYST_THROW(ParseError, "fused group member is not a fusable pointwise op");
 
@@ -183,7 +178,7 @@ finalize_group(const std::vector<ReconstructedOp>& ops, FusedGroup& group,
     bool value_rectified = false;
     for (std::size_t k = 0; k < group.members.size(); ++k) {
         const ReconstructedOp& op = ops[static_cast<std::size_t>(group.members[k])];
-        const fw::FusedKernelInfo* info = fusable_info(op);
+        const fw::PointwiseInfo* info = fusable_info(op);
         if (info == nullptr)
             MYST_THROW(ParseError, "fused group member is not a fusable pointwise op");
         if (op.node->tid != group.tid || op.stream != group.stream)
@@ -202,35 +197,31 @@ finalize_group(const std::vector<ReconstructedOp>& ops, FusedGroup& group,
                            "fused chain intermediate has multiple consumers");
         }
 
-        if (info->norm_head && k > 0)
+        const bool norm_head = info->args == fw::PointwiseArgs::kNormHead;
+        if (norm_head && k > 0)
             MYST_THROW(ParseError, "normalization op fused mid-chain (head-only)");
 
         fw::FusedStage st;
         st.kernel = info->kernel;
         st.numel = chain_numel;
         st.node_id = node.id;
-        if (info->norm_head) {
+        if (norm_head) {
             const et::TensorMeta& im = node.inputs[0].tensors[0];
             st.channels = im.shape[1];
             st.spatial = im.shape[2] * im.shape[3];
             st.n_operands = 2;
             group.operand_metas.push_back(node.inputs[1].tensors[0]); // gamma
             group.operand_metas.push_back(node.inputs[2].tensors[0]); // beta
-            st.alpha = static_cast<float>(*scalar_arg(node, 4)); // eps
-        } else if (info->n_tensor_inputs >= 2) {
+        } else if (info->tensor_operand()) {
             const et::TensorMeta& bm = node.inputs[1].tensors[0];
             st.operand_numel = bm.numel;
             st.n_operands = 1;
             group.operand_metas.push_back(bm);
         }
-        double scalar = 1.0;
-        if (!info->norm_head) {
-            if (info->has_alpha)
-                scalar = *scalar_arg(node, 2);
-            else if (info->is_scalar_op)
-                scalar = *scalar_arg(node, 1);
-            st.alpha = static_cast<float>(scalar);
-        }
+        const int slot = info->scalar_slot();
+        const double scalar =
+            slot > 0 ? *scalar_arg(node, static_cast<std::size_t>(slot)) : 1.0;
+        st.alpha = static_cast<float>(scalar);
 
         // algebraic_simplify: stages that provably leave every element's
         // bits unchanged skip their arithmetic (the launch still replays).
@@ -243,11 +234,7 @@ finalize_group(const std::vector<ReconstructedOp>& ops, FusedGroup& group,
         else if (!st.identity)
             value_rectified = false;
 
-        st.desc = info->norm_head
-                      ? fw::norm_kernel(info->family, chain_numel)
-                      : fw::pointwise_kernel(info->family, chain_numel,
-                                             info->n_tensor_inputs,
-                                             info->flops_per_elem);
+        st.desc = fw::pointwise_desc(*info, chain_numel);
         group.stages.push_back(std::move(st));
     }
 
@@ -316,7 +303,7 @@ optimize_plan(std::vector<ReconstructedOp>& ops, std::vector<FusedGroup>& groups
     for (std::size_t i = 0; i < ops.size(); ++i) {
         if (ops[i].fused_group >= 0)
             continue;
-        const fw::FusedKernelInfo* info = fusable_info(ops[i]);
+        const fw::PointwiseInfo* info = fusable_info(ops[i]);
         if (info != nullptr && info->kernel == fw::FusedKernel::kMulScalar &&
             scalar_arg(*ops[i].node, 1) == 1.0)
             identity_candidate[i] = true;
@@ -337,9 +324,9 @@ optimize_plan(std::vector<ReconstructedOp>& ops, std::vector<FusedGroup>& groups
         std::size_t j = i;
         while (j + 1 < ops.size()) {
             const ReconstructedOp& next = ops[j + 1];
-            const fw::FusedKernelInfo* next_info = fusable_info(next);
+            const fw::PointwiseInfo* next_info = fusable_info(next);
             if (next.fused_group >= 0 || next_info == nullptr ||
-                next_info->norm_head)
+                next_info->args == fw::PointwiseArgs::kNormHead)
                 break;
             const int64_t link = output_tensor_id(ops[j]);
             if (next.node->inputs[0].tensors[0].tensor_id != link ||

@@ -1,52 +1,24 @@
 #include "framework/fused_chain.h"
 
-#include <cmath>
 #include <optional>
 
 #include "common/error.h"
+#include "framework/math.h"
 #include "framework/op_registry.h"
 
 namespace mystique::fw {
 
 namespace {
 
-// Allowlist in FusedKernel order (indexable by static_cast<int>(kernel)).
-// family / n_tensor_inputs / flops_per_elem mirror ops_pointwise.cpp exactly:
-// the prebuilt KernelDesc must be byte-equal to what the verbatim op builds.
-constexpr FusedKernelInfo kInfos[] = {
-    {FusedKernel::kAdd, "aten::add.Tensor", "add", 2, 1.0, true, false, true},
-    {FusedKernel::kSub, "aten::sub.Tensor", "sub", 2, 1.0, true, false, true},
-    {FusedKernel::kMul, "aten::mul.Tensor", "mul", 2, 1.0, false, false, true},
-    {FusedKernel::kMulScalar, "aten::mul.Scalar", "muls", 1, 1.0, false, true, false},
-    {FusedKernel::kDiv, "aten::div.Tensor", "div", 2, 1.0, false, false, false},
-    {FusedKernel::kRelu, "aten::relu", "relu", 1, 1.0, false, false, false},
-    {FusedKernel::kSigmoid, "aten::sigmoid", "sigmoid", 1, 4.0, false, false, false},
-    {FusedKernel::kTanh, "aten::tanh", "tanh", 1, 4.0, false, false, false},
-    {FusedKernel::kExp, "aten::exp", "exp", 1, 4.0, false, false, false},
-    {FusedKernel::kGelu, "aten::gelu", "gelu", 1, 8.0, false, false, false},
-    {FusedKernel::kReluBwd, "aten::threshold_backward", "relu_bwd", 2, 1.0, false,
-     false, false},
-    {FusedKernel::kSigmoidBwd, "aten::sigmoid_backward", "sigmoid_bwd", 2, 1.0, false,
-     false, false},
-    {FusedKernel::kTanhBwd, "aten::tanh_backward", "tanh_bwd", 2, 1.0, false, false,
-     false},
-    {FusedKernel::kGeluBwd, "aten::gelu_backward", "gelu_bwd", 2, 1.0, false, false,
-     false},
-    {FusedKernel::kBatchNorm, "aten::batch_norm", "batch_norm", 3, 8.0, false, false,
-     false, /*norm_head=*/true},
-};
-
-constexpr std::size_t kNumKernels = sizeof(kInfos) / sizeof(kInfos[0]);
-
-// OpId -> allowlist entry, built once.  OpIds are dense registry indices, so
-// a flat vector gives O(1) steady-state lookups with no string hashing.
-const std::vector<const FusedKernelInfo*>&
+// OpId -> table row, built once.  OpIds are dense registry indices, so a
+// flat vector gives O(1) steady-state lookups with no string hashing.
+const std::vector<const PointwiseInfo*>&
 op_id_table()
 {
-    static const std::vector<const FusedKernelInfo*> table = [] {
+    static const std::vector<const PointwiseInfo*> table = [] {
         ensure_ops_registered();
-        std::vector<const FusedKernelInfo*> t;
-        for (const auto& info : kInfos) {
+        std::vector<const PointwiseInfo*> t;
+        for (const auto& info : kPointwiseOps) {
             const OpId id = OpRegistry::instance().at(info.op_name).id;
             if (static_cast<std::size_t>(id) >= t.size())
                 t.resize(static_cast<std::size_t>(id) + 1, nullptr);
@@ -63,50 +35,34 @@ op_id_table()
 // rank, so thread-local is the same isolation Session itself relies on.
 thread_local FusedChainCall* tl_call = nullptr;
 
+/// Stage @p st of row K on the chain value @p acc at element @p i; @p b is
+/// the stage's tensor operand (null when the row has none).
+template <FusedKernel K>
+inline float
+apply_row(const FusedStage& st, float acc, const float* b, int64_t i)
+{
+    constexpr PointwiseInfo info = pointwise_info(K);
+    if constexpr (info.args == PointwiseArgs::kNormHead)
+        return acc; // head-only; applied in run_numeric before the stage loop
+    else if constexpr (!info.tensor_operand())
+        return pointwise_apply<K>(acc, 0.0f, st.alpha);
+    else if constexpr (!info.broadcasts())
+        return pointwise_apply<K>(acc, b[i], st.alpha);
+    else
+        return st.operand_numel == st.numel
+                   ? pointwise_apply<K>(acc, b[i], st.alpha)
+                   : pointwise_apply<K, true>(acc, b[i % st.operand_numel], st.alpha);
+}
+
 inline float
 apply_stage(const FusedStage& st, float acc, const float* b, int64_t i)
 {
-    // Mirrors math.cpp formulas literally — bit-identity depends on it.
     switch (st.kernel) {
-      case FusedKernel::kAdd:
-        return st.operand_numel == st.numel ? acc + st.alpha * b[i]
-                                            : acc + st.alpha * b[i % st.operand_numel];
-      case FusedKernel::kSub:
-        return st.operand_numel == st.numel
-                   ? acc - st.alpha * b[i]
-                   : acc + (-st.alpha) * b[i % st.operand_numel];
-      case FusedKernel::kMul:
-        return st.operand_numel == st.numel ? acc * b[i] : acc * b[i % st.operand_numel];
-      case FusedKernel::kMulScalar:
-        return acc * st.alpha;
-      case FusedKernel::kDiv:
-        return acc / b[i];
-      case FusedKernel::kRelu:
-        return acc > 0.0f ? acc : 0.0f;
-      case FusedKernel::kSigmoid:
-        return 1.0f / (1.0f + std::exp(-acc));
-      case FusedKernel::kTanh:
-        return std::tanh(acc);
-      case FusedKernel::kExp:
-        return std::exp(acc);
-      case FusedKernel::kGelu:
-        return 0.5f * acc * (1.0f + std::erf(acc * 0.70710678f));
-      case FusedKernel::kReluBwd:
-        return b[i] > 0.0f ? acc : 0.0f;
-      case FusedKernel::kSigmoidBwd:
-        return acc * b[i] * (1.0f - b[i]);
-      case FusedKernel::kTanhBwd:
-        return acc * (1.0f - b[i] * b[i]);
-      case FusedKernel::kGeluBwd: {
-        constexpr float kInvSqrt2 = 0.70710678f;
-        constexpr float kInvSqrt2Pi = 0.39894228f;
-        const float x = b[i];
-        const float cdf = 0.5f * (1.0f + std::erf(x * kInvSqrt2));
-        const float pdf = kInvSqrt2Pi * std::exp(-0.5f * x * x);
-        return acc * (cdf + x * pdf);
-      }
-      case FusedKernel::kBatchNorm:
-        break; // head-only; handled inline in run_numeric
+#define MYST_APPLY_ROW(code, ...)                                                    \
+      case FusedKernel::code:                                                        \
+        return apply_row<FusedKernel::code>(st, acc, b, i);
+        MYST_POINTWISE_OPS(MYST_APPLY_ROW)
+#undef MYST_APPLY_ROW
     }
     return acc;
 }
@@ -129,9 +85,8 @@ run_numeric(FusedChainCall& call)
     float* out = call.out.f32();
     const int64_t numel = call.stages[0].numel;
 
-    // batch_norm head: replicate math::batch_norm bit-for-bit — per-channel
-    // double-accumulated batch stats over the *input* tensor (same summation
-    // order), then the same float affine expression per element.
+    // batch_norm head: the statistics math::batch_norm uses, over the
+    // *input* tensor, then its float affine expression per element.
     const bool bn_head = call.stages[0].kernel == FusedKernel::kBatchNorm;
     thread_local std::vector<float> bn_mean, bn_inv;
     const float* bn_gamma = nullptr;
@@ -143,31 +98,10 @@ run_numeric(FusedChainCall& call)
         bn_spatial = st.spatial;
         bn_gamma = call.operands[0].f32();
         bn_beta = call.operands[1].f32();
-        const int64_t batch = numel / (bn_channels * bn_spatial);
-        const int64_t count = batch * bn_spatial;
         bn_mean.resize(static_cast<std::size_t>(bn_channels));
         bn_inv.resize(static_cast<std::size_t>(bn_channels));
-        for (int64_t ci = 0; ci < bn_channels; ++ci) {
-            double mean = 0.0;
-            for (int64_t ni = 0; ni < batch; ++ni)
-                for (int64_t sp = 0; sp < bn_spatial; ++sp)
-                    mean += static_cast<double>(
-                        in[(ni * bn_channels + ci) * bn_spatial + sp]);
-            mean /= static_cast<double>(count);
-            double var = 0.0;
-            for (int64_t ni = 0; ni < batch; ++ni)
-                for (int64_t sp = 0; sp < bn_spatial; ++sp) {
-                    const double d =
-                        static_cast<double>(
-                            in[(ni * bn_channels + ci) * bn_spatial + sp]) -
-                        mean;
-                    var += d * d;
-                }
-            var /= static_cast<double>(count);
-            bn_mean[static_cast<std::size_t>(ci)] = static_cast<float>(mean);
-            bn_inv[static_cast<std::size_t>(ci)] =
-                1.0f / std::sqrt(static_cast<float>(var) + st.alpha);
-        }
+        math::batch_norm_stats(in, numel / (bn_channels * bn_spatial), bn_channels,
+                               bn_spatial, st.alpha, bn_mean.data(), bn_inv.data());
     }
 
     for (int64_t i = 0; i < numel; ++i) {
@@ -242,20 +176,12 @@ fused_chain_exec(Session& s, const std::vector<IValue>&)
 
 } // namespace
 
-const FusedKernelInfo*
+const PointwiseInfo*
 fused_kernel_info(OpId op)
 {
     const auto& table = op_id_table();
     const auto idx = static_cast<std::size_t>(op);
     return idx < table.size() ? table[idx] : nullptr;
-}
-
-const FusedKernelInfo&
-fused_kernel_info(FusedKernel k)
-{
-    const auto idx = static_cast<std::size_t>(k);
-    MYST_CHECK(idx < kNumKernels);
-    return kInfos[idx];
 }
 
 OpId

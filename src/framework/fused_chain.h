@@ -13,62 +13,25 @@
 /// to the verbatim op-by-op execution.  The interpreter therefore re-issues
 /// one device launch per original member (same KernelDesc, same order, same
 /// per-launch jitter draw) and charges the same host-side dispatch cost per
-/// member; only the CPU-side interpretation machinery is collapsed.
+/// member; only the CPU-side interpretation machinery is collapsed.  Which
+/// ops may be members, their descriptors and their per-element formulas all
+/// come from the table in framework/pointwise.h, which the verbatim ops read
+/// too — a stage and its verbatim op share one definition.
 
 #include <cstdint>
 #include <vector>
 
 #include "common/op_id.h"
 #include "device/kernel.h"
+#include "framework/pointwise.h"
 #include "framework/session.h"
 
 namespace mystique::fw {
 
-/// The pointwise allowlist.  Every member of a fused chain maps to exactly
-/// one of these codes; the numeric loop applies them in member order.
-enum class FusedKernel : int {
-    kAdd = 0,      ///< aten::add.Tensor   acc + alpha * b
-    kSub,          ///< aten::sub.Tensor   acc - alpha * b
-    kMul,          ///< aten::mul.Tensor   acc * b
-    kMulScalar,    ///< aten::mul.Scalar   acc * s
-    kDiv,          ///< aten::div.Tensor   acc / b
-    kRelu,         ///< aten::relu
-    kSigmoid,      ///< aten::sigmoid
-    kTanh,         ///< aten::tanh
-    kExp,          ///< aten::exp
-    kGelu,         ///< aten::gelu
-    kReluBwd,      ///< aten::threshold_backward   (acc = grad, b = input)
-    kSigmoidBwd,   ///< aten::sigmoid_backward     (acc = grad, b = output)
-    kTanhBwd,      ///< aten::tanh_backward        (acc = grad, b = output)
-    kGeluBwd,      ///< aten::gelu_backward        (acc = grad, b = input)
-    kBatchNorm,    ///< aten::batch_norm — chain *head* only: batch statistics
-                   ///< are precomputed from the materialized input tensor,
-                   ///< then the per-element affine folds into the chain loop
-};
-
-/// Static description of one allowlisted op, used by the optimizer for
-/// legality checks and KernelDesc reconstruction.
-struct FusedKernelInfo {
-    FusedKernel kernel;
-    const char* op_name;       ///< interned at serialization boundaries only
-    const char* family;        ///< pointwise_kernel() family string
-    int n_tensor_inputs;       ///< 1 (unary / scalar) or 2 (binary)
-    double flops_per_elem;
-    bool has_alpha;            ///< Scalar alpha at schema slot 2 (add/sub)
-    bool is_scalar_op;         ///< Scalar operand at slot 1 (mul.Scalar)
-    bool allow_broadcast;      ///< operand numel may divide the chain numel
-    bool norm_head = false;    ///< legal only as the first chain member; the
-                               ///< stage reads the whole input (batch stats),
-                               ///< not just the flowing element
-};
-
-/// Looks up the allowlist entry for an interned op id; nullptr when the op
-/// is not fusable.  String-keyed only at first use (MYST_OP interning) —
-/// steady-state lookups are a flat array index.
-const FusedKernelInfo* fused_kernel_info(OpId op);
-
-/// Allowlist entry by kernel code (always valid).
-const FusedKernelInfo& fused_kernel_info(FusedKernel k);
+/// The table row of an interned op id; nullptr when the op is not fusable.
+/// String-keyed only at first use (MYST_OP interning) — steady-state
+/// lookups are a flat array index.
+const PointwiseInfo* fused_kernel_info(OpId op);
 
 /// One link of a fused chain, fully pre-resolved at plan-optimize time.
 struct FusedStage {
@@ -79,7 +42,8 @@ struct FusedStage {
                                 ///< (1 for binary ops, 2 for batch_norm)
     int64_t channels = 0;       ///< batch_norm head: C of the NCHW input
     int64_t spatial = 0;        ///< batch_norm head: H*W of the NCHW input
-    float alpha = 1.0f;         ///< add/sub alpha, mul.Scalar scalar, bn eps
+    float alpha = 1.0f;         ///< the row's scalar: add/sub alpha,
+                                ///< mul.Scalar scalar, bn eps
     bool identity = false;      ///< algebraically a no-op: skip the arithmetic
     int64_t node_id = -1;       ///< original ET node (async per-node reseeding)
     dev::KernelDesc desc;       ///< prebuilt launch descriptor (verbatim-equal)

@@ -104,12 +104,12 @@ conv_kernel(const std::string& tag, int64_t n, int64_t c, int64_t f, int64_t kh,
 }
 
 inline dev::KernelDesc
-norm_kernel(const std::string& family, int64_t numel)
+norm_kernel(const std::string& family, int64_t numel, double flops_per_elem = 8.0)
 {
     dev::KernelDesc d;
     d.name = strprintf("%s_%lld", family.c_str(), static_cast<long long>(numel));
     d.kind = dev::KernelKind::kNorm;
-    d.flops = 8.0 * static_cast<double>(numel);
+    d.flops = flops_per_elem * static_cast<double>(numel);
     d.bytes = 4.0 * 3.0 * static_cast<double>(numel);
     d.working_set_bytes = d.bytes;
     d.locality = 0.85;

@@ -59,125 +59,6 @@ bmm(const float* a, const float* b, float* c, int64_t batch, int64_t m, int64_t 
 }
 
 void
-add(const float* a, const float* b, float* out, int64_t n, float alpha)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = a[i] + alpha * b[i];
-}
-
-void
-add_broadcast(const float* a, const float* b, float* out, int64_t n, int64_t bn,
-              float alpha)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = a[i] + alpha * b[i % bn];
-}
-
-void
-sub(const float* a, const float* b, float* out, int64_t n, float alpha)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = a[i] - alpha * b[i];
-}
-
-void
-mul(const float* a, const float* b, float* out, int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = a[i] * b[i];
-}
-
-void
-mul_broadcast(const float* a, const float* b, float* out, int64_t n, int64_t bn)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = a[i] * b[i % bn];
-}
-
-void
-div(const float* a, const float* b, float* out, int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = a[i] / b[i];
-}
-
-void
-mul_scalar(const float* a, float s, float* out, int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = a[i] * s;
-}
-
-void
-relu(const float* a, float* out, int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-
-void
-relu_backward(const float* grad, const float* input, float* out, int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = input[i] > 0.0f ? grad[i] : 0.0f;
-}
-
-void
-sigmoid(const float* a, float* out, int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = 1.0f / (1.0f + std::exp(-a[i]));
-}
-
-void
-sigmoid_backward(const float* grad, const float* output, float* out, int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = grad[i] * output[i] * (1.0f - output[i]);
-}
-
-void
-tanh_fwd(const float* a, float* out, int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = std::tanh(a[i]);
-}
-
-void
-tanh_backward(const float* grad, const float* output, float* out, int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = grad[i] * (1.0f - output[i] * output[i]);
-}
-
-void
-exp_fwd(const float* a, float* out, int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = std::exp(a[i]);
-}
-
-void
-gelu(const float* a, float* out, int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = 0.5f * a[i] * (1.0f + std::erf(a[i] * 0.70710678f));
-}
-
-void
-gelu_backward(const float* grad, const float* input, float* out, int64_t n)
-{
-    constexpr float kInvSqrt2 = 0.70710678f;
-    constexpr float kInvSqrt2Pi = 0.39894228f;
-    for (int64_t i = 0; i < n; ++i) {
-        const float x = input[i];
-        const float cdf = 0.5f * (1.0f + std::erf(x * kInvSqrt2));
-        const float pdf = kInvSqrt2Pi * std::exp(-0.5f * x * x);
-        out[i] = grad[i] * (cdf + x * pdf);
-    }
-}
-
-void
 layer_norm(const float* in, const float* gamma, const float* beta, float* out,
            int64_t rows, int64_t cols, float eps)
 {
@@ -358,30 +239,43 @@ conv2d_backward(const float* grad_out, const float* in, const float* w, float* g
 }
 
 void
-batch_norm(const float* in, const float* gamma, const float* beta, float* out, int64_t n,
-           int64_t c, int64_t spatial, float eps)
+batch_norm_stats(const float* in, int64_t n, int64_t c, int64_t spatial, float eps,
+                 float* mean, float* inv_std)
 {
     const int64_t count = n * spatial;
     for (int64_t ci = 0; ci < c; ++ci) {
-        double mean = 0.0;
+        double m = 0.0;
         for (int64_t ni = 0; ni < n; ++ni)
             for (int64_t s = 0; s < spatial; ++s)
-                mean += static_cast<double>(in[(ni * c + ci) * spatial + s]);
-        mean /= static_cast<double>(count);
+                m += static_cast<double>(in[(ni * c + ci) * spatial + s]);
+        m /= static_cast<double>(count);
         double var = 0.0;
         for (int64_t ni = 0; ni < n; ++ni)
             for (int64_t s = 0; s < spatial; ++s) {
-                const double d = static_cast<double>(in[(ni * c + ci) * spatial + s]) - mean;
+                const double d = static_cast<double>(in[(ni * c + ci) * spatial + s]) - m;
                 var += d * d;
             }
         var /= static_cast<double>(count);
-        const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps);
+        mean[ci] = static_cast<float>(m);
+        inv_std[ci] = 1.0f / std::sqrt(static_cast<float>(var) + eps);
+    }
+}
+
+void
+batch_norm(const float* in, const float* gamma, const float* beta, float* out, int64_t n,
+           int64_t c, int64_t spatial, float eps)
+{
+    std::vector<float> mean(static_cast<std::size_t>(c));
+    std::vector<float> inv_std(static_cast<std::size_t>(c));
+    batch_norm_stats(in, n, c, spatial, eps, mean.data(), inv_std.data());
+    for (int64_t ci = 0; ci < c; ++ci) {
+        const auto k = static_cast<std::size_t>(ci);
         const float g = gamma != nullptr ? gamma[ci] : 1.0f;
         const float b = beta != nullptr ? beta[ci] : 0.0f;
         for (int64_t ni = 0; ni < n; ++ni)
             for (int64_t s = 0; s < spatial; ++s) {
                 const int64_t idx = (ni * c + ci) * spatial + s;
-                out[idx] = (in[idx] - static_cast<float>(mean)) * inv_std * g + b;
+                out[idx] = (in[idx] - mean[k]) * inv_std[k] * g + b;
             }
     }
 }

@@ -24,28 +24,6 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_
 void bmm(const float* a, const float* b, float* c, int64_t batch, int64_t m, int64_t k,
          int64_t n);
 
-/// out = a + alpha * b (same length).
-void add(const float* a, const float* b, float* out, int64_t n, float alpha = 1.0f);
-/// out[i] = a[i] + alpha * b[i % bn] — row-broadcast (bias) when bn < n.
-void add_broadcast(const float* a, const float* b, float* out, int64_t n, int64_t bn,
-                   float alpha = 1.0f);
-void sub(const float* a, const float* b, float* out, int64_t n, float alpha = 1.0f);
-void mul(const float* a, const float* b, float* out, int64_t n);
-/// b broadcast as for add_broadcast.
-void mul_broadcast(const float* a, const float* b, float* out, int64_t n, int64_t bn);
-void div(const float* a, const float* b, float* out, int64_t n);
-void mul_scalar(const float* a, float s, float* out, int64_t n);
-void relu(const float* a, float* out, int64_t n);
-void relu_backward(const float* grad, const float* input, float* out, int64_t n);
-void sigmoid(const float* a, float* out, int64_t n);
-void sigmoid_backward(const float* grad, const float* output, float* out, int64_t n);
-void tanh_fwd(const float* a, float* out, int64_t n);
-void tanh_backward(const float* grad, const float* output, float* out, int64_t n);
-void exp_fwd(const float* a, float* out, int64_t n);
-/// Exact (erf-based) GELU.
-void gelu(const float* a, float* out, int64_t n);
-void gelu_backward(const float* grad, const float* input, float* out, int64_t n);
-
 /// Layer norm over the last dimension of [rows, cols], affine.
 void layer_norm(const float* in, const float* gamma, const float* beta, float* out,
                 int64_t rows, int64_t cols, float eps);
@@ -69,6 +47,10 @@ void conv2d_backward(const float* grad_out, const float* in, const float* w,
                      int64_t h, int64_t wd, int64_t f, int64_t kh, int64_t kw,
                      int64_t stride, int64_t pad);
 
+/// Per-channel training statistics of an NCHW batch, accumulated in double:
+/// mean[c] and inv_std[c] = 1 / sqrt(var + eps), both rounded to float.
+void batch_norm_stats(const float* in, int64_t n, int64_t c, int64_t spatial, float eps,
+                      float* mean, float* inv_std);
 /// Batch norm over NCHW (training statistics), affine.
 void batch_norm(const float* in, const float* gamma, const float* beta, float* out,
                 int64_t n, int64_t c, int64_t spatial, float eps);

@@ -5,6 +5,7 @@
 #include "framework/kernel_utils.h"
 #include "framework/math.h"
 #include "framework/op_registry.h"
+#include "framework/pointwise.h"
 #include "framework/session.h"
 
 namespace mystique::fw {
@@ -27,8 +28,8 @@ batch_norm_fn(Session& s, const std::vector<IValue>& in)
         math::batch_norm(input.f32(), gamma.defined() ? gamma.f32() : nullptr,
                          beta.defined() ? beta.f32() : nullptr, out.f32(), n, c, spatial,
                          eps);
-    s.launch(norm_kernel("batch_norm", input.numel()), dev::kComputeStream,
-             {input, gamma, beta}, {out});
+    s.launch(pointwise_desc(pointwise_info(FusedKernel::kBatchNorm), input.numel()),
+             dev::kComputeStream, {input, gamma, beta}, {out});
     return {IValue(out)};
 }
 

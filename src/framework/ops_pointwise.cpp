@@ -1,44 +1,80 @@
 /// @file
-/// Pointwise / unary ATen operators.
+/// Pointwise / unary ATen operators.  Every op with a row in the
+/// framework/pointwise.h table runs one template body, pointwise_fn<K>,
+/// which takes its formula, launch descriptor and arity from that row.
 
 #include "common/error.h"
 #include "framework/kernel_utils.h"
 #include "framework/math.h"
 #include "framework/op_registry.h"
+#include "framework/pointwise.h"
 #include "framework/session.h"
 
 namespace mystique::fw {
 
 namespace {
 
-/// Checks the limited broadcast we support: other's numel divides self's and
-/// other maps onto self's trailing elements (bias / scalar patterns).
+/// Row K's formula over every element of @p a into @p out; @p b is the
+/// slot-1 operand (unused when the row has none), read at the same index or,
+/// under broadcast, modulo its numel.
+template <FusedKernel K>
 void
-check_broadcast(const Tensor& a, const Tensor& b)
+pointwise_loop(const Tensor& a, const Tensor* b, float alpha, float* out)
 {
-    MYST_CHECK_MSG(b.numel() > 0 && a.numel() % b.numel() == 0,
-                   "unsupported broadcast: " << shape_str(a.shape()) << " with "
-                                             << shape_str(b.shape()));
+    const float* x = a.f32();
+    const int64_t n = a.numel();
+    if constexpr (!pointwise_info(K).tensor_operand()) {
+        for (int64_t i = 0; i < n; ++i)
+            out[i] = pointwise_apply<K>(x[i], 0.0f, alpha);
+    } else {
+        const float* y = b->f32();
+        const int64_t bn = b->numel();
+        if (bn == n) {
+            for (int64_t i = 0; i < n; ++i)
+                out[i] = pointwise_apply<K>(x[i], y[i], alpha);
+        } else if constexpr (pointwise_info(K).broadcasts()) {
+            for (int64_t i = 0; i < n; ++i)
+                out[i] = pointwise_apply<K, true>(x[i], y[i % bn], alpha);
+        }
+    }
 }
 
-std::vector<IValue>
-binary_fn(const char* family, Session& s, const std::vector<IValue>& in,
-          void (*same)(const float*, const float*, float*, int64_t, float),
-          bool has_alpha)
+/// Checks row @p info's slot-1 operand against the chain value: the same
+/// numel, or for broadcast rows the limited broadcast we support (other's
+/// numel divides self's and maps onto its trailing elements: bias / scalar
+/// patterns).
+void
+check_operand(const PointwiseInfo& info, const Tensor& a, const Tensor& b)
 {
+    if (info.broadcasts())
+        MYST_CHECK_MSG(b.numel() > 0 && a.numel() % b.numel() == 0,
+                       "unsupported broadcast: " << shape_str(a.shape()) << " with "
+                                                 << shape_str(b.shape()));
+    else
+        MYST_CHECK_MSG(a.numel() == b.numel(),
+                       info.family << " requires matching shapes");
+}
+
+/// The verbatim op of table row K.
+template <FusedKernel K>
+std::vector<IValue>
+pointwise_fn(Session& s, const std::vector<IValue>& in)
+{
+    constexpr PointwiseInfo info = pointwise_info(K);
     const Tensor& a = in[0].tensor();
-    const Tensor& b = in[1].tensor();
-    const float alpha = has_alpha ? static_cast<float>(in[2].to_double()) : 1.0f;
-    check_broadcast(a, b);
-    Tensor out = s.alloc(a.shape());
-    if (s.numeric()) {
-        if (a.numel() == b.numel())
-            same(a.f32(), b.f32(), out.f32(), a.numel(), alpha);
-        else
-            math::add_broadcast(a.f32(), b.f32(), out.f32(), a.numel(), b.numel(),
-                                family[0] == 's' ? -alpha : alpha);
+    const float alpha = info.scalar_slot() > 0
+                            ? static_cast<float>(in[info.scalar_slot()].to_double())
+                            : 1.0f;
+    const Tensor* b = nullptr;
+    if constexpr (info.tensor_operand()) {
+        b = &in[1].tensor();
+        check_operand(info, a, *b);
     }
-    s.launch(pointwise_kernel(family, a.numel(), 2), dev::kComputeStream, {a, b}, {out});
+    Tensor out = s.alloc(a.shape());
+    if (s.numeric())
+        pointwise_loop<K>(a, b, alpha, out.f32());
+    s.launch(pointwise_desc(info, a.numel()), dev::kComputeStream,
+             b != nullptr ? std::vector<Tensor>{a, *b} : std::vector<Tensor>{a}, {out});
     return {IValue(out)};
 }
 
@@ -52,12 +88,6 @@ reduce_grad_to(Session& s, const Tensor& grad, const Tensor& like)
     Tensor summed = s.call_t(MYST_OP("aten::sum.dim_IntList"),
                              {IValue(flat), IValue(std::vector<int64_t>{0}), IValue(false)});
     return summed.view_as(like.shape());
-}
-
-std::vector<IValue>
-add_fn(Session& s, const std::vector<IValue>& in)
-{
-    return binary_fn("add", s, in, &math::add, true);
 }
 
 std::vector<Tensor>
@@ -84,22 +114,12 @@ add_inplace_fn(Session& s, const std::vector<IValue>& in)
     const Tensor& a = in[0].tensor();
     const Tensor& b = in[1].tensor();
     const float alpha = static_cast<float>(in[2].to_double());
-    check_broadcast(a, b);
+    check_operand(pointwise_info(FusedKernel::kAdd), a, b);
     Tensor a_mut = a;
-    if (s.numeric()) {
-        if (a.numel() == b.numel())
-            math::add(a.f32(), b.f32(), a_mut.f32(), a.numel(), alpha);
-        else
-            math::add_broadcast(a.f32(), b.f32(), a_mut.f32(), a.numel(), b.numel(), alpha);
-    }
+    if (s.numeric())
+        pointwise_loop<FusedKernel::kAdd>(a, &b, alpha, a_mut.f32());
     s.launch(pointwise_kernel("add_", a.numel(), 2), dev::kComputeStream, {a, b}, {a_mut});
     return {IValue(a_mut)};
-}
-
-std::vector<IValue>
-sub_fn(Session& s, const std::vector<IValue>& in)
-{
-    return binary_fn("sub", s, in, &math::sub, true);
 }
 
 std::vector<Tensor>
@@ -114,23 +134,6 @@ sub_backward(Session& s, const AutogradContext& ctx, const std::vector<Tensor>& 
         gb = s.call_t(MYST_OP("aten::mul.Scalar"), {IValue(gb), IValue(-alpha)});
     }
     return {go, gb, Tensor()};
-}
-
-std::vector<IValue>
-mul_fn(Session& s, const std::vector<IValue>& in)
-{
-    const Tensor& a = in[0].tensor();
-    const Tensor& b = in[1].tensor();
-    check_broadcast(a, b);
-    Tensor out = s.alloc(a.shape());
-    if (s.numeric()) {
-        if (a.numel() == b.numel())
-            math::mul(a.f32(), b.f32(), out.f32(), a.numel());
-        else
-            math::mul_broadcast(a.f32(), b.f32(), out.f32(), a.numel(), b.numel());
-    }
-    s.launch(pointwise_kernel("mul", a.numel(), 2), dev::kComputeStream, {a, b}, {out});
-    return {IValue(out)};
 }
 
 std::vector<Tensor>
@@ -149,18 +152,6 @@ mul_backward(Session& s, const AutogradContext& ctx, const std::vector<Tensor>& 
     return {ga, gb};
 }
 
-std::vector<IValue>
-mul_scalar_fn(Session& s, const std::vector<IValue>& in)
-{
-    const Tensor& a = in[0].tensor();
-    const float v = static_cast<float>(in[1].to_double());
-    Tensor out = s.alloc(a.shape());
-    if (s.numeric())
-        math::mul_scalar(a.f32(), v, out.f32(), a.numel());
-    s.launch(pointwise_kernel("muls", a.numel(), 1), dev::kComputeStream, {a}, {out});
-    return {IValue(out)};
-}
-
 std::vector<Tensor>
 mul_scalar_backward(Session& s, const AutogradContext& ctx,
                     const std::vector<Tensor>& gouts)
@@ -168,45 +159,6 @@ mul_scalar_backward(Session& s, const AutogradContext& ctx,
     Tensor ga = s.call_t(MYST_OP("aten::mul.Scalar"),
                          {IValue(gouts[0]), IValue(ctx.inputs[1].to_double())});
     return {ga, Tensor()};
-}
-
-std::vector<IValue>
-div_fn(Session& s, const std::vector<IValue>& in)
-{
-    const Tensor& a = in[0].tensor();
-    const Tensor& b = in[1].tensor();
-    MYST_CHECK_MSG(a.numel() == b.numel(), "div requires matching shapes");
-    Tensor out = s.alloc(a.shape());
-    if (s.numeric())
-        math::div(a.f32(), b.f32(), out.f32(), a.numel());
-    s.launch(pointwise_kernel("div", a.numel(), 2), dev::kComputeStream, {a, b}, {out});
-    return {IValue(out)};
-}
-
-template <void (*Fn)(const float*, float*, int64_t)>
-std::vector<IValue>
-unary_fn(const char* family, double flops, Session& s, const std::vector<IValue>& in)
-{
-    const Tensor& a = in[0].tensor();
-    Tensor out = s.alloc(a.shape());
-    if (s.numeric())
-        Fn(a.f32(), out.f32(), a.numel());
-    s.launch(pointwise_kernel(family, a.numel(), 1, flops), dev::kComputeStream, {a},
-             {out});
-    return {IValue(out)};
-}
-
-template <void (*Fn)(const float*, const float*, float*, int64_t)>
-std::vector<IValue>
-unary_grad_fn(const char* family, Session& s, const std::vector<IValue>& in)
-{
-    const Tensor& g = in[0].tensor();
-    const Tensor& x = in[1].tensor();
-    Tensor out = s.alloc(g.shape());
-    if (s.numeric())
-        Fn(g.f32(), x.f32(), out.f32(), g.numel());
-    s.launch(pointwise_kernel(family, g.numel(), 2), dev::kComputeStream, {g, x}, {out});
-    return {IValue(out)};
 }
 
 std::vector<IValue>
@@ -247,6 +199,7 @@ dropout_bwd_fn(Session& s, const std::vector<IValue>& in)
     const Tensor& g = in[0].tensor();
     const Tensor& mask = in[1].tensor();
     const float scale = static_cast<float>(in[2].to_double());
+    MYST_CHECK_MSG(g.numel() == mask.numel(), "dropout_bwd requires matching shapes");
     Tensor out = s.alloc(g.shape());
     if (s.numeric()) {
         for (int64_t i = 0; i < g.numel(); ++i)
@@ -265,7 +218,7 @@ register_pointwise_ops(OpRegistry& reg)
     reg.register_op(
         {.name = "aten::add.Tensor",
          .schema = "aten::add.Tensor(Tensor self, Tensor other, *, Scalar alpha=1) -> Tensor",
-         .fn = add_fn,
+         .fn = pointwise_fn<FusedKernel::kAdd>,
          .backward = add_backward,
          .grad_name = "Add"});
     reg.register_op(
@@ -276,28 +229,26 @@ register_pointwise_ops(OpRegistry& reg)
     reg.register_op(
         {.name = "aten::sub.Tensor",
          .schema = "aten::sub.Tensor(Tensor self, Tensor other, *, Scalar alpha=1) -> Tensor",
-         .fn = sub_fn,
+         .fn = pointwise_fn<FusedKernel::kSub>,
          .backward = sub_backward,
          .grad_name = "Sub"});
     reg.register_op({.name = "aten::mul.Tensor",
                      .schema = "aten::mul.Tensor(Tensor self, Tensor other) -> Tensor",
-                     .fn = mul_fn,
+                     .fn = pointwise_fn<FusedKernel::kMul>,
                      .backward = mul_backward,
                      .grad_name = "Mul"});
     reg.register_op({.name = "aten::mul.Scalar",
                      .schema = "aten::mul.Scalar(Tensor self, Scalar other) -> Tensor",
-                     .fn = mul_scalar_fn,
+                     .fn = pointwise_fn<FusedKernel::kMulScalar>,
                      .backward = mul_scalar_backward,
                      .grad_name = "MulScalar"});
     reg.register_op({.name = "aten::div.Tensor",
                      .schema = "aten::div.Tensor(Tensor self, Tensor other) -> Tensor",
-                     .fn = div_fn});
+                     .fn = pointwise_fn<FusedKernel::kDiv>});
 
     reg.register_op({.name = "aten::relu",
                      .schema = "aten::relu(Tensor self) -> Tensor",
-                     .fn = [](Session& s, const std::vector<IValue>& in) {
-                         return unary_fn<&math::relu>("relu", 1.0, s, in);
-                     },
+                     .fn = pointwise_fn<FusedKernel::kRelu>,
                      .backward =
                          [](Session& s, const AutogradContext& ctx,
                             const std::vector<Tensor>& gouts) -> std::vector<Tensor> {
@@ -311,15 +262,11 @@ register_pointwise_ops(OpRegistry& reg)
         {.name = "aten::threshold_backward",
          .schema =
              "aten::threshold_backward(Tensor grad_output, Tensor self, Scalar threshold) -> Tensor",
-         .fn = [](Session& s, const std::vector<IValue>& in) {
-             return unary_grad_fn<&math::relu_backward>("relu_bwd", s, in);
-         }});
+         .fn = pointwise_fn<FusedKernel::kReluBwd>});
 
     reg.register_op({.name = "aten::sigmoid",
                      .schema = "aten::sigmoid(Tensor self) -> Tensor",
-                     .fn = [](Session& s, const std::vector<IValue>& in) {
-                         return unary_fn<&math::sigmoid>("sigmoid", 4.0, s, in);
-                     },
+                     .fn = pointwise_fn<FusedKernel::kSigmoid>,
                      .backward =
                          [](Session& s, const AutogradContext& ctx,
                             const std::vector<Tensor>& gouts) -> std::vector<Tensor> {
@@ -332,15 +279,11 @@ register_pointwise_ops(OpRegistry& reg)
     reg.register_op(
         {.name = "aten::sigmoid_backward",
          .schema = "aten::sigmoid_backward(Tensor grad_output, Tensor output) -> Tensor",
-         .fn = [](Session& s, const std::vector<IValue>& in) {
-             return unary_grad_fn<&math::sigmoid_backward>("sigmoid_bwd", s, in);
-         }});
+         .fn = pointwise_fn<FusedKernel::kSigmoidBwd>});
 
     reg.register_op({.name = "aten::tanh",
                      .schema = "aten::tanh(Tensor self) -> Tensor",
-                     .fn = [](Session& s, const std::vector<IValue>& in) {
-                         return unary_fn<&math::tanh_fwd>("tanh", 4.0, s, in);
-                     },
+                     .fn = pointwise_fn<FusedKernel::kTanh>,
                      .backward =
                          [](Session& s, const AutogradContext& ctx,
                             const std::vector<Tensor>& gouts) -> std::vector<Tensor> {
@@ -353,21 +296,15 @@ register_pointwise_ops(OpRegistry& reg)
     reg.register_op(
         {.name = "aten::tanh_backward",
          .schema = "aten::tanh_backward(Tensor grad_output, Tensor output) -> Tensor",
-         .fn = [](Session& s, const std::vector<IValue>& in) {
-             return unary_grad_fn<&math::tanh_backward>("tanh_bwd", s, in);
-         }});
+         .fn = pointwise_fn<FusedKernel::kTanhBwd>});
 
     reg.register_op({.name = "aten::exp",
                      .schema = "aten::exp(Tensor self) -> Tensor",
-                     .fn = [](Session& s, const std::vector<IValue>& in) {
-                         return unary_fn<&math::exp_fwd>("exp", 4.0, s, in);
-                     }});
+                     .fn = pointwise_fn<FusedKernel::kExp>});
 
     reg.register_op({.name = "aten::gelu",
                      .schema = "aten::gelu(Tensor self) -> Tensor",
-                     .fn = [](Session& s, const std::vector<IValue>& in) {
-                         return unary_fn<&math::gelu>("gelu", 8.0, s, in);
-                     },
+                     .fn = pointwise_fn<FusedKernel::kGelu>,
                      .backward =
                          [](Session& s, const AutogradContext& ctx,
                             const std::vector<Tensor>& gouts) -> std::vector<Tensor> {
@@ -380,9 +317,7 @@ register_pointwise_ops(OpRegistry& reg)
     reg.register_op(
         {.name = "aten::gelu_backward",
          .schema = "aten::gelu_backward(Tensor grad_output, Tensor self) -> Tensor",
-         .fn = [](Session& s, const std::vector<IValue>& in) {
-             return unary_grad_fn<&math::gelu_backward>("gelu_bwd", s, in);
-         }});
+         .fn = pointwise_fn<FusedKernel::kGeluBwd>});
 
     reg.register_op(
         {.name = "aten::layer_norm",

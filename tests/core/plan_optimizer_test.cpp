@@ -2,18 +2,27 @@
 /// traces (multi-consumer intermediates, shape/dtype mismatches, skipped-op
 /// barriers, batch_norm head-only), the MYST_OPT_LEVEL opt-out, plan-key
 /// separation between optimized and verbatim plans across both cache tiers,
-/// serialization round-trips, and tamper quarantine on restore.
+/// fused-vs-verbatim replay of every pointwise table row, serialization
+/// round-trips, and tamper quarantine on restore.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <string>
 
 #include "common/error.h"
 #include "core/plan_cache.h"
 #include "core/plan_optimizer.h"
 #include "core/plan_store.h"
 #include "core/replayer.h"
+#include "core/tensor_manager.h"
+#include "et/trace.h"
+#include "framework/functional.h"
+#include "framework/math.h"
+#include "framework/op_registry.h"
+#include "jit/schema.h"
 #include "workloads/harness.h"
 
 namespace mystique::core {
@@ -374,6 +383,143 @@ TEST(PlanOptimizer, FusedReplayIsBitIdenticalToVerbatim)
         }
         EXPECT_EQ(p_opt->to_json().at("coverage"), p_verb->to_json().at("coverage"))
             << c.workload;
+    }
+}
+
+/// Records a numeric chain around table row @p info's op: tanh → row → tanh
+/// (the batch_norm head starts the chain instead), closed by a sum so the
+/// chain's tail stays live.  Every argument comes from the op's registered
+/// schema; @p broadcast gives the row's tensor operand the chain value's
+/// last dimension only.
+et::ExecutionTrace
+record_row_chain(const fw::PointwiseInfo& info, bool broadcast)
+{
+    fw::SessionOptions opts;
+    opts.mode = fw::ExecMode::kNumeric;
+    opts.seed = 17;
+    fw::Session s(opts);
+    auto random = [&s](fw::Shape shape) {
+        fw::Tensor t = s.alloc(std::move(shape));
+        fw::math::randn(t.f32(), t.numel(), s.rng(), 0.5f);
+        return t;
+    };
+    const fw::Shape shape{2, 3, 4, 4}; // NCHW, for the batch_norm head
+    const fw::Tensor x = random(shape);
+    const fw::Tensor operand = random(broadcast ? fw::Shape{4} : shape);
+    const fw::Tensor per_channel = random({3});
+
+    et::ExecutionTraceObserver obs;
+    s.attach_et_observer(&obs);
+    obs.start();
+    fw::Tensor v = x;
+    if (info.args != fw::PointwiseArgs::kNormHead)
+        v = fw::F::tanh(s, v);
+    const fw::OpDef& def = fw::OpRegistry::instance().at(info.op_name);
+    std::vector<fw::IValue> args;
+    for (const jit::SchemaArg& arg : jit::parse_schema(def.schema).args) {
+        if (args.empty())
+            args.emplace_back(v);
+        else if (arg.type == "Tensor")
+            args.emplace_back(operand);
+        else if (arg.type == "Tensor?")
+            args.emplace_back(per_channel);
+        else if (arg.type == "bool")
+            args.emplace_back(true);
+        else
+            args.emplace_back(0.5); // alpha, mul.Scalar's scalar, threshold, eps
+    }
+    v = s.call(def.id, std::move(args))[0].tensor();
+    v = fw::F::tanh(s, v);
+    s.call("aten::sum", {fw::IValue(v)});
+    obs.stop();
+    return obs.take_trace();
+}
+
+/// Runs @p plan's ops once in program order — fused groups through the
+/// interpreter, every other op verbatim — and returns the bytes bound to the
+/// last op's input (the chain's output).  ReplayResult::numeric_digest cannot
+/// witness fused-vs-verbatim numerics: fused replay never binds a chain's
+/// intermediates, so its final bindings differ from verbatim replay's by
+/// design (the oracle's opt-level check skips the digest for that reason).
+std::vector<uint32_t>
+chain_output_bits(const ReplayPlan& plan, const ReplayConfig& cfg)
+{
+    fw::Session s(cfg.session_options(0, 1));
+    s.set_grad_enabled(false);
+    TensorManager tm(s, cfg.embedding);
+    std::vector<const et::Node*> nodes;
+    for (const ReconstructedOp& op : plan.ops())
+        nodes.push_back(op.node);
+    tm.analyze(nodes);
+    tm.instantiate_externals();
+    for (const ReconstructedOp& op : plan.ops()) {
+        if (op.fused_group < 0) {
+            execute_reconstructed(s, op, tm);
+        } else if (op.fused_head) {
+            const FusedGroup& g =
+                plan.fused_groups()[static_cast<std::size_t>(op.fused_group)];
+            fw::FusedChainCall call;
+            call.stages = g.stages.data();
+            call.n_stages = g.stages.size();
+            call.dead = g.dead;
+            call.input = tm.resolve(g.input_meta);
+            for (const et::TensorMeta& m : g.operand_metas)
+                call.operands.push_back(tm.resolve(m));
+            call.out_shape = call.input.shape();
+            fw::run_fused_chain(s, call);
+            if (!g.dead)
+                tm.bind_output(g.output_meta, call.out);
+        }
+    }
+    const fw::Tensor out = tm.resolve(plan.ops().back().node->inputs[0].tensors[0]);
+    std::vector<uint32_t> bits(static_cast<std::size_t>(out.numel()));
+    std::memcpy(bits.data(), out.f32(), bits.size() * sizeof(uint32_t));
+    return bits;
+}
+
+TEST(PlanOptimizer, EveryTableRowReplaysFusedBitIdenticalToVerbatim)
+{
+    for (const fw::PointwiseInfo& info : fw::kPointwiseOps) {
+        for (const bool broadcast : {false, true}) {
+            if (broadcast && !info.broadcasts())
+                continue;
+            SCOPED_TRACE(std::string(info.op_name) + (broadcast ? " (broadcast)" : ""));
+            const et::ExecutionTrace trace = record_row_chain(info, broadcast);
+            ReplayConfig cfg_opt = replay_cfg(1);
+            cfg_opt.mode = fw::ExecMode::kNumeric;
+            ReplayConfig cfg_verb = cfg_opt;
+            cfg_verb.opt_level = 0;
+            const auto p_opt = ReplayPlan::build(trace, nullptr, cfg_opt);
+            const auto p_verb = ReplayPlan::build(trace, nullptr, cfg_verb);
+
+            int row_ops = 0;
+            for (std::size_t i = 0; i < p_opt->ops().size(); ++i) {
+                const et::Node* node = p_opt->ops()[i].node;
+                if (node == nullptr || node->name != info.op_name)
+                    continue;
+                ++row_ops;
+                const FusedGroup* g = group_of(*p_opt, static_cast<int>(i));
+                ASSERT_NE(g, nullptr) << "op not fused";
+                EXPECT_FALSE(g->dead);
+                EXPECT_GE(g->members.size(), 2u);
+            }
+            EXPECT_GE(row_ops, 1);
+
+            EXPECT_EQ(chain_output_bits(*p_opt, cfg_opt),
+                      chain_output_bits(*p_verb, cfg_verb));
+            const ReplayResult ro = Replayer(p_opt, cfg_opt).run();
+            const ReplayResult rv = Replayer(p_verb, cfg_verb).run();
+            EXPECT_EQ(ro.iter_us, rv.iter_us);
+            ASSERT_EQ(ro.prof.kernels().size(), rv.prof.kernels().size());
+            for (std::size_t i = 0; i < ro.prof.kernels().size(); ++i) {
+                const prof::KernelEvent& a = ro.prof.kernels()[i];
+                const prof::KernelEvent& b = rv.prof.kernels()[i];
+                EXPECT_EQ(a.name, b.name) << "kernel " << i;
+                EXPECT_EQ(a.ts, b.ts) << "kernel " << i;
+                EXPECT_EQ(a.dur, b.dur) << "kernel " << i;
+                EXPECT_EQ(a.stream, b.stream) << "kernel " << i;
+            }
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "core/codegen.h"
@@ -10,6 +11,9 @@
 #include "core/replayer.h"
 #include "core/similarity.h"
 #include "core/tensor_manager.h"
+#include "et/trace.h"
+#include "framework/functional.h"
+#include "framework/math.h"
 #include "workloads/harness.h"
 
 namespace mystique::core {
@@ -273,6 +277,52 @@ TEST(Replayer, EmbeddingConfigShiftsTiming)
     EXPECT_GT(emb_uniform, 0.0);
     // Skewed indices → better locality → faster gathers.
     EXPECT_LT(emb_zipf, emb_uniform * 0.95);
+}
+
+TEST(Replayer, NumericReplayRejectsAShrunkSecondOperand)
+{
+    // Record sigmoid → sigmoid_backward, then shrink the backward's slot-1
+    // tensor to one element under fresh tensor and storage ids.  Replay
+    // instantiates it at that size, and the op must throw rather than read
+    // the gradient's numel elements from it.
+    fw::SessionOptions opts;
+    opts.mode = fw::ExecMode::kNumeric;
+    fw::Session s(opts);
+    fw::Tensor x = s.alloc({64});
+    fw::Tensor g = s.alloc({64});
+    fw::math::randn(x.f32(), x.numel(), s.rng());
+    fw::math::randn(g.f32(), g.numel(), s.rng());
+    et::ExecutionTraceObserver obs;
+    s.attach_et_observer(&obs);
+    obs.start();
+    const fw::Tensor y = fw::F::sigmoid(s, x);
+    s.call("aten::sigmoid_backward", {fw::IValue(g), fw::IValue(y)});
+    obs.stop();
+    const et::ExecutionTrace recorded = obs.take_trace();
+
+    int64_t fresh = 0;
+    for (const et::Node& n : recorded.nodes())
+        for (const auto* args : {&n.inputs, &n.outputs})
+            for (const et::Argument& a : *args)
+                for (const et::TensorMeta& m : a.tensors)
+                    fresh = std::max({fresh, m.tensor_id, m.storage_id});
+    et::ExecutionTrace shrunk;
+    shrunk.meta() = recorded.meta();
+    int shrunk_nodes = 0;
+    for (et::Node n : recorded.nodes()) {
+        if (n.name == "aten::sigmoid_backward") {
+            et::TensorMeta& m = n.inputs[1].tensors[0];
+            m.tensor_id = fresh + 1;
+            m.storage_id = fresh + 2;
+            m.shape = {1};
+            m.numel = 1;
+            ++shrunk_nodes;
+        }
+        shrunk.add_node(std::move(n));
+    }
+    ASSERT_EQ(shrunk_nodes, 1);
+
+    EXPECT_ANY_THROW((void)Replayer(shrunk, nullptr, tiny_replay()).run());
 }
 
 TEST(Similarity, ReportsSmallErrorsForFaithfulReplay)

@@ -1,15 +1,20 @@
-/// Numeric correctness of the math routines, including finite-difference
-/// verification of every backward implementation used by autograd.
+/// Numeric correctness of the math routines and of the pointwise table's
+/// formulas, including finite-difference verification of every backward
+/// implementation used by autograd.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <vector>
 
 #include "common/rng.h"
+#include "framework/functional.h"
 #include "framework/math.h"
+#include "framework/pointwise.h"
+#include "framework/session.h"
 
 namespace mystique::fw::math {
 namespace {
@@ -105,40 +110,53 @@ TEST(Bmm, BatchesIndependent)
         EXPECT_NEAR(c[4 + i], c1[i], 1e-5);
 }
 
+/// Row K's formula over every element of @p x (and of @p b when given).
+template <FusedKernel K>
+std::vector<float>
+apply_each(const std::vector<float>& x, const std::vector<float>& b = {},
+           float alpha = 1.0f)
+{
+    std::vector<float> out(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+        out[i] = pointwise_apply<K>(x[i], b.empty() ? 0.0f : b[i], alpha);
+    return out;
+}
+
 TEST(Pointwise, AddSubMulDiv)
 {
     const std::vector<float> a{1, 2, 3};
     const std::vector<float> b{4, 5, 6};
-    std::vector<float> out(3);
-    add(a.data(), b.data(), out.data(), 3, 2.0f);
-    EXPECT_FLOAT_EQ(out[0], 9.0f);
-    sub(a.data(), b.data(), out.data(), 3, 1.0f);
-    EXPECT_FLOAT_EQ(out[2], -3.0f);
-    mul(a.data(), b.data(), out.data(), 3);
-    EXPECT_FLOAT_EQ(out[1], 10.0f);
-    div(b.data(), a.data(), out.data(), 3);
-    EXPECT_FLOAT_EQ(out[2], 2.0f);
+    EXPECT_FLOAT_EQ(apply_each<FusedKernel::kAdd>(a, b, 2.0f)[0], 9.0f);
+    EXPECT_FLOAT_EQ(apply_each<FusedKernel::kSub>(a, b, 1.0f)[2], -3.0f);
+    EXPECT_FLOAT_EQ(apply_each<FusedKernel::kMul>(a, b)[1], 10.0f);
+    EXPECT_FLOAT_EQ(apply_each<FusedKernel::kDiv>(b, a)[2], 2.0f);
 }
 
 TEST(Pointwise, Broadcast)
 {
-    const std::vector<float> a{1, 2, 3, 4};
-    const std::vector<float> bias{10, 20};
-    std::vector<float> out(4);
-    add_broadcast(a.data(), bias.data(), out.data(), 4, 2);
-    EXPECT_FLOAT_EQ(out[0], 11.0f);
-    EXPECT_FLOAT_EQ(out[3], 24.0f);
+    // The op itself: the bias maps onto self's trailing elements.
+    SessionOptions opts;
+    opts.mode = ExecMode::kNumeric;
+    Session s(opts);
+    Tensor a = s.alloc({2, 2});
+    Tensor bias = s.alloc({2});
+    const std::vector<float> av{1, 2, 3, 4};
+    const std::vector<float> bv{10, 20};
+    std::copy(av.begin(), av.end(), a.f32());
+    std::copy(bv.begin(), bv.end(), bias.f32());
+    const Tensor out = F::add(s, a, bias);
+    EXPECT_FLOAT_EQ(out.f32()[0], 11.0f);
+    EXPECT_FLOAT_EQ(out.f32()[3], 24.0f);
 }
 
 TEST(Pointwise, ReluAndBackward)
 {
     const std::vector<float> x{-1, 0, 2};
-    std::vector<float> y(3), g(3);
-    relu(x.data(), y.data(), 3);
+    const std::vector<float> y = apply_each<FusedKernel::kRelu>(x);
     EXPECT_FLOAT_EQ(y[0], 0.0f);
     EXPECT_FLOAT_EQ(y[2], 2.0f);
     const std::vector<float> go{1, 1, 1};
-    relu_backward(go.data(), x.data(), g.data(), 3);
+    const std::vector<float> g = apply_each<FusedKernel::kReluBwd>(go, x);
     EXPECT_FLOAT_EQ(g[0], 0.0f);
     EXPECT_FLOAT_EQ(g[2], 1.0f);
 }
@@ -146,11 +164,8 @@ TEST(Pointwise, ReluAndBackward)
 TEST(Pointwise, SigmoidTanhIdentities)
 {
     const std::vector<float> x{0.0f};
-    std::vector<float> y(1);
-    sigmoid(x.data(), y.data(), 1);
-    EXPECT_NEAR(y[0], 0.5f, 1e-6);
-    tanh_fwd(x.data(), y.data(), 1);
-    EXPECT_NEAR(y[0], 0.0f, 1e-6);
+    EXPECT_NEAR(apply_each<FusedKernel::kSigmoid>(x)[0], 0.5f, 1e-6);
+    EXPECT_NEAR(apply_each<FusedKernel::kTanh>(x)[0], 0.0f, 1e-6);
 }
 
 TEST(Transpose2d, RoundTrip)
@@ -437,19 +452,16 @@ TEST(LstmBackward, MatchesFiniteDifference)
 TEST(Gelu, KnownValuesAndBackward)
 {
     const std::vector<float> x{-2.0f, 0.0f, 2.0f};
-    std::vector<float> y(3);
-    gelu(x.data(), y.data(), 3);
+    const std::vector<float> y = apply_each<FusedKernel::kGelu>(x);
     EXPECT_NEAR(y[1], 0.0f, 1e-6);
     EXPECT_NEAR(y[2], 1.9545f, 1e-3); // 2·Φ(2)
     EXPECT_NEAR(y[0], -0.0455f, 1e-3);
     auto loss = [&](const std::vector<float>& v) {
-        std::vector<float> out(v.size());
-        gelu(v.data(), out.data(), static_cast<int64_t>(v.size()));
+        const std::vector<float> out = apply_each<FusedKernel::kGelu>(v);
         return sum(out.data(), static_cast<int64_t>(out.size()));
     };
-    std::vector<float> g(3);
     const std::vector<float> go{1, 1, 1};
-    gelu_backward(go.data(), x.data(), g.data(), 3);
+    const std::vector<float> g = apply_each<FusedKernel::kGeluBwd>(go, x);
     for (std::size_t i = 0; i < 3; ++i)
         EXPECT_NEAR(g[i], fd(loss, x, i, 1e-3f), 1e-2);
 }

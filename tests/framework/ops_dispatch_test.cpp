@@ -293,5 +293,26 @@ INSTANTIATE_TEST_SUITE_P(AllOps, OpDispatchTest, ::testing::ValuesIn(kExercises)
                              return std::string(info.param.label);
                          });
 
+TEST(PointwiseOperands, ShortSecondOperandIsRejected)
+{
+    // These ops read their second tensor at every index of the first; a
+    // shorter one must throw, never be read past its end.
+    struct Case {
+        const char* op;
+        bool trailing_scalar;
+    };
+    for (const Case c : {Case{"aten::threshold_backward", true},
+                         Case{"aten::sigmoid_backward", false},
+                         Case{"aten::tanh_backward", false},
+                         Case{"aten::gelu_backward", false},
+                         Case{"aten::native_dropout_backward", true}}) {
+        Session s(tiny_opts());
+        std::vector<IValue> args{IValue(dev_tensor(s, {64})), IValue(dev_tensor(s, {1}))};
+        if (c.trailing_scalar)
+            args.emplace_back(1.0);
+        EXPECT_ANY_THROW(s.call(c.op, std::move(args))) << c.op;
+    }
+}
+
 } // namespace
 } // namespace mystique::fw
