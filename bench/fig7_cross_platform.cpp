@@ -32,8 +32,14 @@ main()
             core::ReplayConfig rc = bench::bench_replay_config(platform);
             core::Replayer replayer(traced.rank0().trace, &traced.rank0().prof, rc);
             const auto rep = replayer.run();
-            const double calibrated =
-                orig.mean_iter_us - rep.coverage.unsupported_exposed_us;
+            // Calibrate with the target platform's own unsupported-op time,
+            // not the A100 trace's: that is what its native original spends
+            // outside anything a benchmark can replay.
+            const double unsupported_us =
+                core::ReplayPlan::build_borrowing(orig.rank0().trace, &orig.rank0().prof, rc)
+                    ->coverage()
+                    .unsupported_exposed_us;
+            const double calibrated = orig.mean_iter_us - unsupported_us;
             std::printf("%10.3f ", rep.mean_iter_us / calibrated);
         }
         std::printf("\n");

@@ -14,69 +14,69 @@ namespace mystique {
 bool
 Json::as_bool() const
 {
-    if (!is_bool())
-        MYST_THROW(ParseError, "json: expected bool");
-    return bool_;
+    if (const bool* b = std::get_if<bool>(&value_))
+        return *b;
+    MYST_THROW(ParseError, "json: expected bool");
 }
 
 int64_t
 Json::as_int() const
 {
-    if (is_int())
-        return int_;
-    if (is_double() && dbl_ == std::floor(dbl_))
-        return static_cast<int64_t>(dbl_);
+    if (const int64_t* i = std::get_if<int64_t>(&value_))
+        return *i;
+    if (const double* d = std::get_if<double>(&value_); d != nullptr && *d == std::floor(*d))
+        return static_cast<int64_t>(*d);
     MYST_THROW(ParseError, "json: expected integer");
 }
 
 double
 Json::as_double() const
 {
-    if (is_int())
-        return static_cast<double>(int_);
-    if (is_double())
-        return dbl_;
+    if (const int64_t* i = std::get_if<int64_t>(&value_))
+        return static_cast<double>(*i);
+    if (const double* d = std::get_if<double>(&value_))
+        return *d;
     MYST_THROW(ParseError, "json: expected number");
 }
 
 const std::string&
 Json::as_string() const
 {
-    if (!is_string())
-        MYST_THROW(ParseError, "json: expected string");
-    return str_;
+    if (const std::string* str = std::get_if<std::string>(&value_))
+        return *str;
+    MYST_THROW(ParseError, "json: expected string");
 }
 
 const Json::Array&
 Json::as_array() const
 {
-    if (!is_array())
-        MYST_THROW(ParseError, "json: expected array");
-    return arr_;
+    if (const Array* arr = std::get_if<Array>(&value_))
+        return *arr;
+    MYST_THROW(ParseError, "json: expected array");
 }
 
 Json::Array&
 Json::as_array()
 {
-    if (!is_array())
-        MYST_THROW(ParseError, "json: expected array");
-    return arr_;
+    if (Array* arr = std::get_if<Array>(&value_))
+        return *arr;
+    MYST_THROW(ParseError, "json: expected array");
 }
 
 const Json::Object&
 Json::as_object() const
 {
-    if (!is_object())
-        MYST_THROW(ParseError, "json: expected object");
-    return obj_;
+    if (const Object* obj = std::get_if<Object>(&value_))
+        return *obj;
+    MYST_THROW(ParseError, "json: expected object");
 }
 
 Json::Object&
 Json::as_object()
 {
-    if (!is_object())
-        MYST_THROW(ParseError, "json: expected object");
-    return obj_;
+    if (Object* obj = std::get_if<Object>(&value_))
+        return *obj;
+    MYST_THROW(ParseError, "json: expected object");
 }
 
 void
@@ -88,9 +88,10 @@ Json::push_back(Json v)
 const Json*
 Json::find(std::string_view key) const
 {
-    if (!is_object())
+    const Object* obj = std::get_if<Object>(&value_);
+    if (obj == nullptr)
         return nullptr;
-    for (const auto& [k, v] : obj_) {
+    for (const auto& [k, v] : *obj) {
         if (k == key)
             return &v;
     }
@@ -211,46 +212,48 @@ Json::dump_to(std::string& out, int indent, int depth) const
             out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(d), ' ');
         }
     };
-    switch (type_) {
+    switch (type()) {
       case Type::kNull:
         out += "null";
         break;
       case Type::kBool:
-        out += bool_ ? "true" : "false";
+        out += std::get<bool>(value_) ? "true" : "false";
         break;
       case Type::kInt:
-        out += std::to_string(int_);
+        out += std::to_string(std::get<int64_t>(value_));
         break;
       case Type::kDouble:
-        format_double(dbl_, out);
+        format_double(std::get<double>(value_), out);
         break;
       case Type::kString:
-        escape_string(str_, out);
+        escape_string(std::get<std::string>(value_), out);
         break;
       case Type::kArray: {
+        const Array& arr = std::get<Array>(value_);
         out += '[';
-        for (std::size_t i = 0; i < arr_.size(); ++i) {
+        for (std::size_t i = 0; i < arr.size(); ++i) {
             if (i > 0)
                 out += pretty ? "," : ",";
             newline(depth + 1);
-            arr_[i].dump_to(out, indent, depth + 1);
+            arr[i].dump_to(out, indent, depth + 1);
         }
-        if (!arr_.empty())
+        if (!arr.empty())
             newline(depth);
         out += ']';
         break;
       }
       case Type::kObject: {
+        const Object& obj = std::get<Object>(value_);
         out += '{';
-        for (std::size_t i = 0; i < obj_.size(); ++i) {
+        for (std::size_t i = 0; i < obj.size(); ++i) {
             if (i > 0)
                 out += ",";
             newline(depth + 1);
-            escape_string(obj_[i].first, out);
+            escape_string(obj[i].first, out);
             out += pretty ? ": " : ":";
-            obj_[i].second.dump_to(out, indent, depth + 1);
+            obj[i].second.dump_to(out, indent, depth + 1);
         }
-        if (!obj_.empty())
+        if (!obj.empty())
             newline(depth);
         out += '}';
         break;
@@ -589,22 +592,14 @@ Json::dump_file(const std::string& path, int indent) const
 bool
 Json::operator==(const Json& other) const
 {
-    if (type_ != other.type_) {
+    if (type() != other.type()) {
         // int/double comparisons compare numerically
         if (is_number() && other.is_number())
             return as_double() == other.as_double();
         return false;
     }
-    switch (type_) {
-      case Type::kNull: return true;
-      case Type::kBool: return bool_ == other.bool_;
-      case Type::kInt: return int_ == other.int_;
-      case Type::kDouble: return dbl_ == other.dbl_;
-      case Type::kString: return str_ == other.str_;
-      case Type::kArray: return arr_ == other.arr_;
-      case Type::kObject: return obj_ == other.obj_;
-    }
-    return false;
+    // Same alternative: variant's == compares the held values.
+    return value_ == other.value_;
 }
 
 } // namespace mystique

@@ -19,6 +19,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/error.h"
@@ -38,31 +39,31 @@ class Json {
     /// Constructs null.
     Json() = default;
     Json(std::nullptr_t) : Json() {}
-    Json(bool b) : type_(Type::kBool), bool_(b) {}
-    Json(int v) : type_(Type::kInt), int_(v) {}
-    Json(int64_t v) : type_(Type::kInt), int_(v) {}
-    Json(uint64_t v) : type_(Type::kInt), int_(static_cast<int64_t>(v)) {}
-    Json(double v) : type_(Type::kDouble), dbl_(v) {}
-    Json(const char* s) : type_(Type::kString), str_(s) {}
-    Json(std::string s) : type_(Type::kString), str_(std::move(s)) {}
-    Json(Array a) : type_(Type::kArray), arr_(std::move(a)) {}
-    Json(Object o) : type_(Type::kObject), obj_(std::move(o)) {}
+    Json(bool b) : value_(std::in_place_type<bool>, b) {}
+    Json(int v) : value_(std::in_place_type<int64_t>, v) {}
+    Json(int64_t v) : value_(std::in_place_type<int64_t>, v) {}
+    Json(uint64_t v) : value_(std::in_place_type<int64_t>, static_cast<int64_t>(v)) {}
+    Json(double v) : value_(std::in_place_type<double>, v) {}
+    Json(const char* s) : value_(std::in_place_type<std::string>, s) {}
+    Json(std::string s) : value_(std::in_place_type<std::string>, std::move(s)) {}
+    Json(Array a) : value_(std::in_place_type<Array>, std::move(a)) {}
+    Json(Object o) : value_(std::in_place_type<Object>, std::move(o)) {}
 
     /// Creates an empty array.
     static Json array() { return Json(Array{}); }
     /// Creates an empty object.
     static Json object() { return Json(Object{}); }
 
-    Type type() const { return type_; }
-    bool is_null() const { return type_ == Type::kNull; }
-    bool is_bool() const { return type_ == Type::kBool; }
-    bool is_int() const { return type_ == Type::kInt; }
-    bool is_double() const { return type_ == Type::kDouble; }
+    Type type() const { return static_cast<Type>(value_.index()); }
+    bool is_null() const { return type() == Type::kNull; }
+    bool is_bool() const { return type() == Type::kBool; }
+    bool is_int() const { return type() == Type::kInt; }
+    bool is_double() const { return type() == Type::kDouble; }
     /// True for either numeric representation.
     bool is_number() const { return is_int() || is_double(); }
-    bool is_string() const { return type_ == Type::kString; }
-    bool is_array() const { return type_ == Type::kArray; }
-    bool is_object() const { return type_ == Type::kObject; }
+    bool is_string() const { return type() == Type::kString; }
+    bool is_array() const { return type() == Type::kArray; }
+    bool is_object() const { return type() == Type::kObject; }
 
     /// Typed accessors; throw ParseError when the type does not match.
     bool as_bool() const;
@@ -111,13 +112,10 @@ class Json {
   private:
     void dump_to(std::string& out, int indent, int depth) const;
 
-    Type type_ = Type::kNull;
-    bool bool_ = false;
-    int64_t int_ = 0;
-    double dbl_ = 0.0;
-    std::string str_;
-    Array arr_;
-    Object obj_;
+    /// One alternative per Type, in Type's order.  Holding only the live
+    /// alternative keeps a node small: parsing moves, allocates and frees
+    /// less per value.
+    std::variant<std::monostate, bool, int64_t, double, std::string, Array, Object> value_;
 };
 
 } // namespace mystique

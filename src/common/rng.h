@@ -9,9 +9,14 @@
 /// splitmix64, both public-domain algorithms by Blackman & Vigna.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace mystique {
+
+/// Immutable Walker alias table for Zipf(n, s), shared process-wide: each
+/// (n, s) is built once and handed to every Rng that samples it.
+struct ZipfTable;
 
 /// Deterministic pseudo-random generator with distribution helpers.
 class Rng {
@@ -42,6 +47,12 @@ class Rng {
     /// cache locality (the paper's §4.4 "special case").
     int64_t zipf(int64_t n, double s);
 
+    /// Writes @p count Zipf(n, s) draws to @p out: the same values, and the
+    /// same stream position afterwards, as @p count calls to zipf().  Draws
+    /// go in batches whose alias-table entries are prefetched together, so
+    /// the table's cache misses overlap.
+    void zipf_fill(int64_t* out, int64_t count, int64_t n, double s);
+
     /// Fills @p out with iid uniform values in [lo, hi).
     void fill_uniform(std::vector<float>& out, float lo, float hi);
 
@@ -53,12 +64,11 @@ class Rng {
     bool have_cached_normal_ = false;
     double cached_normal_ = 0.0;
 
-    // Zipf sampling uses a cached Walker alias table per (n, s), so drawing
-    // millions of indices is O(1) each after an O(n) build.
-    int64_t zipf_n_ = -1;
-    double zipf_s_ = -1.0;
-    std::vector<double> zipf_prob_;
-    std::vector<int64_t> zipf_alias_;
+    // The last table this stream sampled.  Tables come from a process-wide
+    // cache, so drawing millions of indices is O(1) each after one O(n)
+    // build per (n, s) per process; holding the pointer keeps the table
+    // alive after the cache evicts it.
+    std::shared_ptr<const ZipfTable> zipf_;
 };
 
 } // namespace mystique

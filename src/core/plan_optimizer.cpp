@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
-#include <unordered_map>
 
 #include "common/error.h"
 #include "framework/op_registry.h"
@@ -115,8 +113,8 @@ output_tensor_id(const ReconstructedOp& op)
 inline int
 count_of(const ConsumerCounts& counts, int64_t tensor_id)
 {
-    const auto it = counts.find(tensor_id);
-    return it == counts.end() ? 0 : it->second;
+    const int* n = counts.find(tensor_id);
+    return n == nullptr ? 0 : *n;
 }
 
 } // namespace
@@ -365,21 +363,6 @@ optimize_plan(std::vector<ReconstructedOp>& ops, std::vector<FusedGroup>& groups
 
 namespace {
 
-/// Tensor-effect key space: recorded tensor ids and storage ids live in
-/// separate namespaces, so tag the id with its kind before mapping.
-struct EffectKey {
-    bool is_storage;
-    int64_t id;
-    bool operator==(const EffectKey&) const = default;
-};
-
-struct EffectKeyHash {
-    std::size_t operator()(const EffectKey& k) const
-    {
-        return std::hash<int64_t>()(k.id) * 2 + (k.is_storage ? 1 : 0);
-    }
-};
-
 /// Def-use state of one effect key: its last writer, and the newest entry
 /// of the list of units that read it since that write.
 struct EffectSlot {
@@ -387,29 +370,33 @@ struct EffectSlot {
     int last_reader = -1; ///< index into EffectSlots::readers, or -1
 };
 
-/// Effect keys resolved to dense slots.  Each key occurrence costs one hash
-/// lookup; the def-use sweep then indexes the slot vector.  Restore runs
-/// this sweep on every disk hit, so the reader lists share one pool instead
-/// of allocating a vector per slot.
+/// Effect keys resolved to dense slots.  Each key occurrence costs one probe
+/// of a flat index; the def-use sweep then indexes the slot vector.  Restore
+/// runs this sweep on every disk hit, so the index allocates no node per key
+/// and the reader lists share one pool instead of allocating a vector per
+/// slot.
 struct EffectSlots {
-    std::unordered_map<EffectKey, int, EffectKeyHash> index;
+    /// Slot of each key.  Recorded tensor ids and storage ids live in
+    /// separate namespaces, so each has its own index.
+    FlatInt64Map<int> tensor_slot;
+    FlatInt64Map<int> storage_slot;
     std::vector<EffectSlot> slots;
     /// Every slot's reader list: (unit, previous entry of the list or -1).
     std::vector<std::pair<int, int>> readers;
 
-    void resolve(const EffectKey& k, std::vector<int>& out)
+    void resolve(FlatInt64Map<int>& index, int64_t id, std::vector<int>& out)
     {
-        const auto [it, fresh] = index.try_emplace(k, static_cast<int>(slots.size()));
+        const auto [slot, fresh] = index.try_emplace(id, static_cast<int>(slots.size()));
         if (fresh)
             slots.emplace_back();
-        out.push_back(it->second);
+        out.push_back(*slot);
     }
 
     void resolve_meta(const et::TensorMeta& m, std::vector<int>& out)
     {
-        resolve({false, m.tensor_id}, out);
+        resolve(tensor_slot, m.tensor_id, out);
         if (m.storage_id >= 0)
-            resolve({true, m.storage_id}, out);
+            resolve(storage_slot, m.storage_id, out);
     }
 };
 

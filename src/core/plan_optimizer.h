@@ -31,9 +31,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "core/reconstruction.h"
 #include "et/node.h"
 #include "framework/fused_chain.h"
@@ -115,9 +115,10 @@ DepGraph build_dep_graph(const std::vector<ReconstructedOp>& ops,
 
 /// Input-consumer multiplicity of every tensor id across the plan's
 /// non-skipped ops — the single-consumer legality oracle shared by the
-/// passes.  One full-plan scan; compute it once and share it across every
-/// finalize_group call for the same op sequence.
-using ConsumerCounts = std::unordered_map<int64_t, int>;
+/// passes.  One full-plan scan (restore runs it on every disk hit); compute
+/// it once and share it across every finalize_group call for the same op
+/// sequence.
+using ConsumerCounts = FlatInt64Map<int>;
 ConsumerCounts consumer_counts(const std::vector<ReconstructedOp>& ops);
 
 /// Derives stages, metas, stream and tid for a group whose `members` and

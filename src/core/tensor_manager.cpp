@@ -132,11 +132,12 @@ TensorManager::generate_external(const et::TensorMeta& meta)
     switch (policy.kind) {
       case Int64GenPolicy::Kind::kIndices: {
         const int64_t rows = std::max<int64_t>(policy.upper, 1);
-        for (int64_t i = 0; i < n; ++i) {
-            data[i] = config_.distribution == EmbeddingGenConfig::Distribution::kZipf
-                          ? session_.rng().zipf(rows, config_.zipf_s)
-                          : session_.rng().uniform_int(0, rows - 1);
+        if (config_.distribution == EmbeddingGenConfig::Distribution::kZipf) {
+            session_.rng().zipf_fill(data, n, rows, config_.zipf_s);
+            break;
         }
+        for (int64_t i = 0; i < n; ++i)
+            data[i] = session_.rng().uniform_int(0, rows - 1);
         break;
       }
       case Int64GenPolicy::Kind::kOffsets: {

@@ -97,9 +97,10 @@ batched_embedding_fn(Session& s, const std::vector<IValue>& in)
                             indices.numel(), bags, dim);
     Tensor out = pooled.view_as({batch, num_tables * dim});
 
-    const double loc = embedding_locality(indices);
-    s.launch(embedding_kernel("fbgemm_batched_lookup", indices.numel(), dim,
-                              unique_indices(indices), loc, dev::OpCategory::kCustom),
+    const int64_t uniq = unique_indices(indices);
+    s.launch(embedding_kernel("fbgemm_batched_lookup", indices.numel(), dim, uniq,
+                              embedding_locality(indices.numel(), uniq),
+                              dev::OpCategory::kCustom),
              dev::kComputeStream, {weights, indices, offsets}, {out});
     return {IValue(out)};
 }
@@ -132,9 +133,10 @@ batched_embedding_backward_fn(Session& s, const std::vector<IValue>& in)
         math::embedding_bag_backward(flat.f32(), indices.i64(), offsets.i64(),
                                      grad_w.f32(), rows, indices.numel(), bags, dim);
     }
-    const double loc = embedding_locality(indices);
-    s.launch(embedding_kernel("fbgemm_batched_bwd", indices.numel(), dim,
-                              unique_indices(indices), loc, dev::OpCategory::kCustom),
+    const int64_t uniq = unique_indices(indices);
+    s.launch(embedding_kernel("fbgemm_batched_bwd", indices.numel(), dim, uniq,
+                              embedding_locality(indices.numel(), uniq),
+                              dev::OpCategory::kCustom),
              dev::kComputeStream, {grad_out, indices, offsets}, {grad_w});
     return {IValue(grad_w)};
 }

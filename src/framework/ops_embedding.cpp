@@ -29,8 +29,8 @@ embedding_bag_fn(Session& s, const std::vector<IValue>& in)
         math::embedding_bag(weight.f32(), indices.i64(), offsets.i64(), out.f32(), nnz,
                             bags, dim);
 
-    const double loc = embedding_locality(indices);
-    s.launch(embedding_kernel("embedding_bag", nnz, dim, unique_indices(indices), loc),
+    const int64_t uniq = unique_indices(indices);
+    s.launch(embedding_kernel("embedding_bag", nnz, dim, uniq, embedding_locality(nnz, uniq)),
              dev::kComputeStream, {weight, indices, offsets}, {out});
     return {IValue(out)};
 }
@@ -62,8 +62,8 @@ embedding_bag_backward_fn(Session& s, const std::vector<IValue>& in)
         math::embedding_bag_backward(grad_out.f32(), indices.i64(), offsets.i64(),
                                      grad_w.f32(), num_weights, nnz, bags, dim);
 
-    const double loc = embedding_locality(indices);
-    s.launch(embedding_kernel("embedding_bag_bwd", nnz, dim, unique_indices(indices), loc),
+    const int64_t uniq = unique_indices(indices);
+    s.launch(embedding_kernel("embedding_bag_bwd", nnz, dim, uniq, embedding_locality(nnz, uniq)),
              dev::kComputeStream, {grad_out, indices, offsets}, {grad_w});
     return {IValue(grad_w)};
 }

@@ -58,8 +58,7 @@ host_indices(fw::Session& s, int64_t nnz, int64_t rows, double zipf_s = 1.05)
 {
     fw::Tensor t = fw::Tensor::create({nnz}, fw::DType::kInt64, true);
     t.impl()->device = "cpu";
-    for (int64_t i = 0; i < nnz; ++i)
-        t.i64()[i] = s.rng().zipf(rows, zipf_s);
+    s.rng().zipf_fill(t.i64(), nnz, rows, zipf_s);
     return t;
 }
 

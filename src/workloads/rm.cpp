@@ -145,11 +145,12 @@ class Rm final : public Workload {
         fw::Tensor fb_idx = fw::Tensor::create({fbgemm_tables_ * b * dims_.pooling},
                                                fw::DType::kInt64, true);
         fb_idx.impl()->device = "cpu";
+        const int64_t per_table = b * dims_.pooling;
         for (int64_t t = 0; t < fbgemm_tables_; ++t) {
-            for (int64_t i = 0; i < b * dims_.pooling; ++i) {
-                fb_idx.i64()[t * b * dims_.pooling + i] =
-                    t * dims_.rows + s.rng().zipf(dims_.rows, dims_.zipf_s);
-            }
+            int64_t* slice = fb_idx.i64() + t * per_table;
+            s.rng().zipf_fill(slice, per_table, dims_.rows, dims_.zipf_s);
+            for (int64_t i = 0; i < per_table; ++i)
+                slice[i] += t * dims_.rows;
         }
         fw::Tensor fb_off = host_offsets(s, fbgemm_tables_ * b, fb_idx.numel());
         fw::Tensor fb_idx_d = fw::F::to_device(s, fb_idx);
