@@ -47,4 +47,14 @@ class Fnv1a {
     uint64_t h_ = 0xcbf29ce484222325ull; // FNV offset basis
 };
 
+/// FNV-1a of @p bytes as one length-terminated string: the content seal of
+/// plan-store entries (`plan_hash`) and sweep-journal records.
+inline uint64_t
+hash_bytes(std::string_view bytes)
+{
+    Fnv1a h;
+    h.mix(bytes);
+    return h.value();
+}
+
 } // namespace mystique

@@ -23,14 +23,6 @@ constexpr const char* kEntryFormat = "mystique-plan-store-entry";
 /// inside string values, and every head member has a fixed key.)
 constexpr const char* kPlanMarker = ",\"plan\":";
 
-uint64_t
-hash_bytes(std::string_view bytes)
-{
-    Fnv1a h;
-    h.mix(bytes);
-    return h.value();
-}
-
 } // namespace
 
 PlanStore::PlanStore(std::string directory) : dir_(std::move(directory))

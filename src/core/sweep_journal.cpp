@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "common/fault_injection.h"
 #include "common/fs_util.h"
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -47,11 +48,15 @@ u64_of(const Json& value)
     return *v;
 }
 
+/// Record version: v2 records carry a seal; nothing reads v1 any more.
+constexpr int64_t kRecordVersion = 2;
+
+/// The record without its seal.
 Json
 record_to_json(const SweepJournalRecord& rec)
 {
     Json j = Json::object();
-    j.set("v", Json(int64_t{1}));
+    j.set("v", Json(kRecordVersion));
     j.set("sweep", Json(std::to_string(rec.sweep_fp)));
     j.set("group", Json(std::to_string(rec.group_fp)));
     j.set("status", Json(to_string(rec.status)));
@@ -66,10 +71,27 @@ record_to_json(const SweepJournalRecord& rec)
     return j;
 }
 
+/// FNV-1a over the record's compact JSON without the seal.  A record whose
+/// bytes changed after it was written fails it, so its group replays
+/// instead of restoring a number the sweep never produced.
+uint64_t
+record_seal(const SweepJournalRecord& rec)
+{
+    return hash_bytes(record_to_json(rec).dump());
+}
+
+std::string
+sealed_line(const SweepJournalRecord& rec)
+{
+    Json j = record_to_json(rec);
+    j.set("seal", Json(std::to_string(record_seal(rec))));
+    return j.dump();
+}
+
 SweepJournalRecord
 record_from_json(const Json& j)
 {
-    if (j.get_int("v", 0) != 1)
+    if (j.get_int("v", 0) != kRecordVersion)
         MYST_THROW(ParseError, "sweep journal: unknown record version");
     SweepJournalRecord rec;
     rec.sweep_fp = u64_of(j.at("sweep"));
@@ -81,6 +103,8 @@ record_from_json(const Json& j)
     for (const Json& it : j.at("iter_us_bits").as_array())
         rec.iter_us.push_back(bits_to_double(u64_of(it)));
     rec.error = j.get_string("error", "");
+    if (u64_of(j.at("seal")) != record_seal(rec))
+        MYST_THROW(ParseError, "sweep journal: record does not match its seal");
     return rec;
 }
 
@@ -147,14 +171,14 @@ SweepJournal::load()
         try {
             records_.push_back(record_from_json(Json::parse(line)));
         } catch (const std::exception&) {
-            // A torn or hand-damaged line invalidates itself, not the file:
-            // everything parseable around it still counts.
+            // A torn, hand-damaged or unsealed line invalidates itself, not
+            // the file: every sealed record around it still counts.
             ++bad_lines;
         }
     }
     if (bad_lines > 0)
         MYST_WARN("sweep journal '" << path_ << "': skipped " << bad_lines
-                                    << " unparseable line(s)");
+                                    << " unparseable or unsealed line(s)");
     return records_.size();
 }
 
@@ -163,7 +187,7 @@ SweepJournal::publish_locked()
 {
     std::string text;
     for (const SweepJournalRecord& rec : records_) {
-        text += record_to_json(rec).dump();
+        text += sealed_line(rec);
         text += '\n';
     }
     try {

@@ -31,9 +31,12 @@
 /// `atomic_write_file` (temp + fsync + rename), so readers — including a
 /// process that crashes mid-append and restarts — never observe a torn file;
 /// concurrent writers race benignly (last publish wins; the loser's records
-/// are re-derived by replaying).  Unreadable journals and unparseable lines
-/// are skipped with a warning.  The `journal.write` / `journal.load` fault
-/// sites (common/fault_injection.h) let tests prove all of this.
+/// are re-derived by replaying).  Each record is sealed: its `seal` is the
+/// FNV-1a `hash_bytes` (common/hash.h) of the record's compact JSON without
+/// the seal, so an edited record fails it.  Unreadable journals and lines
+/// that do not parse or fail their seal are skipped with a warning, and
+/// their groups replay.  The `journal.write` / `journal.load` fault sites
+/// (common/fault_injection.h) let tests prove all of this.
 
 #include <cstdint>
 #include <mutex>
@@ -77,8 +80,9 @@ class SweepJournal {
 
     /// Loads existing records.  Absorbs every failure — an unreadable file
     /// (or an injected `journal.load` fault) warns and leaves the journal
-    /// empty; an unparseable line warns and is skipped; parseable lines
-    /// around it still load.  Returns the number of records loaded.
+    /// empty; a line that does not parse or fails its seal warns and is
+    /// skipped; sealed lines around it still load.  Returns the number of
+    /// records loaded.
     std::size_t load();
 
     /// Appends @p rec and atomically republishes the file.  Absorbs write

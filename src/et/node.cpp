@@ -1,5 +1,7 @@
 #include "et/node.h"
 
+#include <limits>
+
 #include "common/error.h"
 
 namespace mystique::et {
@@ -33,8 +35,22 @@ TensorMeta::from_json(const Json& j)
     t.numel = id[3].as_int();
     t.itemsize = id[4].as_int();
     t.device = id[5].as_string();
-    for (const auto& d : j.at("shape").as_array())
-        t.shape.push_back(d.as_int());
+    // Ingest is where a hostile shape must stop: replay sizes buffers from
+    // these numbers, so a negative dim or a numel the shape disagrees with
+    // becomes a ParseError here, never an allocation later.
+    int64_t product = 1;
+    for (const auto& d : j.at("shape").as_array()) {
+        const int64_t dim = d.as_int();
+        if (dim < 0)
+            MYST_THROW(ParseError, "tensor " << t.tensor_id << ": negative dimension " << dim);
+        if (dim != 0 && product > std::numeric_limits<int64_t>::max() / dim)
+            MYST_THROW(ParseError, "tensor " << t.tensor_id << ": shape product overflows int64");
+        product *= dim;
+        t.shape.push_back(dim);
+    }
+    if (t.numel != product)
+        MYST_THROW(ParseError, "tensor " << t.tensor_id << ": numel " << t.numel
+                                         << " differs from the shape's product " << product);
     t.dtype = j.at("dtype").as_string();
     return t;
 }

@@ -35,6 +35,8 @@ struct TensorMeta {
     std::string dtype = "float32";
 
     Json to_json() const;
+    /// Throws ParseError on a malformed tuple, a negative dimension, or a
+    /// numel that differs from the product of the shape.
     static TensorMeta from_json(const Json& j);
 
     bool operator==(const TensorMeta&) const = default;

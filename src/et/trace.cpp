@@ -183,8 +183,15 @@ ExecutionTrace::from_json(const Json& j)
 {
     ExecutionTrace t;
     t.meta_ = TraceMeta::from_json(j.at("meta"));
-    for (const auto& n : j.at("nodes").as_array())
-        t.add_node(Node::from_json(n));
+    for (const auto& n : j.at("nodes").as_array()) {
+        Node node = Node::from_json(n);
+        // A document is outside input: its id order is a ParseError, not
+        // the InternalError add_node raises for a programming bug.
+        if (!t.nodes_.empty() && node.id <= t.nodes_.back().id)
+            MYST_THROW(ParseError, "node IDs must increase: " << node.id << " after "
+                                                              << t.nodes_.back().id);
+        t.add_node(std::move(node));
+    }
     return t;
 }
 

@@ -72,6 +72,9 @@ class ExecutionTrace {
     /// the fingerprints cover must survive save → load unchanged (doubles
     /// are emitted in shortest round-trip-safe form by common/json.h).
     /// Enforced by tests/et/trace_test.cpp.
+    /// from_json throws ParseError on a malformed document, including node
+    /// IDs that do not increase and malformed tensor metadata
+    /// (TensorMeta::from_json).
     Json to_json() const;
     static ExecutionTrace from_json(const Json& j);
     void save(const std::string& path) const;

@@ -2,12 +2,31 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <future>
+#include <mutex>
+#include <optional>
+#include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "common/error.h"
+#include "common/fs_util.h"
+#include "common/json.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 
 namespace mystique::et {
+
+namespace {
+
+/// One sorted file's outcome: its parsed trace, or the what() of the
+/// std::exception that reading or parsing it threw.
+struct LoadSlot {
+    std::shared_ptr<const ExecutionTrace> trace;
+    std::string error;
+};
+
+} // namespace
 
 std::size_t
 TraceDatabase::add(ExecutionTrace trace)
@@ -20,7 +39,6 @@ std::size_t
 TraceDatabase::load_directory(const std::string& dir)
 {
     namespace fs = std::filesystem;
-    std::size_t loaded = 0;
     std::vector<fs::path> files;
     // A fleet ingest directory may be absent (not yet synced) or racing a
     // producer; both are degraded inputs, not programming errors, so they
@@ -36,16 +54,61 @@ TraceDatabase::load_directory(const std::string& dir)
         return 0;
     }
     std::sort(files.begin(), files.end());
-    for (const auto& path : files) {
-        try {
-            add(ExecutionTrace::load(path.string()));
-            ++loaded;
-        } catch (const std::exception& e) {
-            // std::exception, not just MystiqueError: a trace that fails
-            // mid-parse with bad_alloc/filesystem_error is every bit as
-            // skippable as one that fails schema validation.
-            MYST_WARN("skipping unreadable trace " << path.string() << ": " << e.what());
+
+    std::vector<LoadSlot> slots(files.size());
+    // Workers claim and read files under one lock, in sorted order, so
+    // read_file's `fs.read` hits follow that order whichever worker claims a
+    // file; parsing runs outside the lock.  Any worker may claim the next
+    // file: no worker ever waits for a particular other one to be scheduled.
+    std::mutex read_mu;
+    std::size_t next_file = 0; // guarded by read_mu
+    const auto work = [&] {
+        for (;;) {
+            std::unique_lock<std::mutex> lock(read_mu);
+            if (next_file == files.size())
+                return;
+            const std::size_t i = next_file++;
+            try {
+                std::string text = read_file(files[i].string());
+                lock.unlock();
+                // The text is freed once its document is built.
+                const Json doc = Json::parse(std::exchange(text, {}));
+                auto trace = std::make_shared<const ExecutionTrace>(ExecutionTrace::from_json(doc));
+                (void)trace->fingerprint(); // analyze() reads it for every trace
+                slots[i].trace = std::move(trace);
+            } catch (const std::exception& e) {
+                // std::exception, not just MystiqueError: a trace that fails
+                // mid-parse with bad_alloc/filesystem_error is every bit as
+                // skippable as one that fails schema validation.
+                slots[i].error = e.what();
+            }
         }
+    };
+
+    // The calling thread is one of the workers; an empty or one-file
+    // directory starts no thread.
+    const std::size_t workers =
+        std::min<std::size_t>(files.size(), std::max(1u, std::thread::hardware_concurrency()));
+    std::optional<ThreadPool> pool;
+    std::vector<std::future<void>> helpers;
+    if (workers > 1) {
+        pool.emplace(workers - 1);
+        for (std::size_t w = 1; w < workers; ++w)
+            helpers.push_back(pool->submit(work));
+    }
+    work();
+    for (auto& helper : helpers)
+        helper.get();
+
+    std::size_t loaded = 0;
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        if (slots[i].trace == nullptr) {
+            MYST_WARN("skipping unreadable trace " << files[i].string() << ": "
+                                                   << slots[i].error);
+            continue;
+        }
+        traces_.push_back(std::move(slots[i].trace));
+        ++loaded;
     }
     return loaded;
 }

@@ -44,6 +44,22 @@ class TraceDatabase {
 
     /// Loads every "*.json" ET file in a directory (non-recursive).
     /// Returns the number of traces loaded.
+    ///
+    /// Files are parsed on min(file count, hardware threads) workers: the
+    /// calling thread plus pool threads that live for this call only, so an
+    /// empty or one-file directory starts no thread.  The result is the
+    /// serial loop's, whatever the worker count:
+    ///  - traces are appended in sorted path order;
+    ///  - a file that throws a std::exception (unreadable, malformed) is
+    ///    skipped, and the `skipping unreadable trace` warnings come out in
+    ///    sorted order after every worker is done; any other exception
+    ///    propagates to the caller;
+    ///  - files are read one at a time in sorted order (read_file in
+    ///    common/fs_util.h), so the nth `fs.read` fault-site hit falls on the
+    ///    nth sorted file that opens, and each worker holds at most one
+    ///    file's text;
+    ///  - each trace's fingerprint() is computed on its worker, so analyze()
+    ///    finds it cached.  Nothing here interns op names.
     std::size_t load_directory(const std::string& dir);
 
     std::size_t size() const { return traces_.size(); }

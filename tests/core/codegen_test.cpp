@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <map>
+#include <numeric>
 #include <string>
 
 #include "core/codegen.h"
@@ -298,9 +300,10 @@ TEST(Codegen, VerifyPackageRejectsTamperedTrace)
     const std::string dir = fresh_dir("mystique_codegen_verify_tamper");
     (void)generate_benchmark(dir, r0.trace, r0.prof, tiny_replay(), &cache);
 
-    // Tamper: perturb one tensor shape in the packaged ET — the package
-    // still parses and replays, but it is no longer the benchmark the
-    // manifest describes.
+    // Tamper: perturb one tensor shape (and its numel with it, so ingest
+    // validation still accepts it) in the packaged ET — the package still
+    // parses and replays, but it is no longer the benchmark the manifest
+    // describes.
     const std::string et_path = dir + "/execution_trace.json";
     const et::ExecutionTrace packaged = et::ExecutionTrace::load(et_path);
     et::ExecutionTrace tampered;
@@ -310,7 +313,10 @@ TEST(Codegen, VerifyPackageRejectsTamperedTrace)
         et::Node copy = n;
         if (!perturbed && copy.is_op() && !copy.inputs.empty() &&
             !copy.inputs[0].tensors.empty() && !copy.inputs[0].tensors[0].shape.empty()) {
-            copy.inputs[0].tensors[0].shape[0] += 1;
+            et::TensorMeta& t = copy.inputs[0].tensors[0];
+            t.shape[0] += 1;
+            t.numel = std::accumulate(t.shape.begin(), t.shape.end(), int64_t{1},
+                                      std::multiplies<>());
             perturbed = true;
         }
         tampered.add_node(std::move(copy));

@@ -14,11 +14,16 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/json.h"
+#include "common/string_util.h"
 #include "core/plan_cache.h"
 #include "core/replay_driver.h"
 #include "workloads/harness.h"
@@ -410,6 +415,48 @@ TEST(ReplayDriverResilience, JournalResumeSkipsCompletedGroups)
         EXPECT_TRUE(g.from_journal);
         EXPECT_EQ(g.attempts, 0u);
     }
+}
+
+TEST(ReplayDriverResilience, TamperedJournalRecordReplaysItsGroup)
+{
+    FaultGuard guard;
+    JournalDir dir("tamper");
+    SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
+
+    PlanCache cache_a(16);
+    ReplayDriver a(replay_cfg(fw::ExecMode::kShapeOnly), &cache_a, 1);
+    a.set_journal_dir(dir.path);
+    const DatabaseReplayResult want = a.replay_groups(fx.db, SIZE_MAX, &fx.profs);
+    expect_all_ok(want);
+
+    // Change the last digit of the first record's mean_bits: the record
+    // still parses, into a mean one ulp away from the replayed one.
+    const std::string path = dir.path + "/sweep_journal.jsonl";
+    std::string text;
+    {
+        std::ifstream in(path);
+        text.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    const Json first = Json::parse(std::string_view(text).substr(0, text.find('\n')));
+    const std::optional<uint64_t> tampered = parse_u64(first.at("group").as_string());
+    ASSERT_TRUE(tampered.has_value());
+    const std::string key = "\"mean_bits\":\"";
+    const std::size_t last = text.find('"', text.find(key) + key.size()) - 1;
+    text[last] = text[last] == '0' ? '1' : static_cast<char>(text[last] - 1);
+    std::ofstream(path, std::ios::trunc) << text;
+
+    // The sealed record fails its seal, so its group replays and the
+    // resumed mean is bit-equal to the uninterrupted sweep's.
+    PlanCache cache_b(16);
+    ReplayDriver b(replay_cfg(fw::ExecMode::kShapeOnly), &cache_b, 1);
+    b.set_journal_dir(dir.path);
+    const DatabaseReplayResult second = b.replay_groups(fx.db, SIZE_MAX, &fx.profs);
+    expect_identical(want, second);
+    expect_all_ok(second);
+    EXPECT_EQ(second.journal_resumed, second.groups.size() - 1);
+    EXPECT_EQ(second.cache.misses, 1u);
+    for (const GroupReplayResult& g : second.groups)
+        EXPECT_EQ(g.from_journal, g.group.fingerprint != *tampered) << g.group.fingerprint;
 }
 
 TEST(ReplayDriverResilience, CrashedSweepResumesAndReplaysOnlyTheFailedGroup)

@@ -1,6 +1,7 @@
 /// SweepJournal unit tests: bit-exact record round-trips, torn-line
-/// tolerance, latest-record-wins resume lookups, the quarantine streak and
-/// its healing, and best-effort appends under injected journal faults.
+/// tolerance, record seals, latest-record-wins resume lookups, the
+/// quarantine streak and its healing, and best-effort appends under injected
+/// journal faults.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/fault_injection.h"
@@ -126,6 +128,66 @@ TEST(SweepJournal, TornLinesAreSkippedNotFatal)
     EXPECT_EQ(j.load(), 2u); // the torn line invalidates itself, not the file
     EXPECT_TRUE(j.completed(1, 10).has_value());
     EXPECT_TRUE(j.completed(1, 11).has_value());
+}
+
+/// The journal's lines, in file order.
+std::vector<std::string>
+journal_lines(const std::string& dir)
+{
+    std::ifstream f(dir + "/sweep_journal.jsonl");
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(f, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+void
+write_journal(const std::string& dir, const std::vector<std::string>& lines)
+{
+    std::ofstream f(dir + "/sweep_journal.jsonl", std::ios::trunc);
+    for (const std::string& line : lines)
+        f << line << '\n';
+}
+
+TEST(SweepJournal, RecordsFailingTheirSealAreSkipped)
+{
+    TempDir dir;
+    {
+        SweepJournal j(dir.path);
+        EXPECT_TRUE(j.append(ok_record(1, 10, 100.0)));
+        EXPECT_TRUE(j.append(ok_record(1, 11, 200.0)));
+        EXPECT_TRUE(j.append(ok_record(1, 12, 300.0)));
+        EXPECT_TRUE(j.append(ok_record(1, 13, 400.0)));
+    }
+    std::vector<std::string> lines = journal_lines(dir.path);
+    ASSERT_EQ(lines.size(), 4u);
+    for (const std::string& line : lines)
+        EXPECT_NE(line.find("\"v\":2,"), std::string::npos) << line;
+
+    // Group 11: one digit of mean_bits moves, so the record still parses
+    // into a plausible mean the sweep never produced.
+    const std::string key = "\"mean_bits\":\"";
+    const std::size_t digits = lines[1].find(key) + key.size();
+    const std::size_t last = lines[1].find('"', digits) - 1;
+    lines[1][last] = lines[1][last] == '0' ? '1' : static_cast<char>(lines[1][last] - 1);
+    // The seal is the last member: `,"seal":"<digits>"}`.
+    const auto unsealed = [](const std::string& line) {
+        return line.substr(0, line.find(",\"seal\":"));
+    };
+    const auto seal_of = [](const std::string& line) {
+        return line.substr(line.find(",\"seal\":"));
+    };
+    // Group 12: the seal is gone.  Group 13: it carries group 10's seal.
+    lines[2] = unsealed(lines[2]) + "}";
+    lines[3] = unsealed(lines[3]) + seal_of(lines[0]);
+    write_journal(dir.path, lines);
+
+    SweepJournal j(dir.path);
+    EXPECT_EQ(j.load(), 1u);
+    EXPECT_TRUE(j.completed(1, 10).has_value());
+    EXPECT_FALSE(j.completed(1, 11).has_value());
+    EXPECT_FALSE(j.completed(1, 12).has_value());
+    EXPECT_FALSE(j.completed(1, 13).has_value());
 }
 
 TEST(SweepJournal, LatestRecordWinsAndFailureInvalidatesStaleSuccess)

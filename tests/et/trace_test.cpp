@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "common/error.h"
+#include "common/fault_injection.h"
 #include "et/node.h"
 #include "et/trace.h"
 #include "et/trace_db.h"
@@ -38,6 +42,73 @@ op_node(int64_t id, const std::string& name, int64_t parent = -1)
     return n;
 }
 
+/// An empty directory under the test temp dir (cleared if it exists).
+std::string
+fresh_dir(const std::string& tag)
+{
+    const std::string dir = testing::TempDir() + "/etdb_" + tag;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+/// Trace @p i: its meta and its shapes differ from every other index, and
+/// its op mix cycles, so fingerprints repeat while structures do not.
+ExecutionTrace
+numbered_trace(int i)
+{
+    ExecutionTrace t;
+    t.meta().workload = "w" + std::to_string(i);
+    t.meta().seed = static_cast<uint64_t>(1000 + i);
+    t.meta().rank = i % 4;
+    for (int k = 0; k <= i % 5; ++k) {
+        Node n = op_node(k, "op" + std::to_string((i + k) % 7));
+        n.inputs.push_back(Argument::from_tensor(meta(k, {i + 1, k + 2})));
+        t.add_node(std::move(n));
+    }
+    return t;
+}
+
+/// File @p n of a test directory; names sort by @p n.
+std::string
+numbered_path(const std::string& dir, int n)
+{
+    char name[32];
+    std::snprintf(name, sizeof(name), "/t%03d.json", n);
+    return dir + name;
+}
+
+/// The "*.json" paths in @p dir, sorted as load_directory sorts them.
+std::vector<std::string>
+sorted_json_files(const std::string& dir)
+{
+    std::vector<std::filesystem::path> paths;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() == ".json")
+            paths.push_back(entry.path());
+    }
+    std::sort(paths.begin(), paths.end());
+    return {paths.begin(), paths.end()};
+}
+
+void
+expect_same_trace(const ExecutionTrace& got, const ExecutionTrace& want)
+{
+    EXPECT_EQ(got.fingerprint(), want.fingerprint());
+    EXPECT_EQ(got.structural_fingerprint(), want.structural_fingerprint());
+    EXPECT_EQ(got.meta().to_json().dump(), want.meta().to_json().dump());
+}
+
+void
+expect_same_database(const TraceDatabase& got, const std::vector<ExecutionTrace>& want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE("database index " + std::to_string(i));
+        expect_same_trace(got.trace(i), want[i]);
+    }
+}
+
 TEST(TensorMeta, JsonRoundTripSixTuple)
 {
     TensorMeta m = meta(7, {2, 3});
@@ -56,6 +127,30 @@ TEST(TensorMeta, RejectsBadTuple)
     Json j = meta(1, {1}).to_json();
     j.set("id", Json(Json::Array{Json(1), Json(2)}));
     EXPECT_THROW(TensorMeta::from_json(j), ParseError);
+}
+
+TEST(TensorMeta, RejectsNegativeDimsAndNumelMismatch)
+{
+    TensorMeta negative = meta(1, {4});
+    negative.shape = {-16};
+    negative.numel = -16;
+    EXPECT_THROW(TensorMeta::from_json(negative.to_json()), ParseError);
+
+    TensorMeta mismatch = meta(2, {4, 4});
+    mismatch.numel = 15;
+    EXPECT_THROW(TensorMeta::from_json(mismatch.to_json()), ParseError);
+
+    // A product past int64 is rejected, not wrapped into a plausible numel.
+    TensorMeta overflow = meta(3, {1});
+    overflow.shape = {int64_t{1} << 40, int64_t{1} << 40};
+    overflow.numel = 0;
+    EXPECT_THROW(TensorMeta::from_json(overflow.to_json()), ParseError);
+    overflow.numel = std::numeric_limits<int64_t>::max();
+    EXPECT_THROW(TensorMeta::from_json(overflow.to_json()), ParseError);
+
+    // Scalars (product 1) and empty tensors (a zero dim) are well formed.
+    EXPECT_NO_THROW(TensorMeta::from_json(meta(4, {}).to_json()));
+    EXPECT_NO_THROW(TensorMeta::from_json(meta(5, {0, int64_t{1} << 62}).to_json()));
 }
 
 TEST(Argument, AllKindsRoundTrip)
@@ -117,6 +212,20 @@ TEST(ExecutionTrace, RejectsNonMonotoneIds)
     ExecutionTrace t;
     t.add_node(op_node(5, "a"));
     EXPECT_THROW(t.add_node(op_node(3, "b")), InternalError);
+}
+
+TEST(ExecutionTrace, FromJsonRejectsNonIncreasingIdsAsParseError)
+{
+    // A document is outside input: a repeated or falling id is malformed
+    // input (ParseError), not the InternalError add_node raises.
+    for (const int64_t second_id : {int64_t{1}, int64_t{0}}) {
+        Json j = ExecutionTrace().to_json();
+        Json nodes = Json::array();
+        nodes.push_back(op_node(1, "a").to_json());
+        nodes.push_back(op_node(second_id, "b").to_json());
+        j.set("nodes", std::move(nodes));
+        EXPECT_THROW(ExecutionTrace::from_json(j), ParseError) << second_id;
+    }
 }
 
 TEST(ExecutionTrace, SaveLoadRoundTrip)
@@ -236,21 +345,6 @@ TEST(TraceDb, AnalyzeGroupsByFingerprint)
     EXPECT_EQ(db.trace(top[0]).meta().workload, "common");
 }
 
-TEST(TraceDb, LoadDirectorySkipsGarbage)
-{
-    const std::string dir = testing::TempDir() + "/etdb";
-    std::filesystem::create_directories(dir);
-    ExecutionTrace t;
-    t.add_node(op_node(0, "a"));
-    t.save(dir + "/good.json");
-    {
-        std::ofstream bad(dir + "/bad.json");
-        bad << "{not json";
-    }
-    TraceDatabase db;
-    EXPECT_EQ(db.load_directory(dir), 1u);
-}
-
 TEST(TraceDb, LoadDirectoryAbsorbsUnreadableDirectories)
 {
     // A missing ingest directory (not yet synced) degrades to an empty load
@@ -271,6 +365,126 @@ TEST(TraceDb, LoadDirectoryAbsorbsUnreadableDirectories)
     t.add_node(op_node(0, "a"));
     db.add(std::move(t));
     EXPECT_EQ(db.size(), 1u);
+}
+
+TEST(TraceDb, LoadDirectorySkipsMalformedTensorMetadata)
+{
+    // Hostile shapes stop at ingest: the bad files are skipped with a
+    // warning instead of loading and failing their group inside replay.
+    const std::string dir = fresh_dir("bad_meta");
+    ExecutionTrace first = numbered_trace(1);
+    first.save(dir + "/a_good.json");
+
+    ExecutionTrace negative;
+    Node neg = op_node(0, "aten::relu");
+    TensorMeta neg_meta = meta(1, {4});
+    neg_meta.shape = {-16};
+    neg_meta.numel = -16;
+    neg.inputs.push_back(Argument::from_tensor(neg_meta));
+    negative.add_node(std::move(neg));
+    negative.save(dir + "/b_negative_shape.json");
+
+    ExecutionTrace mismatch;
+    Node mis = op_node(0, "aten::relu");
+    TensorMeta mis_meta = meta(1, {4, 4});
+    mis_meta.numel = 15;
+    mis.outputs.push_back(Argument::from_tensor(mis_meta));
+    mismatch.add_node(std::move(mis));
+    mismatch.save(dir + "/c_numel_mismatch.json");
+
+    ExecutionTrace second = numbered_trace(2);
+    second.save(dir + "/d_good.json");
+
+    EXPECT_THROW(ExecutionTrace::from_json(negative.to_json()), ParseError);
+    EXPECT_THROW(ExecutionTrace::from_json(mismatch.to_json()), ParseError);
+
+    TraceDatabase db;
+    EXPECT_EQ(db.load_directory(dir), 2u);
+    expect_same_database(db, {first, second});
+}
+
+TEST(TraceDb, ParallelLoadKeepsSortedOrder)
+{
+    // Written in an order unrelated to the sorted one: index i of the
+    // database must be the i-th sorted file, whichever worker parsed it.
+    const std::string dir = fresh_dir("order");
+    constexpr int kTraces = 72;
+    for (int i = 0; i < kTraces; ++i)
+        numbered_trace(i).save(numbered_path(dir, (i * 29 + 11) % kTraces));
+    std::vector<ExecutionTrace> want;
+    for (const std::string& path : sorted_json_files(dir))
+        want.push_back(ExecutionTrace::load(path));
+    ASSERT_EQ(want.size(), static_cast<std::size_t>(kTraces));
+    EXPECT_NE(want.front().meta().workload, "w0"); // written first, sorted later
+
+    for (int load = 0; load < 2; ++load) {
+        TraceDatabase db;
+        EXPECT_EQ(db.load_directory(dir), want.size());
+        expect_same_database(db, want);
+    }
+}
+
+TEST(TraceDb, LoadDirectorySkipsGarbage)
+{
+    // Garbage at fixed sorted positions is skipped, with its warnings in
+    // sorted order, whichever worker parsed it.
+    const std::string dir = fresh_dir("garbage");
+    constexpr int kTraces = 64;
+    std::vector<ExecutionTrace> want;
+    for (int i = 0; i < kTraces; ++i) {
+        want.push_back(numbered_trace(i));
+        want.back().save(numbered_path(dir, 2 * i));
+    }
+    // Each garbage file sorts right after good file p: first, middle, last.
+    const std::vector<std::pair<int, std::string>> garbage = {
+        {0, "{not json"}, {20, ""}, {41, "[1, 2, 3]"}, {kTraces - 1, "{\"meta\": {}}"}};
+    std::vector<std::string> garbage_paths;
+    for (const auto& [p, text] : garbage) {
+        garbage_paths.push_back(numbered_path(dir, 2 * p + 1));
+        std::ofstream(garbage_paths.back()) << text;
+    }
+
+    testing::internal::CaptureStderr();
+    TraceDatabase db;
+    const std::size_t loaded = db.load_directory(dir);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(loaded, want.size());
+    expect_same_database(db, want);
+
+    // One warning per garbage file, in sorted order.
+    std::size_t at = 0;
+    for (const std::string& path : garbage_paths) {
+        const std::size_t found = log.find("skipping unreadable trace " + path, at);
+        ASSERT_NE(found, std::string::npos) << path << " not warned in order:\n" << log;
+        at = found + 1;
+    }
+}
+
+TEST(TraceDb, ReadFaultDropsTheKthSortedFile)
+{
+    // read_file's `fs.read` site counts hits in sorted file order, so an
+    // armed kth hit drops exactly the kth sorted file on every load.
+    const std::string dir = fresh_dir("fault");
+    constexpr int kTraces = 64;
+    for (int i = 0; i < kTraces; ++i)
+        numbered_trace(i).save(numbered_path(dir, (i * 37 + 5) % kTraces));
+    std::vector<ExecutionTrace> sorted;
+    for (const std::string& path : sorted_json_files(dir))
+        sorted.push_back(ExecutionTrace::load(path));
+
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{17},
+                                std::size_t{33}, std::size_t{kTraces}}) {
+        std::vector<ExecutionTrace> want = sorted;
+        want.erase(want.begin() + static_cast<std::ptrdiff_t>(k - 1));
+        for (int rep = 0; rep < 20; ++rep) {
+            SCOPED_TRACE("k=" + std::to_string(k) + " rep=" + std::to_string(rep));
+            FaultInjection::instance().arm("fs.read", k);
+            TraceDatabase db;
+            EXPECT_EQ(db.load_directory(dir), want.size());
+            expect_same_database(db, want);
+        }
+    }
+    FaultInjection::instance().disarm_all();
 }
 
 TEST(Builder, RenumbersDensely)
