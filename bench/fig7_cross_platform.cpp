@@ -36,7 +36,7 @@ main()
             // not the A100 trace's: that is what its native original spends
             // outside anything a benchmark can replay.
             const double unsupported_us =
-                core::ReplayPlan::build_borrowing(orig.rank0().trace, &orig.rank0().prof, rc)
+                core::ReplayPlan::build(orig.rank0().trace, &orig.rank0().prof, rc)
                     ->coverage()
                     .unsupported_exposed_us;
             const double calibrated = orig.mean_iter_us - unsupported_us;

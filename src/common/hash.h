@@ -48,7 +48,8 @@ class Fnv1a {
 };
 
 /// FNV-1a of @p bytes as one length-terminated string: the content seal of
-/// plan-store entries (`plan_hash`) and sweep-journal records.
+/// plan-store entries and packaged plans (`plan_hash`) and of sweep-journal
+/// records.
 inline uint64_t
 hash_bytes(std::string_view bytes)
 {

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/fs_util.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace mystique::core {
@@ -130,7 +131,7 @@ constexpr const char* kPackageFiles[] = {
 
 Json
 make_manifest(const et::ExecutionTrace& trace, const prof::ProfilerTrace& prof,
-              const ReplayConfig& cfg, const Json& plan_json)
+              const ReplayConfig& cfg, const Json& plan_json, std::string_view plan_text)
 {
     Json m = Json::object();
     m.set("format", Json("mystique-benchmark-package"));
@@ -141,6 +142,9 @@ make_manifest(const et::ExecutionTrace& trace, const prof::ProfilerTrace& prof,
 
     // The full plan-cache key: what makes this package *this* benchmark.
     m.set("plan_key", plan_json.at("key"));
+    // The seal over replay_plan.json's exact bytes: no fingerprint covers
+    // what the plan document records per op (streams, kinds, IR).
+    m.set("plan_hash", Json(std::to_string(hash_bytes(plan_text))));
 
     Json trace_j = Json::object();
     trace_j.set("structural_fingerprint", Json(std::to_string(trace.structural_fingerprint())));
@@ -184,11 +188,13 @@ generate_benchmark(const std::string& directory, const et::ExecutionTrace& trace
     // warm cache performs zero plan builds.
     const std::shared_ptr<const ReplayPlan> plan = cache->get_or_build(trace, &prof, cfg);
     const Json plan_json = plan->to_json();
+    const std::string plan_text = plan_json.dump(2);
 
     write_text(dir / "execution_trace.json", trace.to_json().dump());
     write_text(dir / "profiler_trace.json", prof.to_json().dump());
-    write_text(dir / "replay_plan.json", plan_json.dump(2));
-    write_text(dir / "manifest.json", make_manifest(trace, prof, cfg, plan_json).dump(2));
+    write_text(dir / "replay_plan.json", plan_text);
+    write_text(dir / "manifest.json",
+               make_manifest(trace, prof, cfg, plan_json, plan_text).dump(2));
 
     // benchmark_main.cpp needs no substitutions: its defaults come from the
     // manifest at runtime, keeping the package's config in one place.
@@ -280,8 +286,13 @@ verify_package(const std::string& directory)
             fail("manifest opt_level disagrees with the embedded replay_config "
                  "(optimizer provenance modified after generation?)");
 
-        // The packaged plan must carry the same identity and coverage.
-        const Json plan_j = Json::parse_file((dir / "replay_plan.json").string());
+        // The packaged plan must be the sealed bytes, with the same identity
+        // and coverage.
+        const std::string plan_text = read_file((dir / "replay_plan.json").string());
+        if (std::to_string(hash_bytes(plan_text)) != manifest.at("plan_hash").as_string())
+            fail("replay_plan.json does not match the manifest's plan_hash (plan "
+                 "modified after generation?)");
+        const Json plan_j = Json::parse(plan_text);
         if (PlanKey::from_json(plan_j.at("key")) != key)
             fail("replay_plan.json carries a different plan key than the manifest");
         if (plan_j.at("coverage") != manifest.at("coverage"))

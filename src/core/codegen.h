@@ -32,10 +32,11 @@
 ///
 /// `manifest.json` records the complete PlanKey — trace structural
 /// fingerprint, supported-OpId-set fingerprint, ReplayConfig fingerprint,
-/// profiler stream fingerprint — plus the serialized ReplayConfig and
-/// coverage stats.  verify_package() re-derives every fingerprint from the
-/// packaged data files and checks them against the manifest, so a consumer
-/// can prove a received package is internally consistent (no tampered or
+/// profiler stream fingerprint — plus a content hash of replay_plan.json,
+/// the serialized ReplayConfig and coverage stats.  verify_package()
+/// re-derives every fingerprint from the packaged data files, re-hashes the
+/// plan document and checks them against the manifest, so a consumer can
+/// prove a received package is internally consistent (no tampered or
 /// mismatched trace/plan/config) before trusting its numbers.
 
 #include <memory>
@@ -55,8 +56,10 @@ namespace mystique::core {
 /// v3: replay_plan.json carries the executor dependency graph ("dep_graph")
 /// and the replay config serializes "async_level".
 /// v4: replay_plan.json drops "dep_graph", its seal and the "identity" /
-/// "optimizer" blocks, which import derives — v3 packages are rejected.
-inline constexpr int kPackageFormatVersion = 4;
+/// "optimizer" blocks, which import derives.
+/// v5: the manifest seals replay_plan.json's exact bytes ("plan_hash") —
+/// v4 and older packages are rejected.
+inline constexpr int kPackageFormatVersion = 5;
 /// Generator identity recorded in the manifest.
 inline constexpr const char* kGeneratorVersion = "mystique-codegen/1.0";
 
@@ -92,8 +95,8 @@ struct PackageVerification {
 ///  - the packaged replay config re-fingerprints to the manifest's config
 ///    fingerprint, and this process's op registry reproduces the manifest's
 ///    supported-set fingerprint;
-///  - replay_plan.json carries the same plan key and coverage as the
-///    manifest.
+///  - replay_plan.json hashes to the manifest's plan_hash and carries the
+///    same plan key and coverage as the manifest.
 /// Never throws on bad packages — problems come back as errors.
 PackageVerification verify_package(const std::string& directory);
 

@@ -48,7 +48,7 @@ std::shared_ptr<const ReplayPlan>
 PlanCache::get_or_build(const et::ExecutionTrace& trace, const prof::ProfilerTrace* prof,
                         const ReplayConfig& cfg)
 {
-    return get_or_build_impl(trace, nullptr, prof, cfg);
+    return resolve(trace, nullptr, prof, cfg);
 }
 
 std::shared_ptr<const ReplayPlan>
@@ -57,13 +57,13 @@ PlanCache::get_or_build(std::shared_ptr<const et::ExecutionTrace> trace,
 {
     MYST_CHECK(trace != nullptr);
     const et::ExecutionTrace& ref = *trace;
-    return get_or_build_impl(ref, std::move(trace), prof, cfg);
+    return resolve(ref, std::move(trace), prof, cfg);
 }
 
 std::shared_ptr<const ReplayPlan>
-PlanCache::get_or_build_impl(const et::ExecutionTrace& trace,
-                             std::shared_ptr<const et::ExecutionTrace> shared,
-                             const prof::ProfilerTrace* prof, const ReplayConfig& cfg)
+PlanCache::resolve(const et::ExecutionTrace& trace,
+                   std::shared_ptr<const et::ExecutionTrace> shared,
+                   const prof::ProfilerTrace* prof, const ReplayConfig& cfg)
 {
     const PlanKey key = plan_key(trace, prof, cfg);
 
@@ -191,11 +191,6 @@ bool
 PlanCache::insert(std::shared_ptr<const ReplayPlan> plan)
 {
     MYST_CHECK(plan != nullptr);
-    // Borrowed one-shot plans skip the trace/supported-set hashes; caching
-    // one would serve it for *every* trace.  (A full key with both hashes
-    // genuinely zero is a ~2^-128 event.)
-    MYST_CHECK_MSG(plan->key().trace_fp != 0 || plan->key().supported_fp != 0,
-                   "refusing to cache a plan with a partial (borrowed-build) key");
     const PlanKey key = plan->key();
 
     std::promise<std::shared_ptr<const ReplayPlan>> promise;

@@ -123,9 +123,8 @@ class PlanCache {
     /// get_or_build of the packaged trace a pure hit, so importing a shared
     /// benchmark never re-runs the build phase.  Returns false (and keeps
     /// the existing entry) when the key is already present.  Counted as
-    /// neither hit nor miss; never written to the disk tier.  Rejects plans
-    /// with partial keys (the borrowed one-shot path) — only
-    /// build()/from_json() plans carry full identity.
+    /// neither hit nor miss; never written to the disk tier.  Every plan
+    /// carries its full key, so any plan may be inserted.
     bool insert(std::shared_ptr<const ReplayPlan> plan);
 
     PlanCacheStats stats() const;
@@ -150,10 +149,11 @@ class PlanCache {
     void flush_writebacks();
 
   private:
+    /// Both get_or_build spellings: @p shared is null when the caller holds
+    /// @p trace only by reference, and a miss then copies it once.
     std::shared_ptr<const ReplayPlan>
-    get_or_build_impl(const et::ExecutionTrace& trace,
-                      std::shared_ptr<const et::ExecutionTrace> shared,
-                      const prof::ProfilerTrace* prof, const ReplayConfig& cfg);
+    resolve(const et::ExecutionTrace& trace, std::shared_ptr<const et::ExecutionTrace> shared,
+            const prof::ProfilerTrace* prof, const ReplayConfig& cfg);
 
     struct Entry {
         std::shared_future<std::shared_ptr<const ReplayPlan>> plan;

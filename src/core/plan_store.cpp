@@ -33,7 +33,6 @@ PlanStore::PlanStore(std::string directory) : dir_(std::move(directory))
 std::string
 PlanStore::entry_path(const PlanKey& key) const
 {
-    MYST_CHECK_MSG(!key.is_partial(), "partial (one-shot) plan keys are never persisted");
     std::string name = "plan-" + hex64(key.trace_fp) + "-" + hex64(key.supported_fp) +
                        "-" + hex64(key.config_fp) + "-" + hex64(key.prof_fp) + "-" +
                        (key.has_prof ? "p" : "n") + ".json";

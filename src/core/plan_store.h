@@ -60,7 +60,6 @@ class PlanStore {
 
     /// The entry file for @p key: `plan-<trace>-<supported>-<config>-<prof>-
     /// <p|n>.json`, every component a zero-padded hex fingerprint.
-    /// @p key must be full (partial one-shot keys are never persisted).
     std::string entry_path(const PlanKey& key) const;
 
     /// Fetches @p key's plan from disk, binding it to @p trace (which must

@@ -187,14 +187,6 @@ Json
 PlanKey::to_json() const
 {
     Json j = Json::object();
-    if (is_partial()) {
-        // One-shot builds carry only the components the executor checks;
-        // say so instead of presenting zeros as legitimate hashes.
-        j.set("partial", Json(true));
-        j.set("config_fp", fp_json(config_fp));
-        j.set("has_prof", Json(has_prof));
-        return j;
-    }
     j.set("trace_fp", fp_json(trace_fp));
     j.set("supported_fp", fp_json(supported_fp));
     j.set("config_fp", fp_json(config_fp));
@@ -207,11 +199,6 @@ PlanKey
 PlanKey::from_json(const Json& j)
 {
     PlanKey key;
-    if (j.get_bool("partial", false)) {
-        key.config_fp = fp_parse(j, "config_fp");
-        key.has_prof = j.at("has_prof").as_bool();
-        return key;
-    }
     key.trace_fp = fp_parse(j, "trace_fp");
     key.supported_fp = fp_parse(j, "supported_fp");
     key.config_fp = fp_parse(j, "config_fp");
@@ -296,8 +283,7 @@ std::shared_ptr<const ReplayPlan>
 ReplayPlan::build(const et::ExecutionTrace& trace, const prof::ProfilerTrace* prof,
                   const ReplayConfig& cfg)
 {
-    return build_impl(nullptr, std::make_shared<et::ExecutionTrace>(trace), prof, cfg,
-                      nullptr);
+    return build(std::make_shared<et::ExecutionTrace>(trace), prof, cfg);
 }
 
 std::shared_ptr<const ReplayPlan>
@@ -305,7 +291,8 @@ ReplayPlan::build(std::shared_ptr<const et::ExecutionTrace> trace,
                   const prof::ProfilerTrace* prof, const ReplayConfig& cfg)
 {
     MYST_CHECK(trace != nullptr);
-    return build_impl(nullptr, std::move(trace), prof, cfg, nullptr);
+    const PlanKey key = plan_key(*trace, prof, cfg);
+    return build_with_key(std::move(trace), prof, cfg, key);
 }
 
 std::shared_ptr<const ReplayPlan>
@@ -314,48 +301,17 @@ ReplayPlan::build_with_key(std::shared_ptr<const et::ExecutionTrace> trace,
                            const PlanKey& key)
 {
     MYST_CHECK(trace != nullptr);
-    return build_impl(nullptr, std::move(trace), prof, cfg, &key);
-}
-
-std::shared_ptr<const ReplayPlan>
-ReplayPlan::build_borrowing(const et::ExecutionTrace& trace, const prof::ProfilerTrace* prof,
-                            const ReplayConfig& cfg)
-{
-    return build_impl(&trace, nullptr, prof, cfg, nullptr);
-}
-
-std::shared_ptr<const ReplayPlan>
-ReplayPlan::build_impl(const et::ExecutionTrace* borrowed,
-                       std::shared_ptr<const et::ExecutionTrace> owned,
-                       const prof::ProfilerTrace* prof, const ReplayConfig& cfg,
-                       const PlanKey* precomputed_key)
-{
     fw::ensure_ops_registered();
     auto plan = std::shared_ptr<ReplayPlan>(new ReplayPlan());
-    if (borrowed != nullptr) {
-        plan->trace_ = borrowed;
-    } else {
-        plan->owned_trace_ = std::move(owned); // shared: plan outlives caller's handle
-        plan->trace_ = plan->owned_trace_.get();
-    }
-    const et::ExecutionTrace& trace = *plan->trace_;
-    if (precomputed_key != nullptr) {
-        plan->key_ = *precomputed_key;
-    } else if (borrowed != nullptr) {
-        // One-shot path: only the components the executor's config check
-        // reads; skip the O(trace) structural hash that nothing consumes.
-        plan->key_.config_fp = cfg.fingerprint();
-        plan->key_.has_prof = prof != nullptr;
-    } else {
-        plan->key_ = plan_key(trace, prof, cfg);
-    }
-    plan->selection_ = select_ops(trace, cfg.custom_ops, cfg.filter);
-    plan->coverage_ = mystique::core::coverage(trace, plan->selection_, prof);
+    plan->trace_ = trace; // shared: the plan outlives the caller's handle
+    plan->key_ = key;
+    plan->selection_ = select_ops(*trace, cfg.custom_ops, cfg.filter);
+    plan->coverage_ = mystique::core::coverage(*trace, plan->selection_, prof);
 
     // Reconstruct every selected op up-front (§4.3.4: initialization phase).
     plan->ops_.reserve(plan->selection_.ops.size());
     for (const auto& sel : plan->selection_.ops) {
-        const et::Node* node = trace.find(sel.node_id);
+        const et::Node* node = trace->find(sel.node_id);
         MYST_CHECK(node != nullptr);
         ReconstructedOp op = plan->reconstructor_.reconstruct(*node, sel.supported);
 
@@ -511,17 +467,8 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
     MYST_CHECK(trace != nullptr);
     fw::ensure_ops_registered();
     auto plan = std::shared_ptr<ReplayPlan>(new ReplayPlan());
-    plan->owned_trace_ = std::move(trace); // shared: self-contained, zero-copy
-    plan->trace_ = plan->owned_trace_.get();
+    plan->trace_ = std::move(trace); // shared: self-contained, zero-copy
     plan->key_ = PlanKey::from_json(j.at("key"));
-    // Only full-provenance documents deserialize: a partial key means this
-    // JSON is a one-shot Replayer dump (plan()->to_json() for inspection),
-    // not a generate_benchmark package — a plan rebuilt from it could never be
-    // verified or cached under its true identity.
-    if (plan->key_.is_partial())
-        MYST_THROW(ParseError,
-                   "plan json: partial key (one-shot Replayer dump) — only plans "
-                   "from generate_benchmark packages carry full provenance");
     plan->coverage_ = coverage_from_json(j.at("coverage"));
 
     // Restore the selection and the ops in one pass: op order is selection

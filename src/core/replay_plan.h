@@ -10,22 +10,22 @@
 /// split lets equivalent traces — the trace-database grouping case — share
 /// one plan across many replays and many rank threads.
 ///
-/// Immutability & thread-safety: a plan owns a private copy of the trace it
-/// was built from (so it is self-contained and safe to cache process-wide),
-/// and after build() returns nothing in it is ever written again except the
-/// relaxed-atomic OpIdCache slots inside its own trace copy and compiled IR
-/// graphs, whose idempotent writes are race-free by design (common/op_id.h).
-/// Concurrent rank executors may therefore hold `shared_ptr<const ReplayPlan>`
-/// and replay it simultaneously.
+/// Immutability & thread-safety: every plan keeps the trace it was built
+/// from alive through one shared pointer (so it is self-contained and safe to
+/// cache process-wide), and after build returns nothing in it is ever written
+/// again except the relaxed-atomic OpIdCache slots inside that trace and
+/// compiled IR graphs, whose idempotent writes are race-free by design
+/// (common/op_id.h).  Concurrent rank executors may therefore hold
+/// `shared_ptr<const ReplayPlan>` and replay it simultaneously.
 ///
-/// Identity: plans are keyed by PlanKey = (trace structural fingerprint,
-/// supported-OpId-set fingerprint, ReplayConfig fingerprint, profiler
-/// stream-map fingerprint).  ReplayConfig::fingerprint() covers exactly the fields that
-/// shape a plan or its replayed timing per trace (platform, mode, filter,
-/// embedding generation, custom-op set, emulate_world_size) and excludes
-/// run-harness knobs (iterations, warmup, seed, power limit, profiling), so
-/// re-measuring the same benchmark with different iteration counts still
-/// hits the cache.
+/// Identity: every plan carries its full PlanKey = (trace structural
+/// fingerprint, supported-OpId-set fingerprint, ReplayConfig fingerprint,
+/// profiler stream-map fingerprint), however it was built or restored.
+/// ReplayConfig::fingerprint() covers exactly the fields that shape a plan or
+/// its replayed timing per trace (platform, mode, filter, embedding
+/// generation, custom-op set, emulate_world_size) and excludes run-harness
+/// knobs (iterations, warmup, seed, power limit, profiling), so re-measuring
+/// the same benchmark with different iteration counts still hits the cache.
 
 #include <cstdint>
 #include <memory>
@@ -136,17 +136,9 @@ struct PlanKey {
 
     bool operator==(const PlanKey&) const = default;
 
-    /// True for the key of a borrowed one-shot build (direct Replayer
-    /// construction), which skips the O(trace) structural hash and the
-    /// supported-set hash nothing on that path consumes.  (A *full* key with
-    /// both hashes genuinely zero is a ~2^-128 event.)
-    bool is_partial() const { return trace_fp == 0 && supported_fp == 0; }
-
     /// Manifest / replay_plan.json serialization.  Fingerprints are emitted
     /// as decimal strings (JSON integers are signed 64-bit; the high bit of a
-    /// hash must survive the round trip unmangled).  Partial keys serialize
-    /// with an explicit `"partial": true` marker and only their set fields —
-    /// never as fake zero-valued fingerprints.
+    /// hash must survive the round trip unmangled).
     Json to_json() const;
     static PlanKey from_json(const Json& j);
 };
@@ -167,34 +159,24 @@ PlanKey plan_key(const et::ExecutionTrace& trace, const prof::ProfilerTrace* pro
 /// The immutable, shareable build-phase output.
 class ReplayPlan {
   public:
-    /// Runs the full build phase: copies the trace (the plan is then fully
-    /// self-contained — required for cache retention past the caller's
-    /// trace), selects replay targets, computes coverage, reconstructs every
-    /// selected op and assigns streams from @p prof (which is only read
-    /// during build, never retained).
+    /// Runs the full build phase over a private copy of @p trace (the plan
+    /// is then self-contained, whatever the caller does with its trace):
+    /// computes the key, selects replay targets, computes coverage,
+    /// reconstructs every selected op and assigns streams from @p prof
+    /// (which is only read during build, never retained).
     static std::shared_ptr<const ReplayPlan>
     build(const et::ExecutionTrace& trace, const prof::ProfilerTrace* prof,
           const ReplayConfig& cfg);
 
     /// Same build phase, but the plan *shares* @p trace instead of deep-
     /// copying it — the zero-copy path for callers that already hold traces
-    /// in shared ownership (TraceDatabase, the disk tier).  Self-containment
-    /// is preserved: the plan keeps the trace alive via its own reference.
+    /// in shared ownership (TraceDatabase, the disk tier).
     static std::shared_ptr<const ReplayPlan>
     build(std::shared_ptr<const et::ExecutionTrace> trace, const prof::ProfilerTrace* prof,
           const ReplayConfig& cfg);
 
-    /// Same build phase, but *borrows* @p trace instead of copying it — the
-    /// one-shot path (direct Replayer construction) where the caller's trace
-    /// outlives the plan and a deep copy of a production-sized trace would
-    /// be pure waste.  Never hand a borrowed plan to the PlanCache.
-    /// @param trace  must outlive the returned plan
-    static std::shared_ptr<const ReplayPlan>
-    build_borrowing(const et::ExecutionTrace& trace, const prof::ProfilerTrace* prof,
-                    const ReplayConfig& cfg);
-
-    /// The trace the plan was built over (the private copy for build(), the
-    /// caller's for build_borrowing()); ReconstructedOp::node points into it.
+    /// The trace the plan was built over, which the plan keeps alive;
+    /// ReconstructedOp::node points into it.
     const et::ExecutionTrace& trace() const { return *trace_; }
     const Selection& selection() const { return selection_; }
     const CoverageStats& coverage() const { return coverage_; }
@@ -208,18 +190,16 @@ class ReplayPlan {
     /// the serial walk takes them in program order, the async executor
     /// schedules them by their edges.  See plan_optimizer.h.
     const DepGraph& dep_graph() const { return dep_graph_; }
-    /// The identity the plan was built under.  Plans from build() /
-    /// the PlanCache carry the full key; borrowed one-shot plans carry only
-    /// the cheap components (config_fp, has_prof) — the expensive trace and
-    /// supported-set hashes are skipped on the path that never caches.
+    /// The full identity the plan was built under: plan_key() of its trace,
+    /// prof and config.
     const PlanKey& key() const { return key_; }
 
     ReplayPlan(const ReplayPlan&) = delete;
     ReplayPlan& operator=(const ReplayPlan&) = delete;
 
-    /// Shared-ownership build() with a key the caller already computed (the
-    /// PlanCache hashes the key for its lookup first; this avoids hashing
-    /// everything twice).
+    /// Shared-ownership build() with @p key = plan_key(*trace, prof, cfg)
+    /// already computed (the PlanCache hashes the key for its lookup first;
+    /// this avoids hashing everything twice).
     static std::shared_ptr<const ReplayPlan>
     build_with_key(std::shared_ptr<const et::ExecutionTrace> trace,
                    const prof::ProfilerTrace* prof, const ReplayConfig& cfg,
@@ -255,16 +235,7 @@ class ReplayPlan {
   private:
     ReplayPlan() = default;
 
-    static std::shared_ptr<const ReplayPlan>
-    build_impl(const et::ExecutionTrace* borrowed,
-               std::shared_ptr<const et::ExecutionTrace> owned,
-               const prof::ProfilerTrace* prof, const ReplayConfig& cfg,
-               const PlanKey* precomputed_key);
-
-    /// Shared for build()/from_json() plans (self-containment without a
-    /// forced deep copy); null for build_borrowing() one-shots.
-    std::shared_ptr<const et::ExecutionTrace> owned_trace_;
-    const et::ExecutionTrace* trace_ = nullptr; ///< owned_trace_.get() or the borrowed trace
+    std::shared_ptr<const et::ExecutionTrace> trace_; ///< never null
     PlanKey key_;
     Selection selection_;
     CoverageStats coverage_;

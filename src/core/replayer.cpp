@@ -264,7 +264,7 @@ class DistributedReplayPool {
 
 Replayer::Replayer(const et::ExecutionTrace& trace, const prof::ProfilerTrace* original_prof,
                    ReplayConfig cfg)
-    : plan_(ReplayPlan::build_borrowing(trace, original_prof, cfg)), cfg_(std::move(cfg))
+    : plan_(ReplayPlan::build(trace, original_prof, cfg)), cfg_(std::move(cfg))
 {
 }
 

@@ -30,11 +30,12 @@
 /// entire build phase.  With MYST_PLAN_CACHE_DIR set the cache adds a
 /// disk tier (core/plan_store.h), extending the same reuse across process
 /// restarts: a rank's plan miss loads the persisted entry instead of
-/// building.  Direct `Replayer(trace, prof, cfg)` construction
-/// still builds a private, uncached plan: one-shot tools keep their
-/// no-global-state behavior, and nothing is retained past the Replayer.
-/// Cache entries are LRU-evicted; executors keep plans alive via shared_ptr,
-/// so eviction never invalidates a running replay.
+/// building.  Direct `Replayer(trace, prof, cfg)` construction still builds
+/// a private, uncached plan: one-shot tools keep their no-global-state
+/// behavior, and nothing is retained past the Replayer.  That plan is built
+/// like any other: it copies the trace and carries its full key.  Cache
+/// entries are LRU-evicted; executors keep plans alive via shared_ptr, so
+/// eviction never invalidates a running replay.
 ///
 /// The use-case knobs of §7 (subtrace replay, operator-type filtering,
 /// scaled-down emulation) live in ReplayConfig and participate in the cache
@@ -71,10 +72,9 @@ struct ReplayResult {
 /// Per-rank executor over a (possibly shared) ReplayPlan.
 class Replayer {
   public:
-    /// Builds a private, uncached plan from @p trace.
-    /// @param trace  the ET to replay (borrowed by the plan; must outlive
-    ///        this Replayer — one-shot callers keep the no-copy cost of the
-    ///        pre-split Replayer)
+    /// Builds a private, uncached plan from @p trace (ReplayPlan::build).
+    /// @param trace  the ET to replay; the plan keeps its own copy, so the
+    ///        caller's trace may be a temporary
     /// @param original_prof  profiler trace of the original run — used for
     ///        op→stream mapping (§4.5) and time-coverage; may be null
     Replayer(const et::ExecutionTrace& trace, const prof::ProfilerTrace* original_prof,

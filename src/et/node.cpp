@@ -299,7 +299,11 @@ Node::from_json(const Json& j)
     n.kind = node_kind_from_string(j.at("kind").as_string());
     n.category = category_from_name(j.at("category").as_string());
     n.op_schema = j.get_string("op_schema", "");
-    n.tid = static_cast<int>(j.get_int("tid", 1));
+    const int64_t tid = j.get_int("tid", 1);
+    if (tid != 1 && tid != 2)
+        MYST_THROW(ParseError, "node " << n.id << ": tid " << tid
+                                       << " is neither 1 (main) nor 2 (autograd)");
+    n.tid = static_cast<int>(tid);
     for (const auto& a : j.at("inputs").as_array())
         n.inputs.push_back(Argument::from_json(a));
     for (const auto& a : j.at("outputs").as_array())

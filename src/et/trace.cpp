@@ -190,6 +190,11 @@ ExecutionTrace::from_json(const Json& j)
         if (!t.nodes_.empty() && node.id <= t.nodes_.back().id)
             MYST_THROW(ParseError, "node IDs must increase: " << node.id << " after "
                                                               << t.nodes_.back().id);
+        // Parents point backwards, so every parent chain ends at a root:
+        // selection walks those chains and would never leave a cycle.
+        if (node.parent != -1 && t.find(node.parent) == nullptr)
+            MYST_THROW(ParseError, "node " << node.id << " has parent " << node.parent
+                                           << ", which is neither -1 nor an earlier node");
         t.add_node(std::move(node));
     }
     return t;

@@ -267,7 +267,7 @@ DifferentialOracle::check_case(const FuzzedCase& c)
         }
     }());
 
-    // 1. Replay-vs-direct: borrowed one-shot plan vs PlanCache-built plan.
+    // 1. Replay-vs-direct: private one-shot plan vs PlanCache-built plan.
     // The cache is private with the disk tier pinned off, so an ambient
     // MYST_PLAN_CACHE_DIR cannot leak foreign entries into the comparison.
     finish_check(c.seed, "replay-vs-direct", [&]() -> std::string {

@@ -8,7 +8,7 @@
 /// promises for every trace, checked bitwise (never with tolerances, because
 /// the simulator is deterministic and "close" would mask real divergence):
 ///
-///  1. replay-vs-direct: a one-shot `Replayer(trace, prof, cfg)` (borrowed,
+///  1. replay-vs-direct: a one-shot `Replayer(trace, prof, cfg)` (a private,
 ///     uncached plan) and a replay through a PlanCache-built plan produce
 ///     bit-identical results — the cache is an optimization, never a
 ///     behavior change.

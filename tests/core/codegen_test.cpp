@@ -154,30 +154,32 @@ TEST(PlanJson, RoundTripEqualsInMemoryPlan)
     EXPECT_EQ(a.prof.kernels().size(), b.prof.kernels().size());
 }
 
-TEST(PlanJson, PartialKeysAreMarkedNotZeroFilled)
+TEST(PlanJson, OneShotPlansCarryTheFullKey)
 {
     const auto& r0 = traced("param_linear").rank0();
     const ReplayConfig cfg = tiny_replay();
 
-    // A one-shot Replayer dump carries a partial key: the document must say
-    // so explicitly rather than presenting zero-valued fingerprints.
+    // A one-shot Replayer's private plan carries the key a cache build
+    // computes for the same request, not a cheaper stand-in.
     const Replayer one_shot(r0.trace, &r0.prof, cfg);
-    const Json j = one_shot.plan()->to_json();
-    EXPECT_TRUE(j.at("key").get_bool("partial", false));
-    EXPECT_FALSE(j.at("key").contains("trace_fp"));
-    const PlanKey back = PlanKey::from_json(j.at("key"));
-    EXPECT_TRUE(back.is_partial());
-    EXPECT_EQ(back.config_fp, cfg.fingerprint());
-
-    // Partial documents are inspection artifacts, not packages: refusing to
-    // deserialize them prevents un-verifiable plans from entering caches.
-    EXPECT_THROW((void)ReplayPlan::from_json(j, r0.trace), ParseError);
-
-    // Cache-built plans carry full, unmarked keys.
     PlanCache cache(4);
-    const Json full = cache.get_or_build(r0.trace, &r0.prof, cfg)->to_json();
-    EXPECT_FALSE(full.at("key").get_bool("partial", false));
-    EXPECT_FALSE(PlanKey::from_json(full.at("key")).is_partial());
+    const auto cached = cache.get_or_build(r0.trace, &r0.prof, cfg);
+    EXPECT_EQ(one_shot.plan()->key(), cached->key());
+    EXPECT_EQ(one_shot.plan()->key(), plan_key(r0.trace, &r0.prof, cfg));
+
+    // Its document restores like any other plan's.
+    const Json j = one_shot.plan()->to_json();
+    const auto restored = ReplayPlan::from_json(Json::parse(j.dump()), r0.trace);
+    EXPECT_EQ(restored->key(), one_shot.plan()->key());
+    EXPECT_EQ(restored->to_json(), j);
+
+    // A key without its trace fingerprint is not a key.
+    Json keyless = Json::object();
+    for (const auto& [name, value] : j.at("key").as_object()) {
+        if (name != "trace_fp")
+            keyless.set(name, value);
+    }
+    EXPECT_THROW((void)PlanKey::from_json(keyless), ParseError);
 }
 
 TEST(PlanJson, FromJsonRejectsForeignNodes)
@@ -247,9 +249,11 @@ TEST(Codegen, ImportedPackagePlanSeedsPlanCache)
     EXPECT_EQ(import_cache.stats().hits, 1u);
     EXPECT_EQ(import_cache.stats().misses, 0u);
 
-    // Borrowed one-shot plans carry partial keys and must be rejected.
+    // A one-shot plan of the same request carries the same full key, which
+    // the packaged plan already holds: insert keeps the packaged entry.
     const Replayer one_shot(r0.trace, &r0.prof, cfg);
-    EXPECT_THROW((void)import_cache.insert(one_shot.plan()), InternalError);
+    EXPECT_FALSE(import_cache.insert(one_shot.plan()));
+    EXPECT_EQ(import_cache.lookup(plan->key()).get(), plan.get());
 }
 
 TEST(Codegen, ManifestCarriesPlanKeyAndConfig)
@@ -367,6 +371,40 @@ TEST(Codegen, VerifyPackageRejectsTamperedProfilerAndMissingFiles)
 
     // A directory with no manifest at all is not a package.
     EXPECT_FALSE(verify_package(fresh_dir("mystique_codegen_no_manifest")).ok);
+}
+
+TEST(Codegen, VerifyPackageRejectsTamperedPlan)
+{
+    const auto& r0 = traced("rm").rank0();
+    PlanCache cache(8);
+    const std::string dir = fresh_dir("mystique_codegen_verify_plan");
+    (void)generate_benchmark(dir, r0.trace, r0.prof, tiny_replay(), &cache);
+
+    // Move every op to the next stream.  The key and the coverage stay as
+    // they were, and the plan still imports and replays, but it now
+    // schedules a different benchmark than the one the package describes.
+    const std::string plan_path = dir + "/replay_plan.json";
+    Json plan = Json::parse_file(plan_path);
+    Json::Array ops = plan.at("ops").as_array();
+    std::size_t moved = 0;
+    for (Json& op : ops) {
+        if (const Json* stream = op.find("stream")) {
+            op.set("stream", Json(stream->as_int() + 1));
+            ++moved;
+        }
+    }
+    ASSERT_GT(moved, 0u);
+    plan.set("ops", Json(std::move(ops)));
+    plan.dump_file(plan_path, 2);
+    const et::ExecutionTrace trace = et::ExecutionTrace::load(dir + "/execution_trace.json");
+    EXPECT_NO_THROW((void)ReplayPlan::from_json(Json::parse_file(plan_path), trace));
+
+    const PackageVerification v = verify_package(dir);
+    EXPECT_FALSE(v.ok);
+    bool mentions_hash = false;
+    for (const auto& e : v.errors)
+        mentions_hash = mentions_hash || e.find("plan_hash") != std::string::npos;
+    EXPECT_TRUE(mentions_hash);
 }
 
 } // namespace

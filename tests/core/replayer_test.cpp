@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "core/codegen.h"
 #include "core/obfuscator.h"
@@ -115,6 +117,25 @@ TEST(Replayer, IterationsAreConsistent)
     ASSERT_EQ(rep.iter_us.size(), 5u);
     for (double t : rep.iter_us)
         EXPECT_NEAR(t, rep.mean_iter_us, rep.mean_iter_us * 0.1);
+}
+
+TEST(Replayer, OneShotPlanOwnsATemporaryTrace)
+{
+    // The trace argument is a temporary, gone before run(); the churn then
+    // reuses its freed memory.  The plan's own copy must replay exactly
+    // like a replay of the long-lived trace.
+    const wl::RunResult orig = wl::run_original("param_linear", tiny_opts(), tiny_cfg());
+    const auto& r0 = orig.rank0();
+    const Json doc = r0.trace.to_json();
+    Replayer from_temporary(et::ExecutionTrace::from_json(doc), &r0.prof, tiny_replay());
+    std::vector<std::string> churn;
+    for (std::size_t i = 0; i < 4096; ++i)
+        churn.emplace_back(16 + (i * 37) % 2048, static_cast<char>(0xA5));
+    const ReplayResult a = from_temporary.run();
+    const ReplayResult b = Replayer(r0.trace, &r0.prof, tiny_replay()).run();
+    EXPECT_EQ(a.iter_us, b.iter_us);
+    EXPECT_EQ(a.numeric_digest, b.numeric_digest);
+    EXPECT_EQ(a.prof.kernels().size(), b.prof.kernels().size());
 }
 
 TEST(Replayer, PortableAcrossPlatforms)

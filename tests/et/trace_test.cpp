@@ -229,6 +229,37 @@ TEST(ExecutionTrace, FromJsonRejectsNonIncreasingIdsAsParseError)
     }
 }
 
+TEST(ExecutionTrace, FromJsonRejectsBadParentsAndTids)
+{
+    // Selection walks parent chains and replay switches threads by tid, so
+    // a parent that is not an earlier node (a self-loop, a cycle through a
+    // forward reference, a dangling id) or a thread replay does not model
+    // is malformed input, rejected at ingest.
+    auto doc = [](const std::vector<Node>& nodes) {
+        Json j = ExecutionTrace().to_json();
+        Json arr = Json::array();
+        for (const Node& n : nodes)
+            arr.push_back(n.to_json());
+        j.set("nodes", std::move(arr));
+        return j;
+    };
+    Node autograd = op_node(3, "c", 1);
+    autograd.tid = 2;
+    EXPECT_EQ(ExecutionTrace::from_json(doc({op_node(1, "a"), op_node(2, "b", 1), autograd}))
+                  .size(),
+              3u);
+
+    for (const int64_t parent : {int64_t{2}, int64_t{3}, int64_t{7}, int64_t{-2}}) {
+        const Json j = doc({op_node(1, "a"), op_node(2, "b", parent), op_node(3, "c", 2)});
+        EXPECT_THROW(ExecutionTrace::from_json(j), ParseError) << parent;
+    }
+    for (const int tid : {0, 3}) {
+        Node n = op_node(2, "b", 1);
+        n.tid = tid;
+        EXPECT_THROW(ExecutionTrace::from_json(doc({op_node(1, "a"), n})), ParseError) << tid;
+    }
+}
+
 TEST(ExecutionTrace, SaveLoadRoundTrip)
 {
     ExecutionTrace t;
@@ -370,8 +401,9 @@ TEST(TraceDb, LoadDirectoryAbsorbsUnreadableDirectories)
 
 TEST(TraceDb, LoadDirectorySkipsMalformedTensorMetadata)
 {
-    // Hostile shapes stop at ingest: the bad files are skipped with a
-    // warning instead of loading and failing their group inside replay.
+    // Hostile shapes and parent ids stop at ingest: the bad files are
+    // skipped with a warning instead of loading and failing (or hanging)
+    // their group inside replay.
     const std::string dir = fresh_dir("bad_meta");
     ExecutionTrace first = numbered_trace(1);
     first.save(dir + "/a_good.json");
@@ -393,11 +425,16 @@ TEST(TraceDb, LoadDirectorySkipsMalformedTensorMetadata)
     mismatch.add_node(std::move(mis));
     mismatch.save(dir + "/c_numel_mismatch.json");
 
+    ExecutionTrace self_parent;
+    self_parent.add_node(op_node(0, "aten::relu", 0));
+    self_parent.save(dir + "/c_self_parent.json");
+
     ExecutionTrace second = numbered_trace(2);
     second.save(dir + "/d_good.json");
 
     EXPECT_THROW(ExecutionTrace::from_json(negative.to_json()), ParseError);
     EXPECT_THROW(ExecutionTrace::from_json(mismatch.to_json()), ParseError);
+    EXPECT_THROW(ExecutionTrace::from_json(self_parent.to_json()), ParseError);
 
     TraceDatabase db;
     EXPECT_EQ(db.load_directory(dir), 2u);
