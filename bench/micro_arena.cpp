@@ -10,19 +10,35 @@
 ///      the malloc+memset traffic that iteration 2..N of every replay no
 ///      longer pays.
 ///
-///   2. parallel sweep — ReplayDriver::replay_groups over a ≥8-group
-///      database at parallelism 1 vs 4 (both plan-cache warm, so execution —
-///      not plan builds — is what's timed).  Results must be bit-identical;
-///      wall-clock must improve when the host actually has cores to scale
-///      onto (on a single-core host the gate degrades to parity-with-slack,
-///      since K threads on one core cannot beat one thread doing the same
-///      work).
+///   2. parallel sweeps — ReplayDriver::replay_groups at parallelism 1 vs 4
+///      (both plan-cache warm, so execution — not plan builds — is what's
+///      timed) over two databases built from the same recorded traces.  In
+///      both, every group of both sweeps must finish ok and the results must
+///      be bit-identical.
+///       - The full database (4 workloads x 2 presets + a distributed rm: 8
+///         groups) must also recycle arena buffers.  Its K=4 ratio is printed,
+///         not gated: the driver stripes whole groups over its workers, and rm
+///         at the paper preset is ~96% of this sweep, so no K can beat ~1.04x.
+///       - The timed database (every trace above but rm/paper, plus the tiny
+///         param_linear, asr and resnet at world size 2: 10 groups of a few ms
+///         each) must sweep >=1.15x faster at K=4 than at K=1.
+///      The floor needs the host to deliver parallel throughput.  Just before
+///      the timed sweeps the bench measures T: 4x the time one thread takes
+///      for a fixed compute loop, over the time 4 threads take to run it at
+///      once.  A 4-worker sweep cannot beat one worker by more than T, so on a
+///      multi-core host with T < 1.15 the floor cannot be evaluated: once every
+///      other check has passed, the bench prints `SKIP:` and exits 77, which
+///      ctest reports as Skipped.  On a single-core host the floor degrades to
+///      parity-with-slack, since K threads on one core cannot beat one thread
+///      doing the same work.
 ///
-/// Exits nonzero when either gate fails.
+/// Exits 1 when a check fails, 77 when the sweep floor cannot be evaluated.
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -40,6 +56,11 @@ using namespace mystique;
 
 using bench::now_us;
 
+constexpr std::size_t kParallelism = 4;
+constexpr double kSweepFloor = 1.15;  // timed database: K=4 vs K=1 speedup
+constexpr double kParitySlack = 1.35; // single core: K=4 at most this much slower
+constexpr int kSkipExit = 77;         // SKIP_RETURN_CODE in CMakeLists.txt
+
 /// One replay-iteration-shaped churn: create + touch + drop a buffer mix.
 void
 churn_iteration(const std::shared_ptr<fw::StorageArena>& arena)
@@ -55,6 +76,121 @@ churn_iteration(const std::shared_ptr<fw::StorageArena>& arena)
         s.data()[0] = std::byte{1};
         s.data()[static_cast<std::size_t>(bytes - 1)] = std::byte{2};
     }
+}
+
+/// Parallel throughput the host delivers right now, in threads' worth:
+/// kParallelism x the time one thread takes for a fixed compute loop, over
+/// the time kParallelism threads take to run it at once.  ~kParallelism on
+/// idle cores; ~1 when the threads share one core's worth of time.
+double
+host_parallel_throughput()
+{
+    static std::atomic<uint64_t> sink{0};
+    const auto spin = [](uint64_t x) {
+        for (int i = 0; i < (1 << 23); ++i) { // xorshift64: ~20 ms on one core
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+        }
+        sink.fetch_xor(x, std::memory_order_relaxed);
+    };
+    const uint64_t seed = static_cast<uint64_t>(now_us()) | 1; // never 0
+
+    const double t0 = now_us();
+    spin(seed);
+    const double one_us = now_us() - t0;
+
+    const double t1 = now_us();
+    {
+        std::vector<std::jthread> threads;
+        for (std::size_t i = 0; i < kParallelism; ++i)
+            threads.emplace_back(spin, seed + i);
+    } // joined here
+    const double all_us = now_us() - t1;
+    return all_us > 0.0 ? static_cast<double>(kParallelism) * one_us / all_us : 1e9;
+}
+
+/// One database's K=1 and K=kParallelism sweeps, each timed once, and the
+/// host's parallel throughput measured just before them.
+struct SweepPair {
+    core::DatabaseReplayResult seq, par;
+    double seq_us = 0.0, par_us = 0.0;
+    double host_t = 0.0;
+
+    double speedup() const { return par_us > 0.0 ? seq_us / par_us : 1e9; }
+};
+
+/// Warms a K=1 and a K=kParallelism driver on @p db (plan caches, worker
+/// sessions and arenas), measures the host's parallel throughput, then
+/// times one steady-state sweep per driver: execution, not plan builds.
+SweepPair
+sweep_pair(const et::TraceDatabase& db, const core::ReplayConfig& cfg)
+{
+    core::PlanCache cache_seq(16), cache_par(16);
+    core::ReplayDriver seq(cfg, &cache_seq, 1);
+    core::ReplayDriver par(cfg, &cache_par, kParallelism);
+    (void)seq.replay_groups(db);
+    (void)par.replay_groups(db);
+
+    SweepPair p;
+    p.host_t = host_parallel_throughput();
+    const double s0 = now_us();
+    p.seq = seq.replay_groups(db);
+    p.seq_us = now_us() - s0;
+    const double p0 = now_us();
+    p.par = par.replay_groups(db);
+    p.par_us = now_us() - p0;
+    return p;
+}
+
+void
+print_sweeps(const char* db_name, const SweepPair& p, const char* ratio_note)
+{
+    std::printf("  %-5s database sweep, parallelism=1   %12.1f us   (%zu groups)\n", db_name,
+                p.seq_us, p.seq.groups.size());
+    std::printf("  %-5s database sweep, parallelism=%zu   %12.1f us   (%.2fx, T=%.2f, %s)\n",
+                db_name, kParallelism, p.par_us, p.speedup(), p.host_t, ratio_note);
+    std::printf("  %-5s weighted mean iter: %.2f us (seq) vs %.2f us (par)\n", db_name,
+                p.seq.weighted_mean_iter_us, p.par.weighted_mean_iter_us);
+}
+
+/// Every group of both sweeps finished ok, and the sweeps agree bit for bit
+/// (population-weighted mean and each group's mean iteration time).  Prints
+/// a FAIL line per violation.
+bool
+sweeps_agree(const char* db_name, const SweepPair& p)
+{
+    bool ok = true;
+    for (const core::DatabaseReplayResult* r : {&p.seq, &p.par}) {
+        if (r->groups_ok == r->groups.size())
+            continue;
+        std::printf("FAIL: %s database, parallelism=%d: %zu of %zu groups ok\n", db_name,
+                    r == &p.seq ? 1 : static_cast<int>(kParallelism), r->groups_ok,
+                    r->groups.size());
+        for (std::size_t i = 0; i < r->groups.size(); ++i) {
+            const core::GroupReplayResult& g = r->groups[i];
+            if (g.status != core::GroupStatus::kOk)
+                std::printf("  group %zu %s: %s\n", i, core::to_string(g.status),
+                            g.error.c_str());
+        }
+        ok = false;
+    }
+    if (p.seq.weighted_mean_iter_us != p.par.weighted_mean_iter_us ||
+        p.seq.groups.size() != p.par.groups.size()) {
+        std::printf("FAIL: %s database: parallel sweep diverged from sequential "
+                    "(%.6f vs %.6f us over %zu vs %zu groups)\n",
+                    db_name, p.seq.weighted_mean_iter_us, p.par.weighted_mean_iter_us,
+                    p.seq.groups.size(), p.par.groups.size());
+        return false;
+    }
+    for (std::size_t i = 0; i < p.seq.groups.size(); ++i) {
+        if (p.seq.groups[i].result.mean_iter_us != p.par.groups[i].result.mean_iter_us) {
+            std::printf("FAIL: %s database: group %zu diverged under parallelism\n", db_name,
+                        i);
+            ok = false;
+        }
+    }
+    return ok;
 }
 
 } // namespace
@@ -99,76 +235,68 @@ main()
                 static_cast<long long>(astats.bytes_cached),
                 static_cast<long long>(astats.bytes_outstanding));
 
-    // ---- 2. parallel database sweep ---------------------------------------
-    // 4 workloads x 2 presets = 8 distinct operator mixes = 8 groups.
+    // ---- 2. parallel database sweeps --------------------------------------
+    // Full database: 4 workloads x 2 presets.  resnet tiny/paper share an op
+    // mix (only shapes differ), so a distributed rm trace — its comm ops —
+    // makes the eighth distinct group.  Timed database: the same traces
+    // without rm/paper, plus three more distributed traces.
     wl::RunConfig run_cfg;
     run_cfg.mode = fw::ExecMode::kShapeOnly;
     run_cfg.warmup_iterations = 1;
     run_cfg.iterations = 2;
-    const char* names[] = {"param_linear", "rm", "asr", "resnet"};
-    std::vector<wl::RunResult> runs;
-    runs.reserve(9);
-    et::TraceDatabase db;
-    for (const char* name : names) {
+    const auto record = [&run_cfg](const char* name, wl::Preset preset, int world_size) {
+        wl::WorkloadOptions opts;
+        opts.preset = preset;
+        wl::RunConfig cfg = run_cfg;
+        cfg.world_size = world_size;
+        return wl::run_original(name, opts, cfg).rank0().trace;
+    };
+    et::TraceDatabase full_db, timed_db;
+    for (const char* name : {"param_linear", "rm", "asr", "resnet"}) {
         for (const wl::Preset preset : {wl::Preset::kTiny, wl::Preset::kPaper}) {
-            wl::WorkloadOptions opts;
-            opts.preset = preset;
-            runs.push_back(wl::run_original(name, opts, run_cfg));
-            db.add(runs.back().rank0().trace);
+            et::ExecutionTrace trace = record(name, preset, 1);
+            if (std::string(name) != "rm" || preset != wl::Preset::kPaper)
+                timed_db.add(trace);
+            full_db.add(std::move(trace));
         }
     }
-    // resnet tiny/paper share an op mix (only shapes differ), so add a
-    // distributed rm trace — its comm ops make an eighth distinct group.
     {
-        wl::RunConfig dist_cfg = run_cfg;
-        dist_cfg.world_size = 2;
-        wl::WorkloadOptions opts;
-        opts.preset = wl::Preset::kTiny;
-        runs.push_back(wl::run_original("rm", opts, dist_cfg));
-        db.add(runs.back().rank0().trace);
+        et::ExecutionTrace trace = record("rm", wl::Preset::kTiny, 2);
+        timed_db.add(trace);
+        full_db.add(std::move(trace));
     }
-    const std::size_t n_groups = db.analyze().size();
+    for (const char* name : {"param_linear", "asr", "resnet"})
+        timed_db.add(record(name, wl::Preset::kTiny, 2));
 
     core::ReplayConfig cfg = bench::bench_replay_config();
     cfg.iterations = 4;
 
-    core::PlanCache cache_seq(16), cache_par(16);
-    core::ReplayDriver seq(cfg, &cache_seq, 1);
-    core::ReplayDriver par(cfg, &cache_par, 4);
-
-    // Warm both plan caches (and both drivers' sessions/arenas), then time
-    // the steady-state sweep: execution, not plan builds.
-    (void)seq.replay_groups(db);
-    (void)par.replay_groups(db);
-
-    const double s0 = now_us();
-    const core::DatabaseReplayResult r_seq = seq.replay_groups(db);
-    const double seq_us = now_us() - s0;
-    const double p0 = now_us();
-    const core::DatabaseReplayResult r_par = par.replay_groups(db);
-    const double par_us = now_us() - p0;
-
-    const double sweep_speedup = par_us > 0.0 ? seq_us / par_us : 1e9;
+    const SweepPair full = sweep_pair(full_db, cfg);
+    const SweepPair timed = sweep_pair(timed_db, cfg);
+    const double host_t = timed.host_t;
     const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
 
-    std::printf("  %-38s %10.1f us   (%zu groups)\n", "database sweep, parallelism=1",
-                seq_us, r_seq.groups.size());
-    std::printf("  %-38s %10.1f us   (%.2fx, %u core%s)\n",
-                "database sweep, parallelism=4", par_us, sweep_speedup, cores,
-                cores == 1 ? "" : "s");
-    std::printf("  weighted mean iter: %.2f us (seq) vs %.2f us (par)\n",
-                r_seq.weighted_mean_iter_us, r_par.weighted_mean_iter_us);
+    std::printf("  T: throughput the host gives %zu threads at once, in threads "
+                "(ideal %zu; %u core%s)\n",
+                kParallelism, kParallelism, cores, cores == 1 ? "" : "s");
+    print_sweeps("full", full, "not gated");
+    print_sweeps("timed", timed, "gated");
 
     Json j = Json::object();
     j.set("churn_heap_us", Json(heap_us));
     j.set("churn_arena_us", Json(arena_us));
     j.set("churn_speedup", Json(churn_speedup));
-    j.set("sweep_seq_us", Json(seq_us));
-    j.set("sweep_par_us", Json(par_us));
-    j.set("sweep_speedup", Json(sweep_speedup));
-    j.set("groups", Json(static_cast<int64_t>(r_seq.groups.size())));
+    j.set("sweep_seq_us", Json(timed.seq_us));
+    j.set("sweep_par_us", Json(timed.par_us));
+    j.set("sweep_speedup", Json(timed.speedup()));
+    j.set("groups", Json(static_cast<int64_t>(timed.seq.groups.size())));
+    j.set("full_sweep_seq_us", Json(full.seq_us));
+    j.set("full_sweep_par_us", Json(full.par_us));
+    j.set("full_sweep_speedup", Json(full.speedup()));
+    j.set("full_groups", Json(static_cast<int64_t>(full.seq.groups.size())));
+    j.set("host_parallel_throughput", Json(host_t));
     j.set("cores", Json(static_cast<int64_t>(cores)));
-    j.set("arena_hits", Json(static_cast<int64_t>(r_par.arena.hits)));
+    j.set("arena_hits", Json(static_cast<int64_t>(full.par.arena.hits)));
     std::printf("micro_arena_json: %s\n", j.dump().c_str());
 
     // ---- gates ------------------------------------------------------------
@@ -193,48 +321,45 @@ main()
                     static_cast<unsigned long long>(astats.misses));
         ok = false;
     }
-    if (n_groups < 8) {
-        std::printf("FAIL: database produced %zu groups, need >= 8\n", n_groups);
+    if (full.seq.groups.size() < 8) {
+        std::printf("FAIL: full database produced %zu groups, need >= 8\n",
+                    full.seq.groups.size());
         ok = false;
     }
-    // Bit-identity between the sequential and parallel sweeps.
-    if (r_seq.weighted_mean_iter_us != r_par.weighted_mean_iter_us ||
-        r_seq.groups.size() != r_par.groups.size()) {
-        std::printf("FAIL: parallel sweep diverged from sequential "
-                    "(%.6f vs %.6f us over %zu vs %zu groups)\n",
-                    r_seq.weighted_mean_iter_us, r_par.weighted_mean_iter_us,
-                    r_seq.groups.size(), r_par.groups.size());
+    ok = sweeps_agree("full", full) && ok;
+    ok = sweeps_agree("timed", timed) && ok;
+    if (full.par.arena.hits == 0) {
+        std::printf("FAIL: warm parallel sweep recycled no buffers\n");
         ok = false;
-    } else {
-        for (std::size_t i = 0; i < r_seq.groups.size(); ++i) {
-            if (r_seq.groups[i].result.mean_iter_us != r_par.groups[i].result.mean_iter_us) {
-                std::printf("FAIL: group %zu diverged under parallelism\n", i);
-                ok = false;
-            }
-        }
     }
     // Wall-clock: demand a real speedup only when the host can provide one.
     // K threads on a single core cannot beat one thread doing identical work;
-    // there we only require near-parity (scheduling overhead bounded).
+    // there we only require near-parity (scheduling overhead bounded).  On
+    // more cores the sweep cannot beat T, so below the floor it is unmeasured.
+    const bool floor_unmeasurable = cores >= 2 && host_t < kSweepFloor;
     if (cores >= 2) {
-        if (sweep_speedup < 1.15) {
-            std::printf("FAIL: parallelism=4 sweep (%.1f us) not >=1.15x faster than "
-                        "sequential (%.1f us) on %u cores\n",
-                        par_us, seq_us, cores);
+        if (!floor_unmeasurable && timed.speedup() < kSweepFloor) {
+            std::printf("FAIL: parallelism=%zu sweep (%.1f us) not >=%.2fx faster than "
+                        "sequential (%.1f us) on %u cores (T=%.2f)\n",
+                        kParallelism, timed.par_us, kSweepFloor, timed.seq_us, cores,
+                        host_t);
             ok = false;
         }
-    } else if (par_us > seq_us * 1.35) {
-        std::printf("FAIL: parallelism=4 sweep (%.1f us) more than 1.35x slower than "
+    } else if (timed.par_us > timed.seq_us * kParitySlack) {
+        std::printf("FAIL: parallelism=%zu sweep (%.1f us) more than %.2fx slower than "
                     "sequential (%.1f us) on a single core\n",
-                    par_us, seq_us);
-        ok = false;
-    }
-    if (r_par.arena.hits == 0) {
-        std::printf("FAIL: warm parallel sweep recycled no buffers\n");
+                    kParallelism, timed.par_us, kParitySlack, timed.seq_us);
         ok = false;
     }
     if (!ok)
         return 1;
+    if (floor_unmeasurable) {
+        std::printf("SKIP: host delivers T=%.2fx parallel throughput to %zu threads "
+                    "(< %.2fx), so the sweep floor cannot be evaluated; every other "
+                    "check passed\n",
+                    host_t, kParallelism, kSweepFloor);
+        return kSkipExit;
+    }
     std::printf("OK: arena-warm iterations skip heap traffic (>=%.1fx) and parallel "
                 "sweeps match sequential results%s\n",
                 kArenaFloor,
