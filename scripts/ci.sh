@@ -14,12 +14,7 @@ ctest --output-on-failure -j "$(nproc)"
 # gated — under ctest; this re-run just makes the numbers easy to find).
 echo "== bench summaries =="
 ./bench_micro_plan_cache | grep -E "micro_plan_cache_json:|^OK:|^FAIL:"
-# micro_arena exits 77 (ctest: Skipped) when the host delivers too little
-# parallel throughput to evaluate its K=4 sweep floor; only that is no error.
-arena_rc=0
-arena_out=$(./bench_micro_arena) || arena_rc=$?
-grep -E "micro_arena_json:|^OK:|^FAIL:|^SKIP:" <<<"$arena_out"
-[ "$arena_rc" -eq 0 ] || [ "$arena_rc" -eq 77 ] || exit "$arena_rc"
+./bench_micro_arena | grep -E "micro_arena_json:|^OK:|^FAIL:"
 ./bench_micro_codegen | grep -E "micro_codegen_json:|^OK:|^FAIL:"
 ./bench_micro_plan_disk | grep -E "micro_plan_disk_json:|^OK:|^FAIL:"
 ./bench_micro_fusion | grep -E "micro_fusion_json:|^OK:|^FAIL:"
