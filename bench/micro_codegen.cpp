@@ -10,7 +10,7 @@
 ///   2. warm codegen — the same package again: the plan is a cache hit, so
 ///      the package is re-emitted with ZERO plan builds (the
 ///      generate-after-replay flow of §8.4);
-///   3. verify — verify_package re-deriving every fingerprint;
+///   3. verify — verify_package deriving the plan key and re-hashing the plan;
 ///   4. distributed replay, first vs repeat — run_distributed on the shared
 ///      ThreadPool: the repeat call reuses pool threads and per-rank
 ///      sessions (reset, arenas kept) instead of spawning and cold-starting

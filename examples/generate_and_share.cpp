@@ -54,8 +54,9 @@ main(int argc, char** argv)
                 t_orig / 1e3, t_obf / 1e3, 100.0 * relative_error(t_obf, t_orig));
 
     // 4. Package the shareable benchmark.  The plan comes from the cache
-    //    (zero rebuilds after step 3), and the manifest records the plan-key
-    //    fingerprints so the vendor can prove the package is untampered.
+    //    (zero rebuilds after step 3), and the manifest records the plan key
+    //    and a seal over the plan so the vendor can prove the package is
+    //    untampered.
     const core::PlanCacheStats before = core::PlanCache::instance().stats();
     const core::CodegenResult res =
         core::generate_benchmark(out_dir, obf, r0.prof, replay_cfg);
@@ -64,13 +65,19 @@ main(int argc, char** argv)
                 res.directory.c_str(), res.files_written,
                 static_cast<unsigned long long>(after.misses - before.misses));
 
-    // 5. Prove the package verifies before shipping it.
-    const core::PackageVerification v = core::verify_package(out_dir);
-    if (!v.ok) {
-        for (const auto& e : v.errors)
+    // 5. Open the package as the vendor will before shipping it: it must
+    //    verify, and the plan it imports must be the plan that was packaged.
+    const core::PackageVerification pkg = core::verify_package(out_dir);
+    if (!pkg.ok) {
+        for (const auto& e : pkg.errors)
             std::fprintf(stderr, "package verification failed: %s\n", e.c_str());
         return 1;
     }
-    std::printf("package verified: manifest fingerprints match the packaged traces\n");
+    if (core::ReplayPlan::from_json(pkg.plan, pkg.trace)->to_json() != res.plan->to_json()) {
+        std::fprintf(stderr, "package verification failed: the imported plan differs\n");
+        return 1;
+    }
+    std::printf("package verified: the derived plan key and the plan seal match the "
+                "manifest, and the plan imports as packaged\n");
     return 0;
 }

@@ -26,7 +26,8 @@ echo "== bench summaries =="
 # and report bit-identical results — also under poisoned arena recycling.
 echo "== cross-process plan-store reuse =="
 plan_store_dir=$(mktemp -d)
-trap 'rm -rf "$plan_store_dir"' EXIT
+package_dir=$(mktemp -d)
+trap 'rm -rf "$plan_store_dir" "$package_dir"' EXIT
 ./example_cross_process_sweep "$plan_store_dir" cold | tee /tmp/myst_sweep_cold.txt
 ./example_cross_process_sweep "$plan_store_dir" warm | tee /tmp/myst_sweep_warm.txt
 MYST_ARENA_POISON=1 ./example_cross_process_sweep "$plan_store_dir" warm \
@@ -38,6 +39,20 @@ for f in /tmp/myst_sweep_warm.txt /tmp/myst_sweep_warm_poison.txt; do
     fi
 done
 echo "cross-process reuse OK: second process did zero plan builds, results bit-identical"
+
+# The checked-in example package must be what the generator writes today:
+# regenerate it and compare its program and README byte for byte (ctest
+# already built and ran the checked-in program against its data files).
+echo "== shared_benchmark drift check =="
+./example_generate_and_share rm "$package_dir" > /dev/null
+for f in benchmark_main.cpp README.md; do
+    if ! diff "$package_dir/$f" "../shared_benchmark/$f"; then
+        echo "FAIL: shared_benchmark/$f differs from what generate_benchmark writes;" \
+             "regenerate it with ./build/example_generate_and_share rm shared_benchmark"
+        exit 1
+    fi
+done
+echo "shared_benchmark OK: its program and README match the generator"
 
 # Read-before-write sentinel: recycled arena buffers are not zeroed, so run
 # the suite once with poisoned recycling (0xFF fill) to flush any kernel that

@@ -10,49 +10,41 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 
 #include "core/codegen.h"
 #include "core/replayer.h"
-#include "et/trace.h"
-#include "profiler/profiler.h"
 
 int
 main(int argc, char** argv)
 {
     using namespace mystique;
 
-    // Provenance gate: refuse to report numbers from a package whose traces
-    // no longer match the fingerprints they were generated under.
-    const core::PackageVerification v = core::verify_package(".");
-    if (!v.ok) {
-        for (const auto& e : v.errors)
+    // Provenance gate: refuse to report numbers from a package whose files
+    // no longer match the manifest they were generated under.  Everything
+    // below replays what the gate verified; no package file is read twice.
+    const core::PackageVerification pkg = core::verify_package(".");
+    if (!pkg.ok) {
+        for (const auto& e : pkg.errors)
             std::fprintf(stderr, "package verification failed: %s\n", e.c_str());
         return 1;
     }
 
-    core::ReplayConfig cfg = core::ReplayConfig::from_json(
-        Json::parse_file("manifest.json").at("replay_config"));
+    core::ReplayConfig cfg = pkg.config;
     if (argc > 1)
         cfg.platform = argv[1];
     if (argc > 2)
         cfg.iterations = std::atoi(argv[2]);
 
-    const et::ExecutionTrace trace = et::ExecutionTrace::load("execution_trace.json");
-    const prof::ProfilerTrace prof =
-        prof::ProfilerTrace::from_json(Json::parse_file("profiler_trace.json"));
-
     // Import the packaged plan instead of rebuilding it: on the packaged
     // platform the cache fetch below is a pure hit (zero plan builds).
     // Overriding the platform changes the plan key (§6.7 portability), so
     // only then is a fresh plan built.
-    core::PlanCache::instance().insert(
-        core::ReplayPlan::from_json(Json::parse_file("replay_plan.json"), trace));
+    core::PlanCache::instance().insert(core::ReplayPlan::from_json(pkg.plan, pkg.trace));
     core::Replayer replayer(
-        core::PlanCache::instance().get_or_build(trace, &prof, cfg), cfg);
+        core::PlanCache::instance().get_or_build(pkg.trace, &pkg.prof, cfg), cfg);
     core::ReplayResult result = replayer.run();
 
-    std::printf("workload   : %s\n", trace.meta().workload.c_str());
+    std::printf("workload   : %s\n", pkg.trace->meta().workload.c_str());
     std::printf("platform   : %s\n", cfg.platform.c_str());
     std::printf("iteration  : %.3f ms\n", result.mean_iter_us / 1e3);
     std::printf("SM util    : %.1f %%\n", result.metrics.sm_util_pct);

@@ -23,49 +23,41 @@ constexpr const char* kMainTemplate = R"cpp(/// Generated by mystique::core::gen
 
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 
 #include "core/codegen.h"
 #include "core/replayer.h"
-#include "et/trace.h"
-#include "profiler/profiler.h"
 
 int
 main(int argc, char** argv)
 {
     using namespace mystique;
 
-    // Provenance gate: refuse to report numbers from a package whose traces
-    // no longer match the fingerprints they were generated under.
-    const core::PackageVerification v = core::verify_package(".");
-    if (!v.ok) {
-        for (const auto& e : v.errors)
+    // Provenance gate: refuse to report numbers from a package whose files
+    // no longer match the manifest they were generated under.  Everything
+    // below replays what the gate verified; no package file is read twice.
+    const core::PackageVerification pkg = core::verify_package(".");
+    if (!pkg.ok) {
+        for (const auto& e : pkg.errors)
             std::fprintf(stderr, "package verification failed: %s\n", e.c_str());
         return 1;
     }
 
-    core::ReplayConfig cfg = core::ReplayConfig::from_json(
-        Json::parse_file("manifest.json").at("replay_config"));
+    core::ReplayConfig cfg = pkg.config;
     if (argc > 1)
         cfg.platform = argv[1];
     if (argc > 2)
         cfg.iterations = std::atoi(argv[2]);
 
-    const et::ExecutionTrace trace = et::ExecutionTrace::load("execution_trace.json");
-    const prof::ProfilerTrace prof =
-        prof::ProfilerTrace::from_json(Json::parse_file("profiler_trace.json"));
-
     // Import the packaged plan instead of rebuilding it: on the packaged
     // platform the cache fetch below is a pure hit (zero plan builds).
     // Overriding the platform changes the plan key (§6.7 portability), so
     // only then is a fresh plan built.
-    core::PlanCache::instance().insert(
-        core::ReplayPlan::from_json(Json::parse_file("replay_plan.json"), trace));
+    core::PlanCache::instance().insert(core::ReplayPlan::from_json(pkg.plan, pkg.trace));
     core::Replayer replayer(
-        core::PlanCache::instance().get_or_build(trace, &prof, cfg), cfg);
+        core::PlanCache::instance().get_or_build(pkg.trace, &pkg.prof, cfg), cfg);
     core::ReplayResult result = replayer.run();
 
-    std::printf("workload   : %s\n", trace.meta().workload.c_str());
+    std::printf("workload   : %s\n", pkg.trace->meta().workload.c_str());
     std::printf("platform   : %s\n", cfg.platform.c_str());
     std::printf("iteration  : %.3f ms\n", result.mean_iter_us / 1e3);
     std::printf("SM util    : %.1f %%\n", result.metrics.sm_util_pct);
@@ -89,19 +81,21 @@ Files:
 - `replay_plan.json` — the serialized replay plan: cache key, selected replay
   targets, coverage, per-op stream assignments, and the TorchScript-style IR
   compiled for each ATen operator (§4.3.1)
-- `manifest.json` — provenance: the plan-key fingerprints this package was
-  generated under, the replay config, and coverage stats
-- `benchmark_main.cpp` — standalone replay program (verifies the manifest
-  before replaying)
+- `manifest.json` — provenance: the plan key this package was generated
+  under, the `replay_plan.json` seal (`plan_hash`), and the replay config
+- `benchmark_main.cpp` — standalone replay program (verifies the package,
+  then replays the verified plan)
 
 Build by adding this file to any target linking `mystique`, then run from
 this directory. The benchmark is portable: pass a different platform name
 (`A100`, `V100`, `CPU`, `NewPlatform`) to evaluate the same workload
 elsewhere without regeneration (§6.7).
 
-Integrity: `mystique::core::verify_package(dir)` re-derives the trace,
-profiler, and config fingerprints from the packaged files and checks them
-against `manifest.json`; see docs/package_format.md in the mystique repo.
+Integrity: `mystique::core::verify_package(dir)` derives the plan key from
+the packaged trace, profiler trace and replay config, checks each of its
+components against the manifest's `plan_key`, and checks that the bytes of
+`replay_plan.json` hash to the manifest's `plan_hash`; see
+docs/package_format.md in the mystique repo.
 )md";
 
 /// Package files are published atomically (common/fs_util.h): a consumer
@@ -130,8 +124,8 @@ constexpr const char* kPackageFiles[] = {
 };
 
 Json
-make_manifest(const et::ExecutionTrace& trace, const prof::ProfilerTrace& prof,
-              const ReplayConfig& cfg, const Json& plan_json, std::string_view plan_text)
+make_manifest(const et::ExecutionTrace& trace, const ReplayConfig& cfg, const Json& plan_json,
+              std::string_view plan_text)
 {
     Json m = Json::object();
     m.set("format", Json("mystique-benchmark-package"));
@@ -145,24 +139,7 @@ make_manifest(const et::ExecutionTrace& trace, const prof::ProfilerTrace& prof,
     // The seal over replay_plan.json's exact bytes: no fingerprint covers
     // what the plan document records per op (streams, kinds, IR).
     m.set("plan_hash", Json(std::to_string(hash_bytes(plan_text))));
-
-    Json trace_j = Json::object();
-    trace_j.set("structural_fingerprint", Json(std::to_string(trace.structural_fingerprint())));
-    trace_j.set("op_mix_fingerprint", Json(std::to_string(trace.fingerprint())));
-    trace_j.set("nodes", Json(static_cast<int64_t>(trace.size())));
-    m.set("execution_trace", std::move(trace_j));
-
-    Json prof_j = Json::object();
-    prof_j.set("replay_fingerprint", Json(std::to_string(prof.replay_fingerprint())));
-    m.set("profiler_trace", std::move(prof_j));
-
     m.set("replay_config", cfg.to_json());
-    // Pinned at top level so a consumer can see at a glance (and verify)
-    // whether the packaged plan was optimizer-shaped or verbatim.
-    m.set("opt_level", Json(cfg.opt_level));
-    // Coverage lives canonically in replay_plan.json; the manifest copy is
-    // the quick-look summary, equal by construction.
-    m.set("coverage", plan_json.at("coverage"));
 
     Json files = Json::array();
     for (const char* f : kPackageFiles)
@@ -193,8 +170,7 @@ generate_benchmark(const std::string& directory, const et::ExecutionTrace& trace
     write_text(dir / "execution_trace.json", trace.to_json().dump());
     write_text(dir / "profiler_trace.json", prof.to_json().dump());
     write_text(dir / "replay_plan.json", plan_text);
-    write_text(dir / "manifest.json",
-               make_manifest(trace, prof, cfg, plan_json, plan_text).dump(2));
+    write_text(dir / "manifest.json", make_manifest(trace, cfg, plan_json, plan_text).dump(2));
 
     // benchmark_main.cpp needs no substitutions: its defaults come from the
     // manifest at runtime, keeping the package's config in one place.
@@ -246,57 +222,42 @@ verify_package(const std::string& directory)
         if (!v.errors.empty())
             return v;
 
-        const PlanKey key = PlanKey::from_json(manifest.at("plan_key"));
-
-        // Re-derive the trace fingerprints from the packaged ET.
-        const et::ExecutionTrace trace =
-            et::ExecutionTrace::load((dir / "execution_trace.json").string());
-        const Json& trace_j = manifest.at("execution_trace");
-        if (std::to_string(trace.structural_fingerprint()) !=
-            trace_j.at("structural_fingerprint").as_string())
-            fail("execution_trace.json does not match the manifest's structural "
-                 "fingerprint (trace modified after generation?)");
-        if (std::to_string(trace.fingerprint()) !=
-            trace_j.at("op_mix_fingerprint").as_string())
-            fail("execution_trace.json does not match the manifest's operator-mix "
-                 "fingerprint");
-        if (std::to_string(trace.structural_fingerprint()) !=
-            manifest.at("plan_key").at("trace_fp").as_string())
-            fail("manifest plan_key.trace_fp disagrees with the packaged trace");
-
-        // Re-derive the profiler stream fingerprint.
-        const prof::ProfilerTrace prof = prof::ProfilerTrace::from_json(
+        // Derive the key from the packaged files and compare it with the
+        // manifest's component by component, naming the file at fault.
+        auto trace = std::make_shared<const et::ExecutionTrace>(
+            et::ExecutionTrace::load((dir / "execution_trace.json").string()));
+        prof::ProfilerTrace prof = prof::ProfilerTrace::from_json(
             Json::parse_file((dir / "profiler_trace.json").string()));
-        if (std::to_string(prof.replay_fingerprint()) !=
-            manifest.at("profiler_trace").at("replay_fingerprint").as_string())
-            fail("profiler_trace.json does not match the manifest's stream "
-                 "fingerprint (profiler trace modified after generation?)");
-        if (key.has_prof && key.prof_fp != prof.replay_fingerprint())
-            fail("manifest plan_key.prof_fp disagrees with the packaged profiler "
-                 "trace");
-
-        // Re-derive the config and supported-set fingerprints.
-        const ReplayConfig cfg = ReplayConfig::from_json(manifest.at("replay_config"));
-        if (cfg.fingerprint() != key.config_fp)
+        ReplayConfig config = ReplayConfig::from_json(manifest.at("replay_config"));
+        const PlanKey key = PlanKey::from_json(manifest.at("plan_key"));
+        const PlanKey derived = plan_key(*trace, &prof, config);
+        if (derived.trace_fp != key.trace_fp)
+            fail("execution_trace.json does not re-hash to the manifest's plan_key.trace_fp "
+                 "(trace modified after generation?)");
+        if (derived.prof_fp != key.prof_fp || derived.has_prof != key.has_prof)
+            fail("profiler_trace.json does not re-hash to the manifest's plan_key.prof_fp "
+                 "(profiler trace modified after generation?)");
+        if (derived.config_fp != key.config_fp)
             fail("manifest replay_config does not re-fingerprint to plan_key.config_fp");
-        if (supported_set_fingerprint(cfg.custom_ops) != key.supported_fp)
+        if (derived.supported_fp != key.supported_fp)
             fail("this process's op registry does not reproduce plan_key.supported_fp "
                  "(package generated against a different operator set)");
-        if (static_cast<int>(manifest.get_int("opt_level", -1)) != cfg.opt_level)
-            fail("manifest opt_level disagrees with the embedded replay_config "
-                 "(optimizer provenance modified after generation?)");
 
-        // The packaged plan must be the sealed bytes, with the same identity
-        // and coverage.
+        // The plan is parsed from the very bytes the seal covers.
         const std::string plan_text = read_file((dir / "replay_plan.json").string());
         if (std::to_string(hash_bytes(plan_text)) != manifest.at("plan_hash").as_string())
             fail("replay_plan.json does not match the manifest's plan_hash (plan "
                  "modified after generation?)");
-        const Json plan_j = Json::parse(plan_text);
-        if (PlanKey::from_json(plan_j.at("key")) != key)
+        Json plan = Json::parse(plan_text);
+        if (PlanKey::from_json(plan.at("key")) != key)
             fail("replay_plan.json carries a different plan key than the manifest");
-        if (plan_j.at("coverage") != manifest.at("coverage"))
-            fail("replay_plan.json coverage disagrees with the manifest");
+
+        if (v.errors.empty()) {
+            v.trace = std::move(trace);
+            v.prof = std::move(prof);
+            v.config = std::move(config);
+            v.plan = std::move(plan);
+        }
     } catch (const std::exception& e) {
         fail(std::string("package verification error: ") + e.what());
     }

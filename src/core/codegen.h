@@ -8,8 +8,9 @@
 ///   <dir>/profiler_trace.json    the stream-mapping profiler trace
 ///   <dir>/replay_plan.json       the full ReplayPlan (key, selection,
 ///                                coverage, per-op streams + IR text)
-///   <dir>/manifest.json          provenance: plan-key fingerprints, replay
-///                                config, coverage, generator version
+///   <dir>/manifest.json          provenance: the plan key, the seal over
+///                                replay_plan.json, the replay config and
+///                                the generator version
 ///   <dir>/benchmark_main.cpp     a standalone C++ program against this
 ///                                library that replays the trace
 ///   <dir>/README.md              how to build and run it
@@ -30,14 +31,13 @@
 ///
 /// ## Provenance manifest
 ///
-/// `manifest.json` records the complete PlanKey — trace structural
-/// fingerprint, supported-OpId-set fingerprint, ReplayConfig fingerprint,
-/// profiler stream fingerprint — plus a content hash of replay_plan.json,
-/// the serialized ReplayConfig and coverage stats.  verify_package()
-/// re-derives every fingerprint from the packaged data files, re-hashes the
-/// plan document and checks them against the manifest, so a consumer can
-/// prove a received package is internally consistent (no tampered or
-/// mismatched trace/plan/config) before trusting its numbers.
+/// `manifest.json` states each fact once: the complete PlanKey (trace
+/// structural, supported-OpId-set, ReplayConfig and profiler stream
+/// fingerprints), a content hash of replay_plan.json and the serialized
+/// ReplayConfig.  verify_package() is the one reader of a package: it derives
+/// the plan key from the packaged files, re-hashes the plan document, checks
+/// both against the manifest and returns what it verified, so a consumer
+/// replays the very bytes the checks covered.
 
 #include <memory>
 #include <string>
@@ -57,9 +57,12 @@ namespace mystique::core {
 /// and the replay config serializes "async_level".
 /// v4: replay_plan.json drops "dep_graph", its seal and the "identity" /
 /// "optimizer" blocks, which import derives.
-/// v5: the manifest seals replay_plan.json's exact bytes ("plan_hash") —
-/// v4 and older packages are rejected.
-inline constexpr int kPackageFormatVersion = 5;
+/// v5: the manifest seals replay_plan.json's exact bytes ("plan_hash").
+/// v6: the manifest drops its second copies of facts the plan key, the
+/// replay config and the sealed plan hold ("execution_trace",
+/// "profiler_trace", the top-level "opt_level", "coverage") — v5 and older
+/// packages are rejected.
+inline constexpr int kPackageFormatVersion = 6;
 /// Generator identity recorded in the manifest.
 inline constexpr const char* kGeneratorVersion = "mystique-codegen/1.0";
 
@@ -80,24 +83,30 @@ CodegenResult generate_benchmark(const std::string& directory,
                                  PlanCache* cache = &PlanCache::instance());
 
 /// Outcome of verify_package(): ok iff every check passed; errors lists each
-/// failed check human-readably.
+/// failed check human-readably.  When ok, the other members are the package
+/// as verified — import with `ReplayPlan::from_json(plan, trace)` and replay
+/// with `config` instead of reading the files again.
 struct PackageVerification {
     bool ok = false;
     std::vector<std::string> errors;
+    std::shared_ptr<const et::ExecutionTrace> trace; ///< null unless ok
+    prof::ProfilerTrace prof;
+    ReplayConfig config;
+    /// replay_plan.json, parsed from the very bytes plan_hash covered.
+    Json plan;
 };
 
-/// Integrity-checks a generated package directory against its manifest:
-///  - every manifest-listed file exists;
-///  - the packaged execution trace re-hashes to the manifest's structural
-///    (and operator-mix) fingerprint;
-///  - the packaged profiler trace re-hashes to the manifest's stream
-///    fingerprint;
-///  - the packaged replay config re-fingerprints to the manifest's config
-///    fingerprint, and this process's op registry reproduces the manifest's
-///    supported-set fingerprint;
+/// The one reader of a generated package directory; integrity-checks it
+/// against its manifest:
+///  - the manifest is a v6 package manifest, and every file it lists exists;
+///  - plan_key() of the packaged execution trace, profiler trace and replay
+///    config equals the manifest's plan_key, component by component (this
+///    process's op registry must reproduce the supported-set fingerprint);
 ///  - replay_plan.json hashes to the manifest's plan_hash and carries the
-///    same plan key and coverage as the manifest.
-/// Never throws on bad packages — problems come back as errors.
+///    manifest's plan key.
+/// Never throws on a bad package — problems come back as errors.  Like every
+/// ReplayConfig, the result's default config reads MYST_OPT_LEVEL and
+/// MYST_ASYNC first, so a malformed value of either throws ConfigError.
 PackageVerification verify_package(const std::string& directory);
 
 } // namespace mystique::core

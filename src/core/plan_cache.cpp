@@ -76,11 +76,11 @@ PlanCache::resolve(const et::ExecutionTrace& trace,
         if (it != entries_.end()) {
             // Hit — including concurrent requests that arrive while the first
             // build is still in flight; they wait on the same future below.
-            ++hits_;
+            ++stats_.hits;
             it->second.last_used = ++tick_;
             future = it->second.plan;
         } else {
-            ++misses_;
+            ++stats_.misses;
             builder = true;
             future = promise.get_future().share();
             entries_[key] = Entry{future, /*ready=*/false, ++tick_};
@@ -115,17 +115,17 @@ PlanCache::resolve(const et::ExecutionTrace& trace,
         {
             std::lock_guard<std::mutex> lock(mu_);
             if (store != nullptr)
-                disk_hit ? ++disk_hits_ : ++disk_misses_;
+                disk_hit ? ++stats_.disk_hits : ++stats_.disk_misses;
             if (!disk_hit) {
-                ++builds_;
+                ++stats_.builds;
                 // Optimizer counters accumulate on builds only: warm plans
                 // (either tier) are already optimized, so a warm sweep shows
                 // zero re-optimization.
                 const OptimizerStats& opt = plan->optimizer_stats();
-                opt_ops_fused_ += static_cast<uint64_t>(opt.ops_fused);
-                opt_ops_eliminated_ += static_cast<uint64_t>(opt.ops_eliminated);
-                opt_chains_formed_ += static_cast<uint64_t>(opt.chains_formed);
-                opt_time_us_ += opt.optimize_us;
+                stats_.opt_ops_fused += static_cast<uint64_t>(opt.ops_fused);
+                stats_.opt_ops_eliminated += static_cast<uint64_t>(opt.ops_eliminated);
+                stats_.opt_chains_formed += static_cast<uint64_t>(opt.chains_formed);
+                stats_.opt_time_us += opt.optimize_us;
             }
             auto it = entries_.find(key);
             if (it != entries_.end())
@@ -155,7 +155,7 @@ PlanCache::submit_writeback(std::shared_ptr<PlanStore> store,
             [this, store = std::move(store), plan = std::move(plan)] {
                 if (store->store(*plan)) {
                     std::lock_guard<std::mutex> lock(mu_);
-                    ++writebacks_;
+                    ++stats_.writebacks;
                 }
             });
     } catch (...) {
@@ -222,20 +222,9 @@ PlanCacheStats
 PlanCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    PlanCacheStats s;
-    s.hits = hits_;
-    s.misses = misses_;
-    s.disk_hits = disk_hits_;
-    s.disk_misses = disk_misses_;
-    s.builds = builds_;
-    s.writebacks = writebacks_;
-    s.evictions = evictions_;
+    PlanCacheStats s = stats_;
     s.size = entries_.size();
     s.capacity = capacity_;
-    s.opt_ops_fused = opt_ops_fused_;
-    s.opt_ops_eliminated = opt_ops_eliminated_;
-    s.opt_chains_formed = opt_chains_formed_;
-    s.opt_time_us = opt_time_us_;
     return s;
 }
 
@@ -251,9 +240,7 @@ PlanCache::clear()
     for (auto it = entries_.begin(); it != entries_.end();) {
         it = it->second.ready ? entries_.erase(it) : std::next(it);
     }
-    hits_ = misses_ = disk_hits_ = disk_misses_ = builds_ = writebacks_ = evictions_ = 0;
-    opt_ops_fused_ = opt_ops_eliminated_ = opt_chains_formed_ = 0;
-    opt_time_us_ = 0.0;
+    stats_ = PlanCacheStats{};
     tick_ = 0;
 }
 
@@ -289,7 +276,7 @@ PlanCache::evict_excess_locked()
         if (victim == entries_.end())
             return; // everything over capacity is still building
         entries_.erase(victim);
-        ++evictions_;
+        ++stats_.evictions;
     }
 }
 

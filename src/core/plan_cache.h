@@ -170,17 +170,7 @@ class PlanCache {
     mutable std::mutex mu_;
     std::size_t capacity_;
     uint64_t tick_ = 0;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
-    uint64_t disk_hits_ = 0;
-    uint64_t disk_misses_ = 0;
-    uint64_t builds_ = 0;
-    uint64_t writebacks_ = 0;
-    uint64_t evictions_ = 0;
-    uint64_t opt_ops_fused_ = 0;
-    uint64_t opt_ops_eliminated_ = 0;
-    uint64_t opt_chains_formed_ = 0;
-    double opt_time_us_ = 0.0;
+    PlanCacheStats stats_; ///< the counters; stats() fills in size and capacity
     std::optional<std::string> store_override_;
     std::vector<std::future<void>> writeback_futures_;
     std::unordered_map<PlanKey, Entry, PlanKeyHash> entries_;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -67,6 +68,46 @@ fresh_dir(const std::string& name)
     const std::string dir = testing::TempDir() + "/" + name;
     fs::remove_all(dir);
     return dir;
+}
+
+/// True when one of @p v's errors names @p what.
+bool
+names(const PackageVerification& v, const std::string& what)
+{
+    return std::any_of(v.errors.begin(), v.errors.end(), [&](const std::string& e) {
+        return e.find(what) != std::string::npos;
+    });
+}
+
+/// Rewrites a package's manifest.json through @p edit.
+void
+edit_manifest(const std::string& dir, const std::function<void(Json&)>& edit)
+{
+    const std::string path = dir + "/manifest.json";
+    Json m = Json::parse_file(path);
+    edit(m);
+    m.dump_file(path, 2);
+}
+
+/// Rewrites the plan document at @p plan_path with every op moved to the next
+/// stream; returns how many ops moved.  The key and the coverage stay as
+/// they were, and the plan still imports and replays, but it now schedules a
+/// different benchmark than the one the package describes.
+std::size_t
+move_every_stream(const std::string& plan_path)
+{
+    Json plan = Json::parse_file(plan_path);
+    Json::Array ops = plan.at("ops").as_array();
+    std::size_t moved = 0;
+    for (Json& op : ops) {
+        if (const Json* stream = op.find("stream")) {
+            op.set("stream", Json(stream->as_int() + 1));
+            ++moved;
+        }
+    }
+    plan.set("ops", Json(std::move(ops)));
+    plan.dump_file(plan_path, 2);
+    return moved;
 }
 
 TEST(ReplayConfigJson, RoundTripsEveryField)
@@ -229,22 +270,18 @@ TEST(Codegen, ImportedPackagePlanSeedsPlanCache)
     const std::string dir = fresh_dir("mystique_codegen_import");
     (void)generate_benchmark(dir, r0.trace, r0.prof, cfg, &gen_cache);
 
-    // Consumer side: load the package, rebuild the plan from its JSON, and
-    // seed a fresh cache with it — replaying the packaged trace is then a
-    // pure hit, never a build.
-    const et::ExecutionTrace trace = et::ExecutionTrace::load(dir + "/execution_trace.json");
-    const prof::ProfilerTrace prof =
-        prof::ProfilerTrace::from_json(Json::parse_file(dir + "/profiler_trace.json"));
-    const ReplayConfig imported_cfg = ReplayConfig::from_json(
-        Json::parse_file(dir + "/manifest.json").at("replay_config"));
-    const auto plan =
-        ReplayPlan::from_json(Json::parse_file(dir + "/replay_plan.json"), trace);
+    // Consumer side: verify the package, rebuild the plan from the document
+    // verify_package returns, and seed a fresh cache with it — replaying the
+    // packaged trace is then a pure hit, never a build.
+    const PackageVerification pkg = verify_package(dir);
+    ASSERT_TRUE(pkg.ok) << (pkg.errors.empty() ? "" : pkg.errors.front());
+    const auto plan = ReplayPlan::from_json(pkg.plan, pkg.trace);
 
     PlanCache import_cache(8);
     EXPECT_TRUE(import_cache.insert(plan));
     EXPECT_FALSE(import_cache.insert(plan)); // second insert keeps the first
 
-    const auto served = import_cache.get_or_build(trace, &prof, imported_cfg);
+    const auto served = import_cache.get_or_build(pkg.trace, &pkg.prof, pkg.config);
     EXPECT_EQ(served.get(), plan.get());
     EXPECT_EQ(import_cache.stats().hits, 1u);
     EXPECT_EQ(import_cache.stats().misses, 0u);
@@ -265,21 +302,25 @@ TEST(Codegen, ManifestCarriesPlanKeyAndConfig)
     const CodegenResult res = generate_benchmark(dir, r0.trace, r0.prof, cfg, &cache);
 
     const Json m = Json::parse_file(dir + "/manifest.json");
+    // Each fact once: the manifest holds these members and no others.
+    std::vector<std::string> members;
+    for (const auto& [name, value] : m.as_object())
+        members.push_back(name);
+    EXPECT_EQ(members, (std::vector<std::string>{"format", "format_version", "generator",
+                                                 "workload", "platform", "plan_key",
+                                                 "plan_hash", "replay_config", "files"}));
     EXPECT_EQ(m.at("format").as_string(), "mystique-benchmark-package");
     EXPECT_EQ(m.at("format_version").as_int(), kPackageFormatVersion);
     EXPECT_EQ(m.at("generator").as_string(), kGeneratorVersion);
     EXPECT_EQ(m.at("workload").as_string(), r0.trace.meta().workload);
 
-    // The manifest's plan key is the key of the plan the package came from.
-    EXPECT_EQ(PlanKey::from_json(m.at("plan_key")), res.plan->key());
-    // The trace fingerprints match the packaged trace.
-    EXPECT_EQ(m.at("execution_trace").at("structural_fingerprint").as_string(),
-              std::to_string(r0.trace.structural_fingerprint()));
-    EXPECT_EQ(m.at("execution_trace").at("op_mix_fingerprint").as_string(),
-              std::to_string(r0.trace.fingerprint()));
+    // The manifest's plan key is the key of the plan the package came from,
+    // and its trace component is the packaged trace's structural fingerprint.
+    const PlanKey key = PlanKey::from_json(m.at("plan_key"));
+    EXPECT_EQ(key, res.plan->key());
+    EXPECT_EQ(key.trace_fp, r0.trace.structural_fingerprint());
     // The embedded config re-fingerprints to the key's config component.
-    EXPECT_EQ(ReplayConfig::from_json(m.at("replay_config")).fingerprint(),
-              res.plan->key().config_fp);
+    EXPECT_EQ(ReplayConfig::from_json(m.at("replay_config")).fingerprint(), key.config_fp);
     // Every listed file exists.
     for (const Json& f : m.at("files").as_array())
         EXPECT_TRUE(fs::exists(fs::path(dir) / f.as_string())) << f.as_string();
@@ -295,6 +336,25 @@ TEST(Codegen, VerifyPackageAcceptsFreshPackage)
     const PackageVerification v = verify_package(dir);
     EXPECT_TRUE(v.ok) << (v.errors.empty() ? "" : v.errors.front());
     EXPECT_TRUE(v.errors.empty());
+    // It returns what it verified.
+    ASSERT_NE(v.trace, nullptr);
+    EXPECT_EQ(plan_key(*v.trace, &v.prof, v.config), PlanKey::from_json(v.plan.at("key")));
+}
+
+TEST(Codegen, ImportRestoresTheSealedPlanBytes)
+{
+    const auto& r0 = traced("rm").rank0();
+    PlanCache cache(8);
+    const std::string dir = fresh_dir("mystique_codegen_verify_then_swap");
+    const CodegenResult res = generate_benchmark(dir, r0.trace, r0.prof, tiny_replay(), &cache);
+    const PackageVerification pkg = verify_package(dir);
+    ASSERT_TRUE(pkg.ok) << (pkg.errors.empty() ? "" : pkg.errors.front());
+
+    // The plan file changes after verification: the consumer still imports
+    // the plan whose bytes plan_hash covered, not what the disk holds now.
+    ASSERT_GT(move_every_stream(dir + "/replay_plan.json"), 0u);
+    EXPECT_EQ(ReplayPlan::from_json(pkg.plan, pkg.trace)->to_json().dump(),
+              res.plan->to_json().dump());
 }
 
 TEST(Codegen, VerifyPackageRejectsTamperedTrace)
@@ -330,15 +390,12 @@ TEST(Codegen, VerifyPackageRejectsTamperedTrace)
 
     const PackageVerification v = verify_package(dir);
     EXPECT_FALSE(v.ok);
-    ASSERT_FALSE(v.errors.empty());
-    // The failure names the structural fingerprint mismatch.
-    bool mentions_trace = false;
-    for (const auto& e : v.errors)
-        mentions_trace = mentions_trace || e.find("execution_trace") != std::string::npos;
-    EXPECT_TRUE(mentions_trace);
+    // The failure names the trace whose fingerprint no longer matches.
+    EXPECT_TRUE(names(v, "execution_trace.json"));
+    EXPECT_EQ(v.trace, nullptr);
 }
 
-TEST(Codegen, VerifyPackageRejectsTamperedProfilerAndMissingFiles)
+TEST(Codegen, VerifyPackageRejectsTamperedProfilerConfigAndMissingFiles)
 {
     const auto& r0 = traced("param_linear").rank0();
     PlanCache cache(8);
@@ -358,7 +415,22 @@ TEST(Codegen, VerifyPackageRejectsTamperedProfilerAndMissingFiles)
     ev.correlation = r0.trace.nodes().front().id;
     altered.add_kernel(ev);
     altered.to_json().dump_file(prof_path);
-    EXPECT_FALSE(verify_package(dir).ok);
+    const PackageVerification v = verify_package(dir);
+    EXPECT_FALSE(v.ok);
+    EXPECT_TRUE(names(v, "profiler_trace.json"));
+
+    // A replay config edited after generation no longer re-fingerprints to
+    // the key it was packaged under.
+    const std::string cfg_dir = fresh_dir("mystique_codegen_verify_config");
+    (void)generate_benchmark(cfg_dir, r0.trace, r0.prof, tiny_replay(), &cache);
+    edit_manifest(cfg_dir, [](Json& m) {
+        Json cfg = m.at("replay_config");
+        cfg.set("platform", Json("V100"));
+        m.set("replay_config", std::move(cfg));
+    });
+    const PackageVerification vc = verify_package(cfg_dir);
+    EXPECT_FALSE(vc.ok);
+    EXPECT_TRUE(names(vc, "replay_config"));
 
     // A package missing a manifest-listed file fails fast.
     const std::string dir2 = fresh_dir("mystique_codegen_verify_missing");
@@ -369,8 +441,13 @@ TEST(Codegen, VerifyPackageRejectsTamperedProfilerAndMissingFiles)
     ASSERT_FALSE(v2.errors.empty());
     EXPECT_NE(v2.errors.front().find("replay_plan.json"), std::string::npos);
 
-    // A directory with no manifest at all is not a package.
+    // A directory with no manifest at all is not a package, and a v5
+    // manifest, which states facts twice, is no longer read.
     EXPECT_FALSE(verify_package(fresh_dir("mystique_codegen_no_manifest")).ok);
+    const std::string v5_dir = fresh_dir("mystique_codegen_verify_v5");
+    (void)generate_benchmark(v5_dir, r0.trace, r0.prof, tiny_replay(), &cache);
+    edit_manifest(v5_dir, [](Json& m) { m.set("format_version", Json(5)); });
+    EXPECT_TRUE(names(verify_package(v5_dir), "unsupported format_version 5"));
 }
 
 TEST(Codegen, VerifyPackageRejectsTamperedPlan)
@@ -380,31 +457,14 @@ TEST(Codegen, VerifyPackageRejectsTamperedPlan)
     const std::string dir = fresh_dir("mystique_codegen_verify_plan");
     (void)generate_benchmark(dir, r0.trace, r0.prof, tiny_replay(), &cache);
 
-    // Move every op to the next stream.  The key and the coverage stay as
-    // they were, and the plan still imports and replays, but it now
-    // schedules a different benchmark than the one the package describes.
     const std::string plan_path = dir + "/replay_plan.json";
-    Json plan = Json::parse_file(plan_path);
-    Json::Array ops = plan.at("ops").as_array();
-    std::size_t moved = 0;
-    for (Json& op : ops) {
-        if (const Json* stream = op.find("stream")) {
-            op.set("stream", Json(stream->as_int() + 1));
-            ++moved;
-        }
-    }
-    ASSERT_GT(moved, 0u);
-    plan.set("ops", Json(std::move(ops)));
-    plan.dump_file(plan_path, 2);
+    ASSERT_GT(move_every_stream(plan_path), 0u);
     const et::ExecutionTrace trace = et::ExecutionTrace::load(dir + "/execution_trace.json");
     EXPECT_NO_THROW((void)ReplayPlan::from_json(Json::parse_file(plan_path), trace));
 
     const PackageVerification v = verify_package(dir);
     EXPECT_FALSE(v.ok);
-    bool mentions_hash = false;
-    for (const auto& e : v.errors)
-        mentions_hash = mentions_hash || e.find("plan_hash") != std::string::npos;
-    EXPECT_TRUE(mentions_hash);
+    EXPECT_TRUE(names(v, "plan_hash"));
 }
 
 } // namespace

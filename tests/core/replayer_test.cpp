@@ -405,10 +405,12 @@ TEST(Obfuscator, SubstitutesCustomOpsAndStaysReplayable)
 
     // No custom names survive except the public proxy; annotations renamed.
     for (const auto& n : obf.nodes()) {
-        if (n.category == dev::OpCategory::kCustom)
+        if (n.category == dev::OpCategory::kCustom) {
             EXPECT_EQ(n.name, "obf::proxy");
-        if (n.kind == et::NodeKind::kWrapper)
+        }
+        if (n.kind == et::NodeKind::kWrapper) {
             EXPECT_EQ(n.name.rfind("annotation_", 0), 0u);
+        }
     }
     // The obfuscated trace replays with FULL custom coverage (proxies are
     // public) and similar time.
