@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -34,12 +35,24 @@ struct FaultInjection::Impl {
         uint64_t fired = 0;
     };
 
+    /// Construction (the first touch) picks up MYST_FAULT, so CLI runs need
+    /// no code changes.  A malformed spec is kept, not thrown: every
+    /// should_fail() rethrows it, and the static is constructed once.
+    Impl()
+    {
+        try {
+            load_env_locked();
+        } catch (const ConfigError&) {
+            env_error = std::current_exception();
+            enabled.store(true, std::memory_order_relaxed);
+        }
+    }
+
     /// Fast path: false while nothing is armed, so disarmed hooks cost one
     /// relaxed load and never take the mutex.
     std::atomic<bool> enabled{false};
-    /// Set once programmatic arm()/disarm_all() took over from MYST_FAULT.
-    bool env_consumed = false;
     mutable std::mutex mu;
+    std::exception_ptr env_error; ///< a malformed MYST_FAULT spec
     std::unordered_map<std::string, Site> sites;
     std::vector<std::string> site_order; ///< first-hit order, for stats()
 
@@ -56,7 +69,6 @@ struct FaultInjection::Impl {
     /// fault spec must fail loudly, not silently run an un-faulted pass.
     void load_env_locked()
     {
-        env_consumed = true;
         const std::string env = env_string("MYST_FAULT");
         if (env.empty())
             return;
@@ -90,12 +102,6 @@ struct FaultInjection::Impl {
         }
         enabled.store(true, std::memory_order_relaxed);
     }
-
-    void ensure_env_locked()
-    {
-        if (!env_consumed)
-            load_env_locked();
-    }
 };
 
 FaultInjection&
@@ -109,11 +115,6 @@ FaultInjection::Impl&
 FaultInjection::impl()
 {
     static Impl impl;
-    // First touch picks up MYST_FAULT so CLI runs need no code changes.
-    {
-        std::lock_guard<std::mutex> lock(impl.mu);
-        impl.ensure_env_locked();
-    }
     return impl;
 }
 
@@ -129,6 +130,7 @@ FaultInjection::arm(const std::string& site, uint64_t nth, FaultMode mode)
     s.armed = true;
     s.hits = 0;
     s.fired = 0;
+    im.env_error = nullptr; // programmatic control takes over
     im.enabled.store(true, std::memory_order_relaxed);
 }
 
@@ -140,6 +142,7 @@ FaultInjection::disarm_all()
     im.enabled.store(false, std::memory_order_relaxed);
     im.sites.clear();
     im.site_order.clear();
+    im.env_error = nullptr;
 }
 
 void
@@ -150,6 +153,7 @@ FaultInjection::reload_env()
     im.enabled.store(false, std::memory_order_relaxed);
     im.sites.clear();
     im.site_order.clear();
+    im.env_error = nullptr;
     im.load_env_locked();
 }
 
@@ -160,6 +164,8 @@ FaultInjection::should_fail(const char* site)
     if (!im.enabled.load(std::memory_order_relaxed))
         return false;
     std::lock_guard<std::mutex> lock(im.mu);
+    if (im.env_error)
+        std::rethrow_exception(im.env_error);
     Impl::Site& s = im.site_locked(site);
     ++s.hits;
     if (!s.armed || s.mode == FaultMode::kDelay)

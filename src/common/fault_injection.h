@@ -80,7 +80,8 @@ class FaultInjection {
 
     /// True when the armed fault for @p site fires at this hit.  Counts a
     /// hit for @p site whenever any site is armed; a fully disarmed registry
-    /// is one relaxed atomic load.
+    /// is one relaxed atomic load.  Throws the ConfigError of a malformed
+    /// `MYST_FAULT` until arm(), disarm_all() or reload_env().
     bool should_fail(const char* site);
 
     /// Sleeps the armed delay for @p site (kDelay mode), if any, and counts

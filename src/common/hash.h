@@ -47,9 +47,9 @@ class Fnv1a {
     uint64_t h_ = 0xcbf29ce484222325ull; // FNV offset basis
 };
 
-/// FNV-1a of @p bytes as one length-terminated string: the content seal of
-/// plan-store entries and packaged plans (`plan_hash`) and of sweep-journal
-/// records.
+/// FNV-1a of @p bytes as one length-terminated string: the seal of every
+/// sealed JSON document (`Json::dump_sealed` — plan-store entries, packaged
+/// plans and sweep-journal records).
 inline uint64_t
 hash_bytes(std::string_view bytes)
 {

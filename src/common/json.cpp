@@ -1,6 +1,8 @@
 #include "common/json.h"
 
 #include "common/fs_util.h"
+#include "common/hash.h"
+#include "common/string_util.h"
 
 #include <cctype>
 #include <charconv>
@@ -37,6 +39,15 @@ Json::as_double() const
     if (const double* d = std::get_if<double>(&value_))
         return *d;
     MYST_THROW(ParseError, "json: expected number");
+}
+
+uint64_t
+Json::as_u64() const
+{
+    const std::optional<uint64_t> v = parse_u64(as_string());
+    if (!v.has_value())
+        MYST_THROW(ParseError, "json: expected a decimal uint64, got '" << as_string() << "'");
+    return *v;
 }
 
 const std::string&
@@ -267,6 +278,19 @@ Json::dump(int indent) const
     std::string out;
     dump_to(out, indent, 0);
     return out;
+}
+
+std::string
+Json::dump_sealed(int indent) const
+{
+    if (as_object().empty())
+        MYST_THROW(MystiqueError, "json: cannot seal an empty object");
+    // Reopen the object: drop its '}' and, indented, the line break before
+    // it; then close it with the text of {"seal": ...} after that '{'.
+    std::string out = dump(indent);
+    out.resize(out.size() - (indent >= 0 ? 2 : 1));
+    const Json seal(Object{{"seal", from_u64(hash_bytes(out))}});
+    return std::move(out) + ',' + seal.dump(indent).substr(1);
 }
 
 namespace {
@@ -570,6 +594,27 @@ Json
 Json::parse(std::string_view text)
 {
     return Parser(text).parse_document();
+}
+
+Json
+Json::parse_sealed(std::string_view text)
+{
+    Json doc = parse(text);
+    if (!doc.is_object())
+        MYST_THROW(ParseError, "sealed json: not an object");
+    Object& members = doc.as_object();
+    if (!doc.contains("seal"))
+        MYST_THROW(ParseError, "sealed json: missing seal");
+    if (members.back().first != "seal")
+        MYST_THROW(ParseError, "sealed json: the seal is not the last member");
+    const uint64_t seal = members.back().second.as_u64();
+    // No byte after the comma that introduces the seal can be a comma: the
+    // member's key decodes to "seal" and its value to decimal digits.
+    const std::size_t comma = text.rfind(',');
+    if (comma == std::string_view::npos || hash_bytes(text.substr(0, comma)) != seal)
+        MYST_THROW(ParseError, "sealed json: content does not match its seal");
+    members.pop_back();
+    return doc;
 }
 
 Json

@@ -94,11 +94,31 @@ class Json {
     std::string get_string(std::string_view key, const std::string& fallback) const;
     bool get_bool(std::string_view key, bool fallback) const;
 
+    /// The one encoding of a 64-bit hash, fingerprint or bit pattern: a
+    /// decimal string.  Json integers are signed, so a value with the high
+    /// bit set would come back sign-mangled as a number.
+    static Json from_u64(uint64_t v) { return Json(std::to_string(v)); }
+    /// Reads a from_u64() value; throws ParseError unless this is a string
+    /// of decimal digits that fits in 64 bits.
+    uint64_t as_u64() const;
+
     /// Serializes; indent < 0 emits compact one-line JSON.
     std::string dump(int indent = -1) const;
 
+    /// Serializes this non-empty object with one more member, "seal", last:
+    /// from_u64 of hash_bytes (common/hash.h) over every byte before the
+    /// comma that introduces it.  The output is what dump(indent) gives for
+    /// the object with that member appended.
+    std::string dump_sealed(int indent = -1) const;
+
     /// Parses a complete JSON document; throws ParseError with position info.
     static Json parse(std::string_view text);
+
+    /// Parses a dump_sealed() document, checks its seal and returns the
+    /// object without it.  Throws ParseError when the text does not parse,
+    /// is not an object, does not end in a decimal "seal" member, or its
+    /// bytes before that member do not hash to it.
+    static Json parse_sealed(std::string_view text);
 
     /// Reads and parses a file; throws ParseError when unreadable/invalid.
     static Json parse_file(const std::string& path);

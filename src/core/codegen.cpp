@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "common/fs_util.h"
-#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace mystique::core {
@@ -19,11 +18,15 @@ constexpr const char* kMainTemplate = R"cpp(/// Generated by mystique::core::gen
 ///   ./benchmark [platform] [iterations]
 ///
 /// Defaults come from the manifest's replay_config, so running with no
-/// arguments reproduces the generator's exact configuration.
+/// arguments reproduces the generator's exact configuration.  Exit status:
+/// 0 replayed, 1 verification or replay failed, 2 usage error.
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
+#include <optional>
 
+#include "common/string_util.h"
 #include "core/codegen.h"
 #include "core/replayer.h"
 
@@ -32,8 +35,15 @@ main(int argc, char** argv)
 {
     using namespace mystique;
 
+    const std::optional<uint64_t> iterations = parse_u64(argc > 2 ? argv[2] : "1");
+    if (argc > 3 || !iterations.has_value() || *iterations == 0 ||
+        *iterations > static_cast<uint64_t>(INT_MAX)) {
+        std::fprintf(stderr, "usage: %s [platform] [iterations, 1 to %d]\n", argv[0], INT_MAX);
+        return 2;
+    }
+
     // Provenance gate: refuse to report numbers from a package whose files
-    // no longer match the manifest they were generated under.  Everything
+    // no longer match the sealed plan they were generated with.  Everything
     // below replays what the gate verified; no package file is read twice.
     const core::PackageVerification pkg = core::verify_package(".");
     if (!pkg.ok) {
@@ -42,30 +52,35 @@ main(int argc, char** argv)
         return 1;
     }
 
-    core::ReplayConfig cfg = pkg.config;
-    if (argc > 1)
-        cfg.platform = argv[1];
-    if (argc > 2)
-        cfg.iterations = std::atoi(argv[2]);
+    try {
+        core::ReplayConfig cfg = pkg.config;
+        if (argc > 1)
+            cfg.platform = argv[1];
+        if (argc > 2)
+            cfg.iterations = static_cast<int>(*iterations);
 
-    // Import the packaged plan instead of rebuilding it: on the packaged
-    // platform the cache fetch below is a pure hit (zero plan builds).
-    // Overriding the platform changes the plan key (§6.7 portability), so
-    // only then is a fresh plan built.
-    core::PlanCache::instance().insert(core::ReplayPlan::from_json(pkg.plan, pkg.trace));
-    core::Replayer replayer(
-        core::PlanCache::instance().get_or_build(pkg.trace, &pkg.prof, cfg), cfg);
-    core::ReplayResult result = replayer.run();
+        // Import the packaged plan instead of rebuilding it: on the packaged
+        // platform the cache fetch below is a pure hit (zero plan builds).
+        // Overriding the platform changes the plan key (§6.7 portability), so
+        // only then is a fresh plan built.
+        core::PlanCache::instance().insert(core::ReplayPlan::from_json(pkg.plan, pkg.trace));
+        core::Replayer replayer(
+            core::PlanCache::instance().get_or_build(pkg.trace, &pkg.prof, cfg), cfg);
+        core::ReplayResult result = replayer.run();
 
-    std::printf("workload   : %s\n", pkg.trace->meta().workload.c_str());
-    std::printf("platform   : %s\n", cfg.platform.c_str());
-    std::printf("iteration  : %.3f ms\n", result.mean_iter_us / 1e3);
-    std::printf("SM util    : %.1f %%\n", result.metrics.sm_util_pct);
-    std::printf("HBM bw     : %.1f GB/s\n", result.metrics.hbm_gbps);
-    std::printf("GPU power  : %.1f W\n", result.metrics.power_w);
-    std::printf("coverage   : %.1f %% ops, %.1f %% time\n",
-                100.0 * result.coverage.count_fraction,
-                100.0 * result.coverage.time_fraction);
+        std::printf("workload   : %s\n", pkg.trace->meta().workload.c_str());
+        std::printf("platform   : %s\n", cfg.platform.c_str());
+        std::printf("iteration  : %.3f ms\n", result.mean_iter_us / 1e3);
+        std::printf("SM util    : %.1f %%\n", result.metrics.sm_util_pct);
+        std::printf("HBM bw     : %.1f GB/s\n", result.metrics.hbm_gbps);
+        std::printf("GPU power  : %.1f W\n", result.metrics.power_w);
+        std::printf("coverage   : %.1f %% ops, %.1f %% time\n",
+                    100.0 * result.coverage.count_fraction,
+                    100.0 * result.coverage.time_fraction);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "benchmark failed: %s\n", e.what());
+        return 1;
+    }
     return 0;
 }
 )cpp";
@@ -78,11 +93,12 @@ trace (ET) of `%WORKLOAD%` collected on `%PLATFORM%`.
 Files:
 - `execution_trace.json` — the operator-granularity ET (paper §3.1)
 - `profiler_trace.json` — kernel/stream timeline used for stream mapping (§4.5)
-- `replay_plan.json` — the serialized replay plan: cache key, selected replay
+- `replay_plan.json` — the sealed replay plan: cache key, selected replay
   targets, coverage, per-op stream assignments, and the TorchScript-style IR
-  compiled for each ATen operator (§4.3.1)
-- `manifest.json` — provenance: the plan key this package was generated
-  under, the `replay_plan.json` seal (`plan_hash`), and the replay config
+  compiled for each ATen operator (§4.3.1); its last member, `seal`, hashes
+  every byte before it
+- `manifest.json` — the package format and the replay config this package
+  was generated under
 - `benchmark_main.cpp` — standalone replay program (verifies the package,
   then replays the verified plan)
 
@@ -91,21 +107,11 @@ this directory. The benchmark is portable: pass a different platform name
 (`A100`, `V100`, `CPU`, `NewPlatform`) to evaluate the same workload
 elsewhere without regeneration (§6.7).
 
-Integrity: `mystique::core::verify_package(dir)` derives the plan key from
-the packaged trace, profiler trace and replay config, checks each of its
-components against the manifest's `plan_key`, and checks that the bytes of
-`replay_plan.json` hash to the manifest's `plan_hash`; see
-docs/package_format.md in the mystique repo.
+Integrity: `mystique::core::verify_package(dir)` checks the seal of
+`replay_plan.json`, then derives the plan key from the packaged trace,
+profiler trace and replay config and checks each of its components against
+the sealed plan's `key`; see docs/package_format.md in the mystique repo.
 )md";
-
-/// Package files are published atomically (common/fs_util.h): a consumer
-/// pointed at a package directory mid-generation can see missing files —
-/// which verify_package reports — but never torn ones.
-void
-write_text(const std::filesystem::path& path, std::string_view text)
-{
-    atomic_write_file(path.string(), text);
-}
 
 void
 replace_all_occurrences(std::string& text, const std::string& needle,
@@ -124,8 +130,7 @@ constexpr const char* kPackageFiles[] = {
 };
 
 Json
-make_manifest(const et::ExecutionTrace& trace, const ReplayConfig& cfg, const Json& plan_json,
-              std::string_view plan_text)
+make_manifest(const et::ExecutionTrace& trace, const ReplayConfig& cfg)
 {
     Json m = Json::object();
     m.set("format", Json("mystique-benchmark-package"));
@@ -133,12 +138,6 @@ make_manifest(const et::ExecutionTrace& trace, const ReplayConfig& cfg, const Js
     m.set("generator", Json(kGeneratorVersion));
     m.set("workload", Json(trace.meta().workload));
     m.set("platform", Json(trace.meta().platform));
-
-    // The full plan-cache key: what makes this package *this* benchmark.
-    m.set("plan_key", plan_json.at("key"));
-    // The seal over replay_plan.json's exact bytes: no fingerprint covers
-    // what the plan document records per op (streams, kinds, IR).
-    m.set("plan_hash", Json(std::to_string(hash_bytes(plan_text))));
     m.set("replay_config", cfg.to_json());
 
     Json files = Json::array();
@@ -164,22 +163,26 @@ generate_benchmark(const std::string& directory, const et::ExecutionTrace& trace
     // replayed (or swept) reuses the plan that replay built — codegen on a
     // warm cache performs zero plan builds.
     const std::shared_ptr<const ReplayPlan> plan = cache->get_or_build(trace, &prof, cfg);
-    const Json plan_json = plan->to_json();
-    const std::string plan_text = plan_json.dump(2);
 
-    write_text(dir / "execution_trace.json", trace.to_json().dump());
-    write_text(dir / "profiler_trace.json", prof.to_json().dump());
-    write_text(dir / "replay_plan.json", plan_text);
-    write_text(dir / "manifest.json", make_manifest(trace, cfg, plan_json, plan_text).dump(2));
+    // Package files are published atomically (common/fs_util.h): a consumer
+    // pointed at a package directory mid-generation can see missing files —
+    // which verify_package reports — but never torn ones.
+    const auto write = [&dir](const char* name, std::string_view text) {
+        atomic_write_file((dir / name).string(), text);
+    };
+    write("execution_trace.json", trace.to_json().dump());
+    write("profiler_trace.json", prof.to_json().dump());
+    write("replay_plan.json", plan->to_json().dump_sealed(2));
+    write("manifest.json", make_manifest(trace, cfg).dump(2));
 
     // benchmark_main.cpp needs no substitutions: its defaults come from the
     // manifest at runtime, keeping the package's config in one place.
-    write_text(dir / "benchmark_main.cpp", kMainTemplate);
+    write("benchmark_main.cpp", kMainTemplate);
 
     std::string readme = kReadmeTemplate;
     replace_all_occurrences(readme, "%WORKLOAD%", trace.meta().workload);
     replace_all_occurrences(readme, "%PLATFORM%", trace.meta().platform);
-    write_text(dir / "README.md", readme);
+    write("README.md", readme);
 
     CodegenResult res;
     res.directory = directory;
@@ -222,35 +225,35 @@ verify_package(const std::string& directory)
         if (!v.errors.empty())
             return v;
 
+        // The plan is sealed: no byte of it changed after generation.
+        Json plan;
+        try {
+            plan = Json::parse_sealed(read_file((dir / "replay_plan.json").string()));
+        } catch (const std::exception& e) {
+            fail(std::string("replay_plan.json (modified after generation?): ") + e.what());
+            return v;
+        }
+
         // Derive the key from the packaged files and compare it with the
-        // manifest's component by component, naming the file at fault.
+        // sealed plan's key component by component, naming the file at fault.
         auto trace = std::make_shared<const et::ExecutionTrace>(
             et::ExecutionTrace::load((dir / "execution_trace.json").string()));
         prof::ProfilerTrace prof = prof::ProfilerTrace::from_json(
             Json::parse_file((dir / "profiler_trace.json").string()));
         ReplayConfig config = ReplayConfig::from_json(manifest.at("replay_config"));
-        const PlanKey key = PlanKey::from_json(manifest.at("plan_key"));
+        const PlanKey key = PlanKey::from_json(plan.at("key"));
         const PlanKey derived = plan_key(*trace, &prof, config);
         if (derived.trace_fp != key.trace_fp)
-            fail("execution_trace.json does not re-hash to the manifest's plan_key.trace_fp "
+            fail("execution_trace.json does not re-hash to the plan's key.trace_fp "
                  "(trace modified after generation?)");
         if (derived.prof_fp != key.prof_fp || derived.has_prof != key.has_prof)
-            fail("profiler_trace.json does not re-hash to the manifest's plan_key.prof_fp "
+            fail("profiler_trace.json does not re-hash to the plan's key.prof_fp "
                  "(profiler trace modified after generation?)");
         if (derived.config_fp != key.config_fp)
-            fail("manifest replay_config does not re-fingerprint to plan_key.config_fp");
+            fail("manifest replay_config does not re-fingerprint to the plan's key.config_fp");
         if (derived.supported_fp != key.supported_fp)
-            fail("this process's op registry does not reproduce plan_key.supported_fp "
+            fail("this process's op registry does not reproduce the plan's key.supported_fp "
                  "(package generated against a different operator set)");
-
-        // The plan is parsed from the very bytes the seal covers.
-        const std::string plan_text = read_file((dir / "replay_plan.json").string());
-        if (std::to_string(hash_bytes(plan_text)) != manifest.at("plan_hash").as_string())
-            fail("replay_plan.json does not match the manifest's plan_hash (plan "
-                 "modified after generation?)");
-        Json plan = Json::parse(plan_text);
-        if (PlanKey::from_json(plan.at("key")) != key)
-            fail("replay_plan.json carries a different plan key than the manifest");
 
         if (v.errors.empty()) {
             v.trace = std::move(trace);

@@ -7,9 +7,9 @@
 ///   <dir>/execution_trace.json   the ET
 ///   <dir>/profiler_trace.json    the stream-mapping profiler trace
 ///   <dir>/replay_plan.json       the full ReplayPlan (key, selection,
-///                                coverage, per-op streams + IR text)
-///   <dir>/manifest.json          provenance: the plan key, the seal over
-///                                replay_plan.json, the replay config and
+///                                coverage, per-op streams + IR text),
+///                                sealed (Json::dump_sealed)
+///   <dir>/manifest.json          the package format, the replay config and
 ///                                the generator version
 ///   <dir>/benchmark_main.cpp     a standalone C++ program against this
 ///                                library that replays the trace
@@ -29,14 +29,14 @@
 /// trace without building.  Package files are written atomically
 /// (common/fs_util.h).  See docs/package_format.md for the on-disk schema.
 ///
-/// ## Provenance manifest
+/// ## Provenance
 ///
-/// `manifest.json` states each fact once: the complete PlanKey (trace
-/// structural, supported-OpId-set, ReplayConfig and profiler stream
-/// fingerprints), a content hash of replay_plan.json and the serialized
-/// ReplayConfig.  verify_package() is the one reader of a package: it derives
-/// the plan key from the packaged files, re-hashes the plan document, checks
-/// both against the manifest and returns what it verified, so a consumer
+/// Each fact is stated once: the sealed `replay_plan.json` carries the
+/// complete PlanKey (trace structural, supported-OpId-set, ReplayConfig and
+/// profiler stream fingerprints), and `manifest.json` the serialized
+/// ReplayConfig.  verify_package() is the one reader of a package: it checks
+/// the plan's seal, derives the plan key from the packaged files, checks it
+/// against the sealed plan's key and returns what it verified, so a consumer
 /// replays the very bytes the checks covered.
 
 #include <memory>
@@ -57,12 +57,14 @@ namespace mystique::core {
 /// and the replay config serializes "async_level".
 /// v4: replay_plan.json drops "dep_graph", its seal and the "identity" /
 /// "optimizer" blocks, which import derives.
-/// v5: the manifest seals replay_plan.json's exact bytes ("plan_hash").
+/// v5: the manifest seals replay_plan.json's exact bytes.
 /// v6: the manifest drops its second copies of facts the plan key, the
 /// replay config and the sealed plan hold ("execution_trace",
-/// "profiler_trace", the top-level "opt_level", "coverage") — v5 and older
-/// packages are rejected.
-inline constexpr int kPackageFormatVersion = 6;
+/// "profiler_trace", the top-level "opt_level", "coverage").
+/// v7: replay_plan.json is sealed (Json::dump_sealed) and holds the only
+/// copy of the plan key; the manifest drops its key copy and its seal over
+/// the plan — v6 and older packages are rejected.
+inline constexpr int kPackageFormatVersion = 7;
 /// Generator identity recorded in the manifest.
 inline constexpr const char* kGeneratorVersion = "mystique-codegen/1.0";
 
@@ -91,22 +93,19 @@ struct PackageVerification {
     std::vector<std::string> errors;
     std::shared_ptr<const et::ExecutionTrace> trace; ///< null unless ok
     prof::ProfilerTrace prof;
-    ReplayConfig config;
-    /// replay_plan.json, parsed from the very bytes plan_hash covered.
+    /// Placeholder levels unless ok, set without reading the environment.
+    ReplayConfig config{.opt_level = 1, .async_level = 1};
+    /// replay_plan.json minus its seal, parsed from the bytes the seal covered.
     Json plan;
 };
 
-/// The one reader of a generated package directory; integrity-checks it
-/// against its manifest:
-///  - the manifest is a v6 package manifest, and every file it lists exists;
+/// The one reader of a generated package directory; integrity-checks it:
+///  - the manifest is a v7 package manifest, and every file it lists exists;
+///  - replay_plan.json passes its seal (Json::parse_sealed);
 ///  - plan_key() of the packaged execution trace, profiler trace and replay
-///    config equals the manifest's plan_key, component by component (this
-///    process's op registry must reproduce the supported-set fingerprint);
-///  - replay_plan.json hashes to the manifest's plan_hash and carries the
-///    manifest's plan key.
-/// Never throws on a bad package — problems come back as errors.  Like every
-/// ReplayConfig, the result's default config reads MYST_OPT_LEVEL and
-/// MYST_ASYNC first, so a malformed value of either throws ConfigError.
+///    config equals the sealed plan's key, component by component (this
+///    process's op registry must reproduce the supported-set fingerprint).
+/// Never throws on a bad package — problems come back as errors.
 PackageVerification verify_package(const std::string& directory);
 
 } // namespace mystique::core

@@ -5,8 +5,9 @@
 ///
 /// Repeated sweeps of a stable trace database across *process restarts* used
 /// to pay full plan builds for byte-identical traces; the store makes them a
-/// parse instead.  Each entry is one JSON file named after the full PlanKey
-/// fingerprint tuple, containing the key and `ReplayPlan::to_json()`.
+/// parse instead.  Each entry is one sealed JSON file (`Json::dump_sealed`)
+/// named after the full PlanKey fingerprint tuple, holding
+/// `ReplayPlan::to_json()`, whose "key" member is the plan's identity.
 /// Deserialization reuses `ReplayPlan::from_json` — the same loader the
 /// benchmark-package import path in codegen uses — against the *caller's*
 /// trace: a disk fetch only ever happens inside `PlanCache::get_or_build`,
@@ -23,15 +24,15 @@
 ///   (`common/fs_util.h`), so a reader never sees a torn file — concurrent
 ///   writers of the same key (two processes building the same plan) race
 ///   benignly, last-complete-rename wins, both renames publish valid bytes.
-/// - **Quarantine, never crash:** a corrupt, truncated, zero-byte,
+/// - **Quarantine, never crash:** a corrupt, truncated, zero-byte, edited,
 ///   stale-schema, wrong-key, or kind-drifted entry is renamed `<entry>.bad`
 ///   and reported as a miss; the caller rebuilds (and re-persists) the plan.
 ///   Disk rot can cost a rebuild, never a wrong plan.
-/// - **Addressing is the whole trust model:** the file name and the embedded
-///   key both carry every fingerprint, and load() verifies embedded key ==
-///   requested key == deserialized plan's key, while the requested key's
-///   `trace_fp` was derived from the caller's actual trace — a swapped or
-///   hand-edited entry cannot impersonate another plan.
+/// - **Seal plus addressing is the whole trust model:** load() checks the
+///   entry's seal (`Json::parse_sealed`), so no byte changed after the write
+///   goes unnoticed, and then checks that the plan's key equals the
+///   requested key, whose `trace_fp` was derived from the caller's actual
+///   trace — a swapped or hand-edited entry cannot impersonate another plan.
 
 #include <memory>
 #include <string>
@@ -48,7 +49,9 @@ namespace mystique::core {
 /// config "async_level") — v2 entries quarantine-and-rebuild.
 /// v4: plan documents drop "dep_graph", its seal and the "identity" /
 /// "optimizer" blocks; restore derives them — v3 entries quarantine-and-rebuild.
-inline constexpr int kPlanStoreFormatVersion = 4;
+/// v5: an entry is the sealed document {format, format_version, plan}, with
+/// no second copy of the key — v4 entries quarantine-and-rebuild.
+inline constexpr int kPlanStoreFormatVersion = 5;
 
 class PlanStore {
   public:

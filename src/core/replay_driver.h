@@ -193,8 +193,8 @@ class ReplayDriver {
 
     /// Replays the @p top_k most-populous groups (all groups by default).
     /// Results are identical for every parallelism level.  Never throws for
-    /// a per-group failure — see the GroupStatus model above (configuration
-    /// errors, e.g. a malformed MYST_FAULT spec, still throw).
+    /// a per-group failure — see the GroupStatus model above (a malformed
+    /// MYST_FAULT spec makes every should_fail hook throw, so groups fail).
     /// @param profs  optional per-trace profiler traces, parallel to the
     ///        database's indices; null entries (or a null vector) build
     ///        plans without stream assignments.

@@ -17,25 +17,6 @@ namespace mystique::core {
 
 namespace {
 
-/// Fingerprints cross the JSON boundary as decimal strings: Json integers
-/// are signed 64-bit, and a hash with the high bit set must not come back
-/// sign-mangled (or, worse, re-printed differently by another tool).
-Json
-fp_json(uint64_t fp)
-{
-    return Json(std::to_string(fp));
-}
-
-uint64_t
-fp_parse(const Json& j, std::string_view key)
-{
-    const std::string& s = j.at(key).as_string();
-    const std::optional<uint64_t> v = parse_u64(s);
-    if (!v.has_value())
-        MYST_THROW(ParseError, "plan json: bad fingerprint '" + s + "'");
-    return *v;
-}
-
 dev::OpCategory
 category_from_name(const std::string& name)
 {
@@ -143,7 +124,9 @@ ReplayConfig::to_json() const
 ReplayConfig
 ReplayConfig::from_json(const Json& j)
 {
-    ReplayConfig cfg;
+    // Both levels are read below, so their environment-reading defaults
+    // must not run: a complete document never consults the environment.
+    ReplayConfig cfg{.opt_level = 0, .async_level = 0};
     cfg.platform = j.at("platform").as_string();
     const std::string& mode = j.at("mode").as_string();
     if (mode != "numeric" && mode != "shape_only")
@@ -187,10 +170,10 @@ Json
 PlanKey::to_json() const
 {
     Json j = Json::object();
-    j.set("trace_fp", fp_json(trace_fp));
-    j.set("supported_fp", fp_json(supported_fp));
-    j.set("config_fp", fp_json(config_fp));
-    j.set("prof_fp", fp_json(prof_fp));
+    j.set("trace_fp", Json::from_u64(trace_fp));
+    j.set("supported_fp", Json::from_u64(supported_fp));
+    j.set("config_fp", Json::from_u64(config_fp));
+    j.set("prof_fp", Json::from_u64(prof_fp));
     j.set("has_prof", Json(has_prof));
     return j;
 }
@@ -198,13 +181,11 @@ PlanKey::to_json() const
 PlanKey
 PlanKey::from_json(const Json& j)
 {
-    PlanKey key;
-    key.trace_fp = fp_parse(j, "trace_fp");
-    key.supported_fp = fp_parse(j, "supported_fp");
-    key.config_fp = fp_parse(j, "config_fp");
-    key.prof_fp = fp_parse(j, "prof_fp");
-    key.has_prof = j.at("has_prof").as_bool();
-    return key;
+    return PlanKey{.trace_fp = j.at("trace_fp").as_u64(),
+                   .supported_fp = j.at("supported_fp").as_u64(),
+                   .config_fp = j.at("config_fp").as_u64(),
+                   .prof_fp = j.at("prof_fp").as_u64(),
+                   .has_prof = j.at("has_prof").as_bool()};
 }
 
 std::size_t

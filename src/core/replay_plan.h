@@ -59,13 +59,13 @@ struct ReplayConfig {
     int warmup_iterations = 1;
     int iterations = 5;
     uint64_t seed = 0xB53C;
-    std::optional<double> power_limit_w;
+    std::optional<double> power_limit_w{};
 
     /// Subtrace / operator-type filters (§7.1).
-    SelectionFilter filter;
+    SelectionFilter filter{};
 
     /// Embedding index generation (§4.4's refinement interface).
-    EmbeddingGenConfig embedding;
+    EmbeddingGenConfig embedding{};
 
     /// Replayable custom ops (§4.3.3).
     CustomOpRegistry custom_ops = CustomOpRegistry::with_defaults();
@@ -108,6 +108,8 @@ struct ReplayConfig {
     /// generated benchmark packages embed the config in manifest.json so a
     /// consumer can re-derive the exact plan key the package was built under.
     Json to_json() const;
+    /// Reads every field from @p j and none from the environment; throws
+    /// ParseError on a missing or malformed field.
     static ReplayConfig from_json(const Json& j);
 };
 

@@ -1,110 +1,65 @@
 #include "core/sweep_journal.h"
 
-#include <cstring>
+#include <bit>
 #include <filesystem>
-#include <fstream>
 #include <string_view>
 
 #include "common/error.h"
 #include "common/fault_injection.h"
 #include "common/fs_util.h"
-#include "common/hash.h"
 #include "common/json.h"
 #include "common/logging.h"
-#include "common/string_util.h"
 
 namespace mystique::core {
 
 namespace {
 
-/// Floating-point journal fields travel as decimal strings of their IEEE-754
-/// bit patterns (same rationale as the PlanKey fingerprints: JSON doubles
-/// would round-trip through a formatter, and a restored weighted mean must be
-/// *bit*-identical to the one the interrupted sweep would have produced).
-uint64_t
-double_to_bits(double v)
-{
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
+/// Record version: v3 records are sealed lines (Json::dump_sealed); nothing
+/// reads v2 or older any more.
+constexpr int64_t kRecordVersion = 3;
 
-double
-bits_to_double(uint64_t bits)
-{
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-uint64_t
-u64_of(const Json& value)
-{
-    const std::string& s = value.as_string();
-    const std::optional<uint64_t> v = parse_u64(s);
-    if (!v.has_value())
-        MYST_THROW(ParseError, "sweep journal: bad uint64 value '" << s << "'");
-    return *v;
-}
-
-/// Record version: v2 records carry a seal; nothing reads v1 any more.
-constexpr int64_t kRecordVersion = 2;
-
-/// The record without its seal.
+/// Floating-point fields travel as from_u64 strings of their IEEE-754 bit
+/// patterns: JSON doubles would round-trip through a formatter, and a
+/// restored weighted mean must be *bit*-identical to the one the
+/// interrupted sweep would have produced.
 Json
 record_to_json(const SweepJournalRecord& rec)
 {
     Json j = Json::object();
     j.set("v", Json(kRecordVersion));
-    j.set("sweep", Json(std::to_string(rec.sweep_fp)));
-    j.set("group", Json(std::to_string(rec.group_fp)));
+    j.set("sweep", Json::from_u64(rec.sweep_fp));
+    j.set("group", Json::from_u64(rec.group_fp));
     j.set("status", Json(to_string(rec.status)));
     j.set("attempts", Json(static_cast<int64_t>(rec.attempts)));
-    j.set("weight_bits", Json(std::to_string(double_to_bits(rec.population_weight))));
-    j.set("mean_bits", Json(std::to_string(double_to_bits(rec.mean_iter_us))));
+    j.set("weight_bits", Json::from_u64(std::bit_cast<uint64_t>(rec.population_weight)));
+    j.set("mean_bits", Json::from_u64(std::bit_cast<uint64_t>(rec.mean_iter_us)));
     Json iters = Json::array();
     for (double it : rec.iter_us)
-        iters.push_back(Json(std::to_string(double_to_bits(it))));
+        iters.push_back(Json::from_u64(std::bit_cast<uint64_t>(it)));
     j.set("iter_us_bits", std::move(iters));
     j.set("error", Json(rec.error));
     return j;
 }
 
-/// FNV-1a over the record's compact JSON without the seal.  A record whose
-/// bytes changed after it was written fails it, so its group replays
-/// instead of restoring a number the sweep never produced.
-uint64_t
-record_seal(const SweepJournalRecord& rec)
-{
-    return hash_bytes(record_to_json(rec).dump());
-}
-
-std::string
-sealed_line(const SweepJournalRecord& rec)
-{
-    Json j = record_to_json(rec);
-    j.set("seal", Json(std::to_string(record_seal(rec))));
-    return j.dump();
-}
-
+/// Reads one journal line.  A line whose bytes changed after it was written
+/// fails its seal, so its group replays instead of restoring a number the
+/// sweep never produced.
 SweepJournalRecord
-record_from_json(const Json& j)
+record_from_line(std::string_view line)
 {
+    const Json j = Json::parse_sealed(line);
     if (j.get_int("v", 0) != kRecordVersion)
         MYST_THROW(ParseError, "sweep journal: unknown record version");
     SweepJournalRecord rec;
-    rec.sweep_fp = u64_of(j.at("sweep"));
-    rec.group_fp = u64_of(j.at("group"));
+    rec.sweep_fp = j.at("sweep").as_u64();
+    rec.group_fp = j.at("group").as_u64();
     rec.status = group_status_from_string(j.at("status").as_string());
     rec.attempts = static_cast<uint32_t>(j.get_int("attempts", 0));
-    rec.population_weight = bits_to_double(u64_of(j.at("weight_bits")));
-    rec.mean_iter_us = bits_to_double(u64_of(j.at("mean_bits")));
+    rec.population_weight = std::bit_cast<double>(j.at("weight_bits").as_u64());
+    rec.mean_iter_us = std::bit_cast<double>(j.at("mean_bits").as_u64());
     for (const Json& it : j.at("iter_us_bits").as_array())
-        rec.iter_us.push_back(bits_to_double(u64_of(it)));
+        rec.iter_us.push_back(std::bit_cast<double>(it.as_u64()));
     rec.error = j.get_string("error", "");
-    if (u64_of(j.at("seal")) != record_seal(rec))
-        MYST_THROW(ParseError, "sweep journal: record does not match its seal");
     return rec;
 }
 
@@ -169,7 +124,7 @@ SweepJournal::load()
         if (line.empty())
             continue;
         try {
-            records_.push_back(record_from_json(Json::parse(line)));
+            records_.push_back(record_from_line(line));
         } catch (const std::exception&) {
             // A torn, hand-damaged or unsealed line invalidates itself, not
             // the file: every sealed record around it still counts.
@@ -187,7 +142,7 @@ SweepJournal::publish_locked()
 {
     std::string text;
     for (const SweepJournalRecord& rec : records_) {
-        text += sealed_line(rec);
+        text += record_to_json(rec).dump_sealed();
         text += '\n';
     }
     try {

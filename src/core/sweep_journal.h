@@ -31,12 +31,12 @@
 /// `atomic_write_file` (temp + fsync + rename), so readers — including a
 /// process that crashes mid-append and restarts — never observe a torn file;
 /// concurrent writers race benignly (last publish wins; the loser's records
-/// are re-derived by replaying).  Each record is sealed: its `seal` is the
-/// FNV-1a `hash_bytes` (common/hash.h) of the record's compact JSON without
-/// the seal, so an edited record fails it.  Unreadable journals and lines
-/// that do not parse or fail their seal are skipped with a warning, and
-/// their groups replay.  The `journal.write` / `journal.load` fault sites
-/// (common/fault_injection.h) let tests prove all of this.
+/// are re-derived by replaying).  Each line is one sealed record (v3,
+/// `Json::dump_sealed`), so an edited record fails its seal.  Unreadable
+/// journals and lines that do not parse, fail their seal or carry another
+/// record version are skipped with a warning, and their groups replay.  The
+/// `journal.write` / `journal.load` fault sites (common/fault_injection.h)
+/// let tests prove all of this.
 
 #include <cstdint>
 #include <mutex>

@@ -344,25 +344,42 @@ DifferentialOracle::check_sweep(const std::vector<FuzzedCase>& cases)
 {
     if (cases.empty())
         return;
-    const uint64_t seed = cases.front().seed;
+    et::TraceDatabase db;
+    std::vector<const prof::ProfilerTrace*> profs;
+    for (const FuzzedCase& c : cases) {
+        db.add(c.trace);
+        profs.push_back(prof_of(c));
+    }
+    for (const int async_level : {0, 1})
+        check_sweep_at(db, profs, cases.front().seed, async_level);
+}
 
-    finish_check(seed, "sweep-parallelism", [&]() -> std::string {
+void
+DifferentialOracle::check_sweep_at(const et::TraceDatabase& db,
+                                   const std::vector<const prof::ProfilerTrace*>& profs,
+                                   uint64_t seed, int async_level)
+{
+    // One config for the whole sweep (the driver replays every group under
+    // it), both levels pinned so the corpus never depends on MYST_OPT_LEVEL
+    // or MYST_ASYNC; the per-case configs already got their coverage in
+    // check_case.
+    const auto sweep_cfg = [async_level] {
+        ReplayConfig cfg;
+        cfg.mode = fw::ExecMode::kShapeOnly;
+        cfg.iterations = 2;
+        cfg.warmup_iterations = 1;
+        cfg.opt_level = 1;
+        cfg.async_level = async_level;
+        return cfg;
+    };
+    const auto tagged = [async_level](std::string detail) {
+        return detail.empty() ? detail
+                              : "async_level " + std::to_string(async_level) + ": " + detail;
+    };
+
+    finish_check(seed, "sweep-parallelism", tagged([&]() -> std::string {
         try {
-            et::TraceDatabase db;
-            std::vector<const prof::ProfilerTrace*> profs;
-            for (const FuzzedCase& c : cases) {
-                db.add(c.trace);
-                profs.push_back(prof_of(c));
-            }
-
-            // One config for the whole sweep (the driver replays every group
-            // under it); the per-case configs already got their coverage in
-            // check_case.
-            ReplayConfig cfg;
-            cfg.mode = fw::ExecMode::kShapeOnly;
-            cfg.iterations = 2;
-            cfg.warmup_iterations = 1;
-            cfg.opt_level = 1;
+            const ReplayConfig cfg = sweep_cfg();
 
             PlanCache cache_seq(64), cache_par(64);
             cache_seq.set_store_dir("");
@@ -404,13 +421,13 @@ DifferentialOracle::check_sweep(const std::vector<FuzzedCase>& cases)
         } catch (const std::exception& e) {
             return std::string("threw: ") + e.what();
         }
-    }());
+    }()));
 
     // 6. Sweep resilience: with the resilience knobs engaged but nothing
     // failing, a journaled sweep is bit-identical to the plain one, and a
     // restarted sweep resumes every group from the journal — restoring the
     // same bit-exact weighted mean without replaying anything.
-    finish_check(seed, "sweep-resilience", [&]() -> std::string {
+    finish_check(seed, "sweep-resilience", tagged([&]() -> std::string {
         namespace fs = std::filesystem;
         const fs::path dir =
             fs::temp_directory_path() /
@@ -428,17 +445,7 @@ DifferentialOracle::check_sweep(const std::vector<FuzzedCase>& cases)
             }
         } cleanup{dir};
         try {
-            et::TraceDatabase db;
-            std::vector<const prof::ProfilerTrace*> profs;
-            for (const FuzzedCase& c : cases) {
-                db.add(c.trace);
-                profs.push_back(prof_of(c));
-            }
-            ReplayConfig cfg;
-            cfg.mode = fw::ExecMode::kShapeOnly;
-            cfg.iterations = 2;
-            cfg.warmup_iterations = 1;
-            cfg.opt_level = 1;
+            const ReplayConfig cfg = sweep_cfg();
 
             PlanCache cache_plain(64), cache_res(64), cache_resume(64);
             cache_plain.set_store_dir("");
@@ -484,7 +491,7 @@ DifferentialOracle::check_sweep(const std::vector<FuzzedCase>& cases)
         } catch (const std::exception& e) {
             return std::string("threw: ") + e.what();
         }
-    }());
+    }()));
 }
 
 } // namespace mystique::testing

@@ -19,15 +19,16 @@
 ///     dependency graph.
 ///  4. PlanKey stability: the key is a pure function of (trace, prof, cfg),
 ///     unchanged when the trace itself round-trips through JSON.
-///  5. sweep parallelism (check_sweep): a ReplayDriver database sweep is
-///     bit-identical at parallelism 1 and 4, and every group finishes with
-///     GroupStatus ok — the resilient driver isolates per-group failures
-///     instead of throwing, so the oracle must inspect statuses or a sick
-///     group would hide inside two equally-degraded sweeps.
-///  6. sweep resilience (check_sweep): a journaled sweep with retry knobs
-///     engaged but nothing failing is bit-identical to the plain sweep, and
-///     a restarted sweep resumes every group from the journal with the same
-///     bit-exact weighted mean.
+///  5. sweep parallelism (check_sweep, under each executor): a ReplayDriver
+///     database sweep is bit-identical at parallelism 1 and 4, and every
+///     group finishes with GroupStatus ok — the resilient driver isolates
+///     per-group failures instead of throwing, so the oracle must inspect
+///     statuses or a sick group would hide inside two equally-degraded
+///     sweeps.
+///  6. sweep resilience (check_sweep, under each executor): a journaled
+///     sweep with retry knobs engaged but nothing failing is bit-identical
+///     to the plain sweep, and a restarted sweep resumes every group from
+///     the journal with the same bit-exact weighted mean.
 ///  7. stream identity: the async multi-stream executor (MYST_ASYNC) issues
 ///     bit-identical per-stream kernel sequences to the serial walk — same
 ///     names, same counts per stream, same coverage — and the MYST_ASYNC=0
@@ -49,6 +50,10 @@
 namespace mystique::core {
 struct ReplayResult;
 } // namespace mystique::core
+
+namespace mystique::et {
+class TraceDatabase;
+} // namespace mystique::et
 
 namespace mystique::testing {
 
@@ -79,11 +84,12 @@ class DifferentialOracle {
     /// failure — valid-by-construction traces must never crash the pipeline.
     void check_case(const FuzzedCase& c);
 
-    /// Checks 5–6: sweeps the cases' traces as one database at parallelism 1
-    /// and 4 and compares the merged results bitwise (requiring all-ok group
-    /// statuses), then proves the resilience layer inert-when-unneeded and
-    /// journal resume bit-exact.  Failures are recorded under the first
-    /// case's seed (the sweep is a corpus-level property).
+    /// Checks 5–6, once per executor (async_level 0 and 1): sweeps the
+    /// cases' traces as one database at parallelism 1 and 4 and compares the
+    /// merged results bitwise (requiring all-ok group statuses), then proves
+    /// the resilience layer inert-when-unneeded and journal resume
+    /// bit-exact.  Failures are recorded under the first case's seed (the
+    /// sweep is a corpus-level property).
     void check_sweep(const std::vector<FuzzedCase>& cases);
 
     const DiffCounters& counters() const { return counters_; }
@@ -91,6 +97,10 @@ class DifferentialOracle {
     bool ok() const { return failures_.empty(); }
 
   private:
+    /// check_sweep's two checks over @p db under one pinned executor level.
+    void check_sweep_at(const et::TraceDatabase& db,
+                        const std::vector<const prof::ProfilerTrace*>& profs, uint64_t seed,
+                        int async_level);
     /// Counts the check; detail.empty() = pass, else records a failure.
     void finish_check(uint64_t seed, const char* check, std::string detail);
 

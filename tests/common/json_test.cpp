@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "common/hash.h"
 #include "common/json.h"
 
 namespace mystique {
@@ -261,6 +263,94 @@ TEST(Json, NestingAtTheCapStillParses)
         j = std::move(inner);
     }
     EXPECT_EQ(j.as_int(), 42);
+}
+
+TEST(Json, U64RoundTripsThroughDecimalStrings)
+{
+    for (const uint64_t v : {uint64_t{0}, uint64_t{1} << 63, UINT64_MAX}) {
+        const Json j = Json::from_u64(v);
+        EXPECT_EQ(j.as_string(), std::to_string(v));
+        EXPECT_EQ(Json::parse(j.dump()).as_u64(), v);
+    }
+    for (const char* bad : {"", "-1", "12a", " 1", "18446744073709551616"})
+        EXPECT_THROW((void)Json(bad).as_u64(), ParseError) << bad;
+    EXPECT_THROW((void)Json(int64_t{5}).as_u64(), ParseError);
+}
+
+/// A document shaped like a sealed plan: nested containers, an escaped
+/// string, a u64 and, nested, a member named "seal" (an op called `seal`
+/// in a coverage table), which is body, not seal.
+Json
+sealable()
+{
+    Json unsupported = Json::object();
+    unsupported.set("seal", Json(2));
+    Json coverage = Json::object();
+    coverage.set("unsupported_by_name", std::move(unsupported));
+    Json ops = Json::array();
+    ops.push_back(Json(1));
+    ops.push_back(Json("a\"b"));
+    Json doc = Json::object();
+    doc.set("key", Json::from_u64(UINT64_MAX));
+    doc.set("coverage", std::move(coverage));
+    doc.set("ops", std::move(ops));
+    return doc;
+}
+
+TEST(Json, SealedRoundTripsCompactAndIndented)
+{
+    const Json doc = sealable();
+    for (const int indent : {-1, 2}) {
+        const std::string text = doc.dump_sealed(indent);
+        // dump() of the object with one more member, "seal", last: the hash
+        // of every byte before the comma that introduces it.
+        const Json with_seal = Json::parse(text);
+        ASSERT_EQ(with_seal.as_object().back().first, "seal") << indent;
+        EXPECT_EQ(text, with_seal.dump(indent));
+        EXPECT_EQ(with_seal.at("seal").as_u64(), hash_bytes(text.substr(0, text.rfind(','))));
+        EXPECT_EQ(Json::parse_sealed(text), doc) << indent;
+    }
+    EXPECT_THROW((void)Json::object().dump_sealed(), MystiqueError);
+}
+
+TEST(Json, SealedFailsOnAnyByteFlippedBeforeTheSeal)
+{
+    for (const int indent : {-1, 2}) {
+        const std::string text = sealable().dump_sealed(indent);
+        const std::size_t comma = text.rfind(',');
+        for (std::size_t i = 0; i < comma; ++i) {
+            std::string flipped = text;
+            flipped[i] = static_cast<char>(flipped[i] ^ 0x01);
+            EXPECT_THROW((void)Json::parse_sealed(flipped), ParseError)
+                << "indent " << indent << ", byte " << i;
+        }
+        // And the seal itself.
+        std::string reseal = text;
+        char& digit = reseal[reseal.rfind('"') - 1];
+        digit = digit == '0' ? '1' : '0';
+        EXPECT_THROW((void)Json::parse_sealed(reseal), ParseError) << indent;
+    }
+}
+
+TEST(Json, SealedRejectsMissingMisplacedAndMalformedSeals)
+{
+    const std::string text = sealable().dump_sealed();
+    const Json with_seal = Json::parse(text);
+
+    Json missing = with_seal;
+    missing.as_object().pop_back();
+    EXPECT_THROW((void)Json::parse_sealed(missing.dump()), ParseError);
+    // A member after the seal, which still matches the bytes before it.
+    EXPECT_THROW((void)Json::parse_sealed(text.substr(0, text.size() - 1) + ",\"x\":1}"),
+                 ParseError);
+    EXPECT_THROW((void)Json::parse_sealed("[" + text + "]"), ParseError);
+    EXPECT_THROW((void)Json::parse_sealed("\"seal\""), ParseError);
+    EXPECT_THROW((void)Json::parse_sealed("{\"seal\":\"1\"}"), ParseError);
+    for (const Json& bad : {Json("abc"), Json("-1"), Json(int64_t{1}), Json()}) {
+        Json doc = with_seal;
+        doc.as_object().back().second = bad;
+        EXPECT_THROW((void)Json::parse_sealed(doc.dump()), ParseError) << bad.dump();
+    }
 }
 
 } // namespace

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <map>
 #include <numeric>
 #include <string>
 
+#include "common/fs_util.h"
+#include "common/hash.h"
 #include "core/codegen.h"
 #include "core/plan_cache.h"
 #include "workloads/harness.h"
@@ -90,9 +93,9 @@ edit_manifest(const std::string& dir, const std::function<void(Json&)>& edit)
 }
 
 /// Rewrites the plan document at @p plan_path with every op moved to the next
-/// stream; returns how many ops moved.  The key and the coverage stay as
-/// they were, and the plan still imports and replays, but it now schedules a
-/// different benchmark than the one the package describes.
+/// stream; returns how many ops moved.  The key, the coverage and the seal
+/// stay as they were, and the plan still imports and replays, but it now
+/// schedules a different benchmark than the one the package describes.
 std::size_t
 move_every_stream(const std::string& plan_path)
 {
@@ -151,6 +154,26 @@ TEST(ReplayConfigJson, RoundTripsEveryField)
     // And the default config round-trips too (null optionals).
     const ReplayConfig dflt;
     EXPECT_EQ(ReplayConfig::from_json(dflt.to_json()).fingerprint(), dflt.fingerprint());
+}
+
+/// Sets an environment variable for one scope.
+struct ScopedEnv {
+    ScopedEnv(const char* name, const char* value) : name(name)
+    {
+        ::setenv(name, value, 1);
+    }
+    ~ScopedEnv() { ::unsetenv(name); }
+    const char* name;
+};
+
+TEST(ReplayConfigJson, CompleteDocumentsNeverReadTheEnvironment)
+{
+    ReplayConfig back = tiny_replay();
+    const Json doc = back.to_json();
+    const ScopedEnv bad_level("MYST_OPT_LEVEL", "abc");
+    EXPECT_THROW((void)ReplayConfig(), ConfigError); // the defaults do read it
+    ASSERT_NO_THROW(back = ReplayConfig::from_json(doc));
+    EXPECT_EQ(back.to_json(), doc);
 }
 
 TEST(ReplayConfigJson, LevelsAreRequired)
@@ -293,7 +316,7 @@ TEST(Codegen, ImportedPackagePlanSeedsPlanCache)
     EXPECT_EQ(import_cache.lookup(plan->key()).get(), plan.get());
 }
 
-TEST(Codegen, ManifestCarriesPlanKeyAndConfig)
+TEST(Codegen, ManifestCarriesConfigAndSealedPlanCarriesKey)
 {
     const auto& r0 = traced("param_linear").rank0();
     const ReplayConfig cfg = tiny_replay();
@@ -302,21 +325,24 @@ TEST(Codegen, ManifestCarriesPlanKeyAndConfig)
     const CodegenResult res = generate_benchmark(dir, r0.trace, r0.prof, cfg, &cache);
 
     const Json m = Json::parse_file(dir + "/manifest.json");
-    // Each fact once: the manifest holds these members and no others.
+    // Each fact once: the v7 manifest holds these members and no others.
     std::vector<std::string> members;
     for (const auto& [name, value] : m.as_object())
         members.push_back(name);
     EXPECT_EQ(members, (std::vector<std::string>{"format", "format_version", "generator",
-                                                 "workload", "platform", "plan_key",
-                                                 "plan_hash", "replay_config", "files"}));
+                                                 "workload", "platform", "replay_config",
+                                                 "files"}));
     EXPECT_EQ(m.at("format").as_string(), "mystique-benchmark-package");
     EXPECT_EQ(m.at("format_version").as_int(), kPackageFormatVersion);
     EXPECT_EQ(m.at("generator").as_string(), kGeneratorVersion);
     EXPECT_EQ(m.at("workload").as_string(), r0.trace.meta().workload);
 
-    // The manifest's plan key is the key of the plan the package came from,
-    // and its trace component is the packaged trace's structural fingerprint.
-    const PlanKey key = PlanKey::from_json(m.at("plan_key"));
+    // replay_plan.json is the plan the package came from, sealed: its key
+    // is the plan's key, whose trace component is the packaged trace's
+    // structural fingerprint.
+    const Json plan = Json::parse_sealed(read_file(dir + "/replay_plan.json"));
+    EXPECT_EQ(plan, res.plan->to_json());
+    const PlanKey key = PlanKey::from_json(plan.at("key"));
     EXPECT_EQ(key, res.plan->key());
     EXPECT_EQ(key.trace_fp, r0.trace.structural_fingerprint());
     // The embedded config re-fingerprints to the key's config component.
@@ -336,9 +362,16 @@ TEST(Codegen, VerifyPackageAcceptsFreshPackage)
     const PackageVerification v = verify_package(dir);
     EXPECT_TRUE(v.ok) << (v.errors.empty() ? "" : v.errors.front());
     EXPECT_TRUE(v.errors.empty());
-    // It returns what it verified.
+    // It returns what it verified, the plan without its seal.
     ASSERT_NE(v.trace, nullptr);
     EXPECT_EQ(plan_key(*v.trace, &v.prof, v.config), PlanKey::from_json(v.plan.at("key")));
+    EXPECT_FALSE(v.plan.contains("seal"));
+
+    // It never reads the environment: a malformed level changes nothing.
+    const ScopedEnv bad_level("MYST_OPT_LEVEL", "abc");
+    PackageVerification again;
+    ASSERT_NO_THROW(again = verify_package(dir));
+    EXPECT_TRUE(again.ok) << (again.errors.empty() ? "" : again.errors.front());
 }
 
 TEST(Codegen, ImportRestoresTheSealedPlanBytes)
@@ -351,7 +384,7 @@ TEST(Codegen, ImportRestoresTheSealedPlanBytes)
     ASSERT_TRUE(pkg.ok) << (pkg.errors.empty() ? "" : pkg.errors.front());
 
     // The plan file changes after verification: the consumer still imports
-    // the plan whose bytes plan_hash covered, not what the disk holds now.
+    // the plan whose bytes the seal covered, not what the disk holds now.
     ASSERT_GT(move_every_stream(dir + "/replay_plan.json"), 0u);
     EXPECT_EQ(ReplayPlan::from_json(pkg.plan, pkg.trace)->to_json().dump(),
               res.plan->to_json().dump());
@@ -448,6 +481,25 @@ TEST(Codegen, VerifyPackageRejectsTamperedProfilerConfigAndMissingFiles)
     (void)generate_benchmark(v5_dir, r0.trace, r0.prof, tiny_replay(), &cache);
     edit_manifest(v5_dir, [](Json& m) { m.set("format_version", Json(5)); });
     EXPECT_TRUE(names(verify_package(v5_dir), "unsupported format_version 5"));
+
+    // Nor is the v6 layout: the plan key and a plan_hash sidecar beside the
+    // config, over an unsealed plan.
+    const std::string v6_dir = fresh_dir("mystique_codegen_verify_v6");
+    const CodegenResult v6 = generate_benchmark(v6_dir, r0.trace, r0.prof, tiny_replay(), &cache);
+    atomic_write_file(v6_dir + "/replay_plan.json", v6.plan->to_json().dump(2));
+    edit_manifest(v6_dir, [&v6](Json& m) {
+        Json old = Json::object();
+        for (const auto& [name, value] : m.as_object()) {
+            if (name == "replay_config") {
+                old.set("plan_key", v6.plan->key().to_json());
+                old.set("plan_hash", Json::from_u64(hash_bytes(v6.plan->to_json().dump(2))));
+            }
+            old.set(name, value);
+        }
+        old.set("format_version", Json(6));
+        m = std::move(old);
+    });
+    EXPECT_TRUE(names(verify_package(v6_dir), "unsupported format_version 6"));
 }
 
 TEST(Codegen, VerifyPackageRejectsTamperedPlan)
@@ -464,7 +516,25 @@ TEST(Codegen, VerifyPackageRejectsTamperedPlan)
 
     const PackageVerification v = verify_package(dir);
     EXPECT_FALSE(v.ok);
-    EXPECT_TRUE(names(v, "plan_hash"));
+    EXPECT_TRUE(names(v, "replay_plan.json"));
+    EXPECT_TRUE(names(v, "seal"));
+    EXPECT_EQ(v.trace, nullptr);
+
+    // A plan sealed again after its key's trace component was edited passes
+    // the seal; the key derived from the packaged files must then reject it
+    // and name the file whose fingerprint no longer matches.
+    const std::string rekeyed_dir = fresh_dir("mystique_codegen_verify_rekeyed");
+    (void)generate_benchmark(rekeyed_dir, r0.trace, r0.prof, tiny_replay(), &cache);
+    const std::string rekeyed_path = rekeyed_dir + "/replay_plan.json";
+    Json plan = Json::parse_sealed(read_file(rekeyed_path));
+    Json key = plan.at("key");
+    key.set("trace_fp", Json::from_u64(key.at("trace_fp").as_u64() + 1));
+    plan.set("key", std::move(key));
+    atomic_write_file(rekeyed_path, plan.dump_sealed(2));
+    const PackageVerification rekeyed = verify_package(rekeyed_dir);
+    EXPECT_FALSE(rekeyed.ok);
+    ASSERT_EQ(rekeyed.errors.size(), 1u);
+    EXPECT_TRUE(names(rekeyed, "execution_trace.json"));
 }
 
 } // namespace

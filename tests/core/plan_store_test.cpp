@@ -1,9 +1,10 @@
 /// Disk-backed plan tier tests: lossless ReplayPlan JSON round-trips across
 /// every registered op in a multi-workload trace set, cross-cache-instance
 /// disk reuse (the in-process model of cross-process reuse), the corruption/
-/// robustness matrix (truncated, key-flipped, stale-schema, zero-byte, and
-/// kind-drifted entries quarantine and rebuild — never crash, never replay a
-/// wrong plan), and build-once ⇒ write-once under concurrent fetches.
+/// robustness matrix (truncated, zero-byte, edited, key-flipped,
+/// stale-schema, old-layout and kind-drifted entries quarantine and rebuild —
+/// never crash, never replay a wrong plan), and build-once ⇒ write-once under
+/// concurrent fetches.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <unistd.h>
 #include <map>
 #include <set>
@@ -103,6 +105,36 @@ sole_entry(const std::string& dir)
     }
     EXPECT_EQ(entries.size(), 1u) << "expected exactly one store entry in " << dir;
     return entries.empty() ? std::string() : entries.front();
+}
+
+/// Rewrites the sealed store entry at @p path through @p edit and seals it
+/// again: the entry passes its seal, so the check a test names is the one
+/// that must reject it.
+void
+reseal(const std::string& path, const std::function<void(Json&)>& edit)
+{
+    Json doc = Json::parse_sealed(read_file(path));
+    edit(doc);
+    atomic_write_file(path, doc.dump_sealed());
+}
+
+/// Replaces @p doc's "plan" member with @p edit applied to a copy of it.
+void
+edit_plan(Json& doc, const std::function<void(Json&)>& edit)
+{
+    Json plan = doc.at("plan");
+    edit(plan);
+    doc.set("plan", std::move(plan));
+}
+
+/// Replaces @p plan's first op with @p edit applied to a copy of it.
+void
+edit_first_op(Json& plan, const std::function<void(Json&)>& edit)
+{
+    Json ops = plan.at("ops");
+    ASSERT_FALSE(ops.as_array().empty());
+    edit(ops.as_array().front());
+    plan.set("ops", std::move(ops));
 }
 
 void
@@ -325,23 +357,23 @@ TEST_F(PlanStoreCorruption, ZeroByteEntryQuarantinesAndRebuilds)
 TEST_F(PlanStoreCorruption, FlippedFingerprintQuarantinesAndRebuilds)
 {
     const std::string entry = seed_entry();
-    Json doc = Json::parse_file(entry);
-    // Flip the embedded key's trace fingerprint: the entry now claims an
+    // Flip the plan key's trace fingerprint: the entry now claims an
     // identity its file name (and content) cannot back up.
-    Json key = doc.at("key");
-    const std::string fp = key.at("trace_fp").as_string();
-    key.set("trace_fp", Json(fp == "1" ? "2" : "1"));
-    doc.set("key", std::move(key));
-    doc.dump_file(entry);
+    reseal(entry, [](Json& doc) {
+        edit_plan(doc, [](Json& plan) {
+            Json key = plan.at("key");
+            key.set("trace_fp", Json::from_u64(key.at("trace_fp").as_u64() ^ 1));
+            plan.set("key", std::move(key));
+        });
+    });
     expect_quarantine_and_rebuild(entry);
 }
 
 TEST_F(PlanStoreCorruption, StaleSchemaVersionQuarantinesAndRebuilds)
 {
     const std::string entry = seed_entry();
-    Json doc = Json::parse_file(entry);
-    doc.set("format_version", Json(kPlanStoreFormatVersion + 1));
-    doc.dump_file(entry);
+    reseal(entry,
+           [](Json& doc) { doc.set("format_version", Json(kPlanStoreFormatVersion + 1)); });
     expect_quarantine_and_rebuild(entry);
 }
 
@@ -351,26 +383,37 @@ TEST_F(PlanStoreCorruption, PreOptimizerV1EntryQuarantinesAndRebuilds)
     // before fused groups existed must quarantine and rebuild, never replay
     // under the current schema.
     const std::string entry = seed_entry();
-    Json doc = Json::parse_file(entry);
-    doc.set("format_version", Json(int64_t{1}));
-    doc.dump_file(entry);
+    reseal(entry, [](Json& doc) { doc.set("format_version", Json(int64_t{1})); });
     expect_quarantine_and_rebuild(entry);
 }
 
-TEST_F(PlanStoreCorruption, TamperedPlanContentFailsTheRecordedHash)
+TEST_F(PlanStoreCorruption, V4LayoutEntryQuarantinesAndRebuilds)
+{
+    // The v4 layout: a head with the key and a plan_hash over the plan's
+    // bytes, then the plan spliced in last, unsealed.  Nothing reads it.
+    const std::string entry = seed_entry();
+    const Json plan = Json::parse_sealed(read_file(entry)).at("plan");
+    const std::string plan_text = plan.dump();
+    Json head = Json::object();
+    head.set("format", Json("mystique-plan-store-entry"));
+    head.set("format_version", Json(int64_t{4}));
+    head.set("key", plan.at("key"));
+    head.set("plan_hash", Json::from_u64(hash_bytes(plan_text)));
+    std::string text = head.dump();
+    text.pop_back();
+    atomic_write_file(entry, text + ",\"plan\":" + plan_text + "}");
+    expect_quarantine_and_rebuild(entry);
+}
+
+TEST_F(PlanStoreCorruption, TamperedPlanContentFailsTheSeal)
 {
     const std::string entry = seed_entry();
+    // Edit inside the plan without sealing again: the seal over the whole
+    // entry must catch it, whatever the edited field was.
     Json doc = Json::parse_file(entry);
-    // Edit inside the plan without refreshing plan_hash: the whole-document
-    // content hash must catch it, whatever the edited field was.
-    Json plan_j = doc.at("plan");
-    Json ops = plan_j.at("ops");
-    ASSERT_FALSE(ops.as_array().empty());
-    Json op0 = ops.as_array().front();
-    op0.set("stream", Json(int64_t{99}));
-    ops.as_array().front() = std::move(op0);
-    plan_j.set("ops", std::move(ops));
-    doc.set("plan", std::move(plan_j));
+    edit_plan(doc, [](Json& plan) {
+        edit_first_op(plan, [](Json& op) { op.set("stream", Json(int64_t{99})); });
+    });
     doc.dump_file(entry);
     expect_quarantine_and_rebuild(entry);
 }
@@ -378,31 +421,22 @@ TEST_F(PlanStoreCorruption, TamperedPlanContentFailsTheRecordedHash)
 TEST_F(PlanStoreCorruption, KindDriftedEntryQuarantinesAndRebuilds)
 {
     const std::string entry = seed_entry();
-    Json doc = Json::parse_file(entry);
-    // Rewrite one op's recorded kind AND refresh plan_hash so the entry
-    // passes the content check: the quarantine must then come from
-    // ReplayPlan::from_json's registry-mismatch detection — the entry claims
-    // a reconstruction kind this process's registry cannot reproduce.
-    Json plan_j = doc.at("plan");
-    Json ops = plan_j.at("ops");
-    ASSERT_FALSE(ops.as_array().empty());
-    Json op0 = ops.as_array().front();
-    // A compiled-IR op recorded as "direct" is the detectable drift: this
-    // process derives compiled_ir for an ATen node, contradicting the
-    // document.  ("skipped" would also flip the derived supported flag and
-    // stay self-consistent.)
-    ASSERT_TRUE(op0.contains("ir")) << "expected a compiled-IR op first";
-    op0.set("kind", Json("direct"));
-    ops.as_array().front() = std::move(op0);
-    plan_j.set("ops", std::move(ops));
-    // Re-hash exactly what PlanStore hashes: the plan subdocument's dumped
-    // bytes (the entry writes "plan" last, so a whole-document dump places
-    // those bytes in the hashed region verbatim).
-    Fnv1a h;
-    h.mix(plan_j.dump());
-    doc.set("plan_hash", Json(std::to_string(h.value())));
-    doc.set("plan", std::move(plan_j));
-    doc.dump_file(entry);
+    // Rewrite one op's recorded kind and seal the entry again: the
+    // quarantine must then come from ReplayPlan::from_json's
+    // registry-mismatch detection — the entry claims a reconstruction kind
+    // this process's registry cannot reproduce.
+    reseal(entry, [](Json& doc) {
+        edit_plan(doc, [](Json& plan) {
+            edit_first_op(plan, [](Json& op) {
+                // A compiled-IR op recorded as "direct" is the detectable
+                // drift: this process derives compiled_ir for an ATen node,
+                // contradicting the document.  ("skipped" would also flip
+                // the derived supported flag and stay self-consistent.)
+                ASSERT_TRUE(op.contains("ir")) << "expected a compiled-IR op first";
+                op.set("kind", Json("direct"));
+            });
+        });
+    });
     expect_quarantine_and_rebuild(entry);
 }
 

@@ -1,7 +1,7 @@
 /// SweepJournal unit tests: bit-exact record round-trips, torn-line
-/// tolerance, record seals, latest-record-wins resume lookups, the
-/// quarantine streak and its healing, and best-effort appends under injected
-/// journal faults.
+/// tolerance, record seals, old record versions, latest-record-wins resume
+/// lookups, the quarantine streak and its healing, and best-effort appends
+/// under injected journal faults.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,8 @@
 
 #include "common/error.h"
 #include "common/fault_injection.h"
+#include "common/hash.h"
+#include "common/json.h"
 #include "core/sweep_journal.h"
 
 namespace mystique::core {
@@ -162,7 +164,7 @@ TEST(SweepJournal, RecordsFailingTheirSealAreSkipped)
     std::vector<std::string> lines = journal_lines(dir.path);
     ASSERT_EQ(lines.size(), 4u);
     for (const std::string& line : lines)
-        EXPECT_NE(line.find("\"v\":2,"), std::string::npos) << line;
+        EXPECT_NE(line.find("\"v\":3,"), std::string::npos) << line;
 
     // Group 11: one digit of mean_bits moves, so the record still parses
     // into a plausible mean the sweep never produced.
@@ -188,6 +190,36 @@ TEST(SweepJournal, RecordsFailingTheirSealAreSkipped)
     EXPECT_FALSE(j.completed(1, 11).has_value());
     EXPECT_FALSE(j.completed(1, 12).has_value());
     EXPECT_FALSE(j.completed(1, 13).has_value());
+}
+
+TEST(SweepJournal, V2LinesAreSkipped)
+{
+    TempDir dir;
+    {
+        SweepJournal j(dir.path);
+        EXPECT_TRUE(j.append(ok_record(1, 10, 100.0)));
+        EXPECT_TRUE(j.append(ok_record(1, 11, 200.0)));
+        EXPECT_TRUE(j.append(ok_record(1, 12, 300.0)));
+    }
+    std::vector<std::string> lines = journal_lines(dir.path);
+    ASSERT_EQ(lines.size(), 3u);
+    // Group 11 as a v2 writer wrote it: its seal hashes the record's whole
+    // compact JSON without the seal.  Group 12 carries "v":2 under a valid
+    // v3 seal, so only the version check can turn it away.
+    Json v2 = Json::parse_sealed(lines[1]);
+    v2.set("v", Json(int64_t{2}));
+    v2.set("seal", Json::from_u64(hash_bytes(v2.dump())));
+    lines[1] = v2.dump();
+    Json relabeled = Json::parse_sealed(lines[2]);
+    relabeled.set("v", Json(int64_t{2}));
+    lines[2] = relabeled.dump_sealed();
+    write_journal(dir.path, lines);
+
+    SweepJournal j(dir.path);
+    EXPECT_EQ(j.load(), 1u);
+    EXPECT_TRUE(j.completed(1, 10).has_value());
+    EXPECT_FALSE(j.completed(1, 11).has_value());
+    EXPECT_FALSE(j.completed(1, 12).has_value());
 }
 
 TEST(SweepJournal, LatestRecordWinsAndFailureInvalidatesStaleSuccess)

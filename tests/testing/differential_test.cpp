@@ -44,8 +44,9 @@ TEST(DifferentialOracle, FixedSeedCorpusPassesAllChecks)
     EXPECT_EQ(oracle.counters().mismatches, oracle.failures().size());
     // Five per-case checks (replay-vs-direct, opt-level, plan round-trip,
     // key stability, stream identity) plus the two corpus-level sweep
-    // checks (parallelism invariance and journal resume / resilience).
-    EXPECT_EQ(oracle.counters().checks, kCases * 5 + 2);
+    // checks (parallelism invariance and journal resume / resilience) under
+    // each executor.
+    EXPECT_EQ(oracle.counters().checks, kCases * 5 + 4);
 }
 
 TEST(DifferentialOracle, SweepCheckHandlesEmptyAndSingletonCorpora)
