@@ -35,18 +35,8 @@ struct FaultInjection::Impl {
         uint64_t fired = 0;
     };
 
-    /// Construction (the first touch) picks up MYST_FAULT, so CLI runs need
-    /// no code changes.  A malformed spec is kept, not thrown: every
-    /// should_fail() rethrows it, and the static is constructed once.
-    Impl()
-    {
-        try {
-            load_env_locked();
-        } catch (const ConfigError&) {
-            env_error = std::current_exception();
-            enabled.store(true, std::memory_order_relaxed);
-        }
-    }
+    /// The first touch picks up MYST_FAULT, so CLI runs need no code changes.
+    Impl() { reload_env_locked(); }
 
     /// Fast path: false while nothing is armed, so disarmed hooks cost one
     /// relaxed load and never take the mutex.
@@ -102,6 +92,22 @@ struct FaultInjection::Impl {
         }
         enabled.store(true, std::memory_order_relaxed);
     }
+
+    /// Drops every site and parses MYST_FAULT afresh.  A malformed spec is
+    /// kept, not thrown: every should_fail() rethrows it.
+    void reload_env_locked()
+    {
+        enabled.store(false, std::memory_order_relaxed);
+        sites.clear();
+        site_order.clear();
+        env_error = nullptr;
+        try {
+            load_env_locked();
+        } catch (const ConfigError&) {
+            env_error = std::current_exception();
+            enabled.store(true, std::memory_order_relaxed);
+        }
+    }
 };
 
 FaultInjection&
@@ -150,11 +156,9 @@ FaultInjection::reload_env()
 {
     Impl& im = impl();
     std::lock_guard<std::mutex> lock(im.mu);
-    im.enabled.store(false, std::memory_order_relaxed);
-    im.sites.clear();
-    im.site_order.clear();
-    im.env_error = nullptr;
-    im.load_env_locked();
+    im.reload_env_locked();
+    if (im.env_error)
+        std::rethrow_exception(im.env_error);
 }
 
 bool

@@ -88,10 +88,10 @@ class FaultInjection {
     /// it as fired.  No-op for disarmed or fail-mode sites.
     void maybe_delay(const char* site);
 
-    /// Drops every armed site and re-parses `MYST_FAULT` from the current
-    /// environment, as if the process were starting fresh.  Throws
-    /// ConfigError on malformed specs.  Test hook: the lazy first-touch parse
-    /// happens once per process, so env-driven tests re-trigger it here.
+    /// Drops every armed site and re-parses `MYST_FAULT` as if the process
+    /// were starting fresh: a malformed spec is thrown as ConfigError and kept
+    /// for every should_fail() to throw.  Test hook: the lazy first-touch
+    /// parse happens once per process, so env-driven tests re-trigger it here.
     void reload_env();
 
     /// Snapshot of per-site counters, armed or not, in first-hit order.

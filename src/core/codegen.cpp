@@ -113,6 +113,15 @@ profiler trace and replay config and checks each of its components against
 the sealed plan's `key`; see docs/package_format.md in the mystique repo.
 )md";
 
+/// Package files are published atomically (common/fs_util.h): a consumer
+/// pointed at a package directory mid-generation can see missing files —
+/// which verify_package reports — but never torn ones.
+void
+write_text(const std::filesystem::path& path, std::string_view text)
+{
+    atomic_write_file(path.string(), text);
+}
+
 void
 replace_all_occurrences(std::string& text, const std::string& needle,
                         const std::string& value)
@@ -164,25 +173,19 @@ generate_benchmark(const std::string& directory, const et::ExecutionTrace& trace
     // warm cache performs zero plan builds.
     const std::shared_ptr<const ReplayPlan> plan = cache->get_or_build(trace, &prof, cfg);
 
-    // Package files are published atomically (common/fs_util.h): a consumer
-    // pointed at a package directory mid-generation can see missing files —
-    // which verify_package reports — but never torn ones.
-    const auto write = [&dir](const char* name, std::string_view text) {
-        atomic_write_file((dir / name).string(), text);
-    };
-    write("execution_trace.json", trace.to_json().dump());
-    write("profiler_trace.json", prof.to_json().dump());
-    write("replay_plan.json", plan->to_json().dump_sealed(2));
-    write("manifest.json", make_manifest(trace, cfg).dump(2));
+    write_text(dir / "execution_trace.json", trace.to_json().dump());
+    write_text(dir / "profiler_trace.json", prof.to_json().dump());
+    write_text(dir / "replay_plan.json", plan->to_json().dump_sealed(2));
+    write_text(dir / "manifest.json", make_manifest(trace, cfg).dump(2));
 
     // benchmark_main.cpp needs no substitutions: its defaults come from the
     // manifest at runtime, keeping the package's config in one place.
-    write("benchmark_main.cpp", kMainTemplate);
+    write_text(dir / "benchmark_main.cpp", kMainTemplate);
 
     std::string readme = kReadmeTemplate;
     replace_all_occurrences(readme, "%WORKLOAD%", trace.meta().workload);
     replace_all_occurrences(readme, "%PLATFORM%", trace.meta().platform);
-    write("README.md", readme);
+    write_text(dir / "README.md", readme);
 
     CodegenResult res;
     res.directory = directory;

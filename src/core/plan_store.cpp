@@ -73,6 +73,8 @@ PlanStore::load(const PlanKey& key, std::shared_ptr<const et::ExecutionTrace> tr
         // entry quarantines below instead of silently replaying a different
         // benchmark.
         return ReplayPlan::from_json(plan, std::move(trace));
+    } catch (const ConfigError&) {
+        throw; // a bad setting (a malformed MYST_FAULT), not a bad entry: keep it
     } catch (const std::exception& e) {
         MYST_WARN("plan store: quarantining '" << path << "': " << e.what());
         quarantine_file(path);

@@ -363,15 +363,8 @@ DifferentialOracle::check_sweep_at(const et::TraceDatabase& db,
     // it), both levels pinned so the corpus never depends on MYST_OPT_LEVEL
     // or MYST_ASYNC; the per-case configs already got their coverage in
     // check_case.
-    const auto sweep_cfg = [async_level] {
-        ReplayConfig cfg;
-        cfg.mode = fw::ExecMode::kShapeOnly;
-        cfg.iterations = 2;
-        cfg.warmup_iterations = 1;
-        cfg.opt_level = 1;
-        cfg.async_level = async_level;
-        return cfg;
-    };
+    const ReplayConfig cfg{.mode = fw::ExecMode::kShapeOnly, .warmup_iterations = 1,
+                           .iterations = 2, .opt_level = 1, .async_level = async_level};
     const auto tagged = [async_level](std::string detail) {
         return detail.empty() ? detail
                               : "async_level " + std::to_string(async_level) + ": " + detail;
@@ -379,8 +372,6 @@ DifferentialOracle::check_sweep_at(const et::TraceDatabase& db,
 
     finish_check(seed, "sweep-parallelism", tagged([&]() -> std::string {
         try {
-            const ReplayConfig cfg = sweep_cfg();
-
             PlanCache cache_seq(64), cache_par(64);
             cache_seq.set_store_dir("");
             cache_par.set_store_dir("");
@@ -445,8 +436,6 @@ DifferentialOracle::check_sweep_at(const et::TraceDatabase& db,
             }
         } cleanup{dir};
         try {
-            const ReplayConfig cfg = sweep_cfg();
-
             PlanCache cache_plain(64), cache_res(64), cache_resume(64);
             cache_plain.set_store_dir("");
             cache_res.set_store_dir("");

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -13,37 +12,10 @@
 #include "common/error.h"
 #include "core/replay_plan.h"
 #include "framework/storage_arena.h"
+#include "scoped_env.h"
 
 namespace mystique {
 namespace {
-
-/// Sets (or unsets, for nullopt) one variable for the test's scope and
-/// restores the previous value afterwards — the suite also runs under
-/// MYST_ARENA_POISON=1, MYST_OPT_LEVEL=0 and MYST_ASYNC=0.
-class ScopedEnv {
-  public:
-    ScopedEnv(const char* name, std::optional<std::string> value) : name_(name)
-    {
-        if (const char* old = std::getenv(name))
-            old_ = old;
-        set(value);
-    }
-    ~ScopedEnv() { set(old_); }
-    ScopedEnv(const ScopedEnv&) = delete;
-    ScopedEnv& operator=(const ScopedEnv&) = delete;
-
-  private:
-    void set(const std::optional<std::string>& value)
-    {
-        if (value.has_value())
-            ::setenv(name_, value->c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-    const char* name_;
-    std::optional<std::string> old_;
-};
 
 constexpr const char* kVar = "MYST_ENV_TEST_KNOB";
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -17,6 +16,7 @@
 #include "common/hash.h"
 #include "core/codegen.h"
 #include "core/plan_cache.h"
+#include "scoped_env.h"
 #include "workloads/harness.h"
 
 namespace mystique::core {
@@ -155,16 +155,6 @@ TEST(ReplayConfigJson, RoundTripsEveryField)
     const ReplayConfig dflt;
     EXPECT_EQ(ReplayConfig::from_json(dflt.to_json()).fingerprint(), dflt.fingerprint());
 }
-
-/// Sets an environment variable for one scope.
-struct ScopedEnv {
-    ScopedEnv(const char* name, const char* value) : name(name)
-    {
-        ::setenv(name, value, 1);
-    }
-    ~ScopedEnv() { ::unsetenv(name); }
-    const char* name;
-};
 
 TEST(ReplayConfigJson, CompleteDocumentsNeverReadTheEnvironment)
 {

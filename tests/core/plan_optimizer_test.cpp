@@ -23,6 +23,7 @@
 #include "framework/math.h"
 #include "framework/op_registry.h"
 #include "jit/schema.h"
+#include "scoped_env.h"
 #include "workloads/harness.h"
 
 namespace mystique::core {
@@ -274,9 +275,11 @@ TEST(PlanOptimizer, OptLevelZeroProducesVerbatimPlan)
 
 TEST(PlanOptimizer, MystOptLevelEnvDisablesByDefault)
 {
-    ASSERT_EQ(::setenv("MYST_OPT_LEVEL", "0", 1), 0);
-    const ReplayConfig opted_out; // defaults read the environment
-    ::unsetenv("MYST_OPT_LEVEL");
+    const ReplayConfig opted_out = [] {
+        const ScopedEnv level("MYST_OPT_LEVEL", "0");
+        return ReplayConfig(); // defaults read the environment
+    }();
+    const ScopedEnv unset("MYST_OPT_LEVEL", std::nullopt);
     const ReplayConfig opted_in;
     EXPECT_EQ(opted_out.opt_level, 0);
     EXPECT_EQ(opted_in.opt_level, 1);

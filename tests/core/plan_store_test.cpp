@@ -27,6 +27,7 @@
 #include "core/plan_cache.h"
 #include "core/plan_store.h"
 #include "core/replayer.h"
+#include "scoped_env.h"
 #include "workloads/harness.h"
 
 namespace mystique::core {
@@ -265,16 +266,17 @@ TEST(PlanStoreTier, EnvVarEnablesTier)
     const ReplayConfig cfg = tiny_replay();
     TempStoreDir dir;
 
-    ASSERT_EQ(::setenv("MYST_PLAN_CACHE_DIR", dir.path.c_str(), 1), 0);
-    PlanCache cache(8); // no override: follows the environment
-    (void)cache.get_or_build(r0.trace, &r0.prof, cfg);
-    cache.flush_writebacks();
-    ::unsetenv("MYST_PLAN_CACHE_DIR");
-
-    EXPECT_EQ(cache.stats().writebacks, 1u);
+    {
+        const ScopedEnv store_dir("MYST_PLAN_CACHE_DIR", dir.path);
+        PlanCache cache(8); // no override: follows the environment
+        (void)cache.get_or_build(r0.trace, &r0.prof, cfg);
+        cache.flush_writebacks();
+        EXPECT_EQ(cache.stats().writebacks, 1u);
+    }
     sole_entry(dir.path);
 
     // With the variable gone the tier is off again: no disk traffic.
+    const ScopedEnv unset("MYST_PLAN_CACHE_DIR", std::nullopt);
     PlanCache plain(8);
     (void)plain.get_or_build(r0.trace, &r0.prof, cfg);
     const PlanCacheStats s = plain.stats();
@@ -637,6 +639,43 @@ TEST_F(PlanStoreFaults, InjectedLoadCorruptionQuarantinesAndRebuilds)
     EXPECT_EQ(cache.stats().builds, 1u);
     EXPECT_TRUE(fs::exists(entry + ".bad"));
     EXPECT_EQ(count_tmp_files(), 0u);
+}
+
+TEST_F(PlanStoreFaults, MalformedFaultSpecFailsTheFetchAndKeepsTheEntry)
+{
+    const auto& r0 = traced("param_linear").rank0();
+    const ReplayConfig cfg = tiny_replay();
+    {
+        PlanCache seeder(8);
+        seeder.set_store_dir(dir_.path);
+        (void)seeder.get_or_build(r0.trace, &r0.prof, cfg);
+        seeder.flush_writebacks();
+    }
+    const std::string entry = sole_entry(dir_.path);
+
+    // With a malformed spec every hook throws ConfigError, the fs.read one
+    // inside PlanStore::load included.  That is a bad setting, not a bad
+    // entry: the fetch fails and a store shared by a fleet keeps its entry.
+    {
+        const ScopedEnv bad_spec("MYST_FAULT", "fs.read:0");
+        EXPECT_THROW(FaultInjection::instance().reload_env(), ConfigError);
+    }
+    {
+        PlanCache cache(8);
+        cache.set_store_dir(dir_.path);
+        EXPECT_THROW((void)cache.get_or_build(r0.trace, &r0.prof, cfg), ConfigError);
+        cache.flush_writebacks();
+        EXPECT_EQ(cache.stats().builds, 0u);
+    }
+    FaultInjection::instance().disarm_all();
+
+    EXPECT_TRUE(fs::exists(entry));
+    EXPECT_FALSE(fs::exists(entry + ".bad")) << "a valid entry was quarantined";
+    PlanCache healed(8);
+    healed.set_store_dir(dir_.path);
+    (void)healed.get_or_build(r0.trace, &r0.prof, cfg);
+    EXPECT_EQ(healed.stats().disk_hits, 1u);
+    EXPECT_EQ(healed.stats().builds, 0u);
 }
 
 // ---------------------------------------------------------------------------

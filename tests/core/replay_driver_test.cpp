@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -26,6 +25,7 @@
 #include "common/string_util.h"
 #include "core/plan_cache.h"
 #include "core/replay_driver.h"
+#include "scoped_env.h"
 #include "workloads/harness.h"
 
 namespace mystique::core {
@@ -547,33 +547,6 @@ TEST(ReplayDriverResilience, QuarantineAfterRepeatedFailuresAndProbeHeals)
     expect_all_ok(resumed);
     EXPECT_EQ(resumed.journal_resumed, resumed.groups.size());
 }
-
-/// Sets (or unsets, for nullopt) one variable for the test's scope and
-/// restores the previous value afterwards.
-class ScopedEnv {
-  public:
-    ScopedEnv(const char* name, std::optional<std::string> value) : name_(name)
-    {
-        if (const char* old = std::getenv(name))
-            old_ = old;
-        set(value);
-    }
-    ~ScopedEnv() { set(old_); }
-    ScopedEnv(const ScopedEnv&) = delete;
-    ScopedEnv& operator=(const ScopedEnv&) = delete;
-
-  private:
-    void set(const std::optional<std::string>& value)
-    {
-        if (value.has_value())
-            ::setenv(name_, value->c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-    const char* name_;
-    std::optional<std::string> old_;
-};
 
 TEST(ReplayDriverResilience, OverflowingBackoffIsRejectedBeforeAnyGroupRuns)
 {
