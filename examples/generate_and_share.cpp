@@ -54,9 +54,9 @@ main(int argc, char** argv)
                 t_orig / 1e3, t_obf / 1e3, 100.0 * relative_error(t_obf, t_orig));
 
     // 4. Package the shareable benchmark.  The plan comes from the cache
-    //    (zero rebuilds after step 3), and replay_plan.json is sealed and
-    //    carries the plan key, so the vendor can prove the package is
-    //    untampered.
+    //    (zero rebuilds after step 3); manifest.json and replay_plan.json
+    //    are sealed, and the plan carries the plan key, so the vendor can
+    //    prove the package is untampered.
     const core::PlanCacheStats before = core::PlanCache::instance().stats();
     const core::CodegenResult res =
         core::generate_benchmark(out_dir, obf, r0.prof, replay_cfg);
@@ -77,7 +77,7 @@ main(int argc, char** argv)
         std::fprintf(stderr, "package verification failed: the imported plan differs\n");
         return 1;
     }
-    std::printf("package verified: the plan seal holds, the derived plan key matches the "
+    std::printf("package verified: both seals hold, the derived plan key matches the "
                 "sealed plan's, and the plan imports as packaged\n");
     return 0;
 }

@@ -110,7 +110,6 @@ class ProcessGroup {
     /// @p world_size ranks instead of rendezvousing at the modeled size —
     /// the paper's scaled-down performance emulation (§7.3).
     void set_emulated_world_size(int world_size) { emulated_world_size_ = world_size; }
-    int emulated_world_size() const { return emulated_world_size_; }
 
   private:
     std::shared_ptr<CommFabric> fabric_;

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace mystique {
@@ -26,9 +27,21 @@ Json::as_int() const
 {
     if (const int64_t* i = std::get_if<int64_t>(&value_))
         return *i;
-    if (const double* d = std::get_if<double>(&value_); d != nullptr && *d == std::floor(*d))
+    // [-2^63, 2^63) is exactly the range a double converts to int64 in;
+    // outside it the conversion is undefined behaviour.
+    if (const double* d = std::get_if<double>(&value_);
+        d != nullptr && *d == std::floor(*d) && *d >= -0x1p63 && *d < 0x1p63)
         return static_cast<int64_t>(*d);
     MYST_THROW(ParseError, "json: expected integer");
+}
+
+int
+Json::as_int32() const
+{
+    const int64_t v = as_int();
+    if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max())
+        MYST_THROW(ParseError, "json: integer " << v << " does not fit in an int");
+    return static_cast<int>(v);
 }
 
 double
@@ -129,34 +142,6 @@ Json::set(std::string_view key, Json v)
         }
     }
     members.emplace_back(std::string(key), std::move(v));
-}
-
-int64_t
-Json::get_int(std::string_view key, int64_t fallback) const
-{
-    const Json* v = find(key);
-    return (v != nullptr && v->is_number()) ? v->as_int() : fallback;
-}
-
-double
-Json::get_double(std::string_view key, double fallback) const
-{
-    const Json* v = find(key);
-    return (v != nullptr && v->is_number()) ? v->as_double() : fallback;
-}
-
-std::string
-Json::get_string(std::string_view key, const std::string& fallback) const
-{
-    const Json* v = find(key);
-    return (v != nullptr && v->is_string()) ? v->as_string() : fallback;
-}
-
-bool
-Json::get_bool(std::string_view key, bool fallback) const
-{
-    const Json* v = find(key);
-    return (v != nullptr && v->is_bool()) ? v->as_bool() : fallback;
 }
 
 namespace {

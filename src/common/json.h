@@ -67,7 +67,10 @@ class Json {
 
     /// Typed accessors; throw ParseError when the type does not match.
     bool as_bool() const;
+    /// An integer, or a double with an integral value inside int64's range.
     int64_t as_int() const;
+    /// as_int() narrowed to int; throws ParseError outside int's range.
+    int as_int32() const;
     /// Numeric value as double (accepts int or double).
     double as_double() const;
     const std::string& as_string() const;
@@ -82,17 +85,14 @@ class Json {
     /// Object member lookup; returns nullptr when absent or not an object.
     const Json* find(std::string_view key) const;
     /// Object member access; throws ParseError when the key is absent.
+    /// Readers take what their writer always emits with at(key).as_*() and
+    /// use find() only for members the writer may omit, so a missing or
+    /// mistyped member is a ParseError, never a default.
     const Json& at(std::string_view key) const;
     /// Inserts or overwrites an object member (value must be an object).
     void set(std::string_view key, Json v);
     /// True when this is an object containing @p key.
     bool contains(std::string_view key) const { return find(key) != nullptr; }
-
-    /// Member getters with defaults for optional trace fields.
-    int64_t get_int(std::string_view key, int64_t fallback) const;
-    double get_double(std::string_view key, double fallback) const;
-    std::string get_string(std::string_view key, const std::string& fallback) const;
-    bool get_bool(std::string_view key, bool fallback) const;
 
     /// The one encoding of a 64-bit hash, fingerprint or bit pattern: a
     /// decimal string.  Json integers are signed, so a value with the high

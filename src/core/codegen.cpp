@@ -98,7 +98,7 @@ Files:
   compiled for each ATen operator (§4.3.1); its last member, `seal`, hashes
   every byte before it
 - `manifest.json` — the package format and the replay config this package
-  was generated under
+  was generated under, sealed the same way
 - `benchmark_main.cpp` — standalone replay program (verifies the package,
   then replays the verified plan)
 
@@ -107,10 +107,11 @@ this directory. The benchmark is portable: pass a different platform name
 (`A100`, `V100`, `CPU`, `NewPlatform`) to evaluate the same workload
 elsewhere without regeneration (§6.7).
 
-Integrity: `mystique::core::verify_package(dir)` checks the seal of
-`replay_plan.json`, then derives the plan key from the packaged trace,
-profiler trace and replay config and checks each of its components against
-the sealed plan's `key`; see docs/package_format.md in the mystique repo.
+Integrity: `mystique::core::verify_package(dir)` checks the seals of
+`manifest.json` and `replay_plan.json`, then derives the plan key from the
+packaged trace, profiler trace and replay config and checks each of its
+components against the sealed plan's `key`; see docs/package_format.md in
+the mystique repo.
 )md";
 
 /// Package files are published atomically (common/fs_util.h): a consumer
@@ -176,7 +177,7 @@ generate_benchmark(const std::string& directory, const et::ExecutionTrace& trace
     write_text(dir / "execution_trace.json", trace.to_json().dump());
     write_text(dir / "profiler_trace.json", prof.to_json().dump());
     write_text(dir / "replay_plan.json", plan->to_json().dump_sealed(2));
-    write_text(dir / "manifest.json", make_manifest(trace, cfg).dump(2));
+    write_text(dir / "manifest.json", make_manifest(trace, cfg).dump_sealed(2));
 
     // benchmark_main.cpp needs no substitutions: its defaults come from the
     // manifest at runtime, keeping the package's config in one place.
@@ -202,22 +203,24 @@ verify_package(const std::string& directory)
     const fs::path dir(directory);
     auto fail = [&v](std::string msg) { v.errors.push_back(std::move(msg)); };
 
+    // The manifest is sealed like the plan: its replay config holds harness
+    // knobs (iterations, seed, ...) that no key component covers.
     Json manifest;
     try {
-        manifest = Json::parse_file((dir / "manifest.json").string());
+        manifest = Json::parse_sealed(read_file((dir / "manifest.json").string()));
     } catch (const std::exception& e) {
-        fail(std::string("manifest.json unreadable: ") + e.what());
+        fail(std::string("manifest.json unreadable or modified after generation: ") + e.what());
         return v;
     }
 
     try {
-        if (manifest.get_string("format", "") != "mystique-benchmark-package") {
+        if (manifest.at("format").as_string() != "mystique-benchmark-package") {
             fail("manifest.json: not a mystique benchmark package");
             return v;
         }
-        if (manifest.get_int("format_version", 0) != kPackageFormatVersion) {
-            fail("manifest.json: unsupported format_version " +
-                 std::to_string(manifest.get_int("format_version", 0)));
+        if (const int64_t version = manifest.at("format_version").as_int();
+            version != kPackageFormatVersion) {
+            fail("manifest.json: unsupported format_version " + std::to_string(version));
             return v;
         }
 

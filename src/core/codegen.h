@@ -10,7 +10,7 @@
 ///                                coverage, per-op streams + IR text),
 ///                                sealed (Json::dump_sealed)
 ///   <dir>/manifest.json          the package format, the replay config and
-///                                the generator version
+///                                the generator version, sealed
 ///   <dir>/benchmark_main.cpp     a standalone C++ program against this
 ///                                library that replays the trace
 ///   <dir>/README.md              how to build and run it
@@ -33,11 +33,12 @@
 ///
 /// Each fact is stated once: the sealed `replay_plan.json` carries the
 /// complete PlanKey (trace structural, supported-OpId-set, ReplayConfig and
-/// profiler stream fingerprints), and `manifest.json` the serialized
-/// ReplayConfig.  verify_package() is the one reader of a package: it checks
-/// the plan's seal, derives the plan key from the packaged files, checks it
-/// against the sealed plan's key and returns what it verified, so a consumer
-/// replays the very bytes the checks covered.
+/// profiler stream fingerprints), and the sealed `manifest.json` the
+/// serialized ReplayConfig, whose harness knobs (iterations, seed, ...) no
+/// key component covers.  verify_package() is the one reader of a package:
+/// it checks both seals, derives the plan key from the packaged files,
+/// checks it against the sealed plan's key and returns what it verified, so
+/// a consumer replays the very bytes the checks covered.
 
 #include <memory>
 #include <string>
@@ -63,8 +64,10 @@ namespace mystique::core {
 /// "profiler_trace", the top-level "opt_level", "coverage").
 /// v7: replay_plan.json is sealed (Json::dump_sealed) and holds the only
 /// copy of the plan key; the manifest drops its key copy and its seal over
-/// the plan — v6 and older packages are rejected.
-inline constexpr int kPackageFormatVersion = 7;
+/// the plan.
+/// v8: manifest.json is sealed (Json::dump_sealed) too — v7 and older
+/// packages are rejected.
+inline constexpr int kPackageFormatVersion = 8;
 /// Generator identity recorded in the manifest.
 inline constexpr const char* kGeneratorVersion = "mystique-codegen/1.0";
 
@@ -100,7 +103,8 @@ struct PackageVerification {
 };
 
 /// The one reader of a generated package directory; integrity-checks it:
-///  - the manifest is a v7 package manifest, and every file it lists exists;
+///  - manifest.json passes its seal (Json::parse_sealed), is a v8 package
+///    manifest, and every file it lists exists;
 ///  - replay_plan.json passes its seal (Json::parse_sealed);
 ///  - plan_key() of the packaged execution trace, profiler trace and replay
 ///    config equals the sealed plan's key, component by component (this

@@ -245,14 +245,6 @@ PlanCache::clear()
 }
 
 void
-PlanCache::set_capacity(std::size_t capacity)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    capacity_ = std::max<std::size_t>(capacity, 1);
-    evict_excess_locked();
-}
-
-void
 PlanCache::set_store_dir(std::optional<std::string> dir)
 {
     // Writebacks bound for the *old* store should land before the switch

@@ -134,8 +134,6 @@ class PlanCache {
     /// exactly the cross-process scenario it simulates.
     void clear();
 
-    void set_capacity(std::size_t capacity);
-
     /// Overrides the disk tier for this cache instance:
     ///  - nullopt (the default): follow `MYST_PLAN_CACHE_DIR`, re-read at
     ///    every miss like the other runtime knobs;

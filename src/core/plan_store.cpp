@@ -55,12 +55,11 @@ PlanStore::load(const PlanKey& key, std::shared_ptr<const et::ExecutionTrace> tr
         // what the key promises.  Truncated, zero-byte and garbage entries
         // fail to parse.
         const Json entry = Json::parse_sealed(text);
-        if (entry.get_string("format", "") != kEntryFormat)
+        if (entry.at("format").as_string() != kEntryFormat)
             MYST_THROW(ParseError, "plan store entry: not a plan-store entry");
-        if (entry.get_int("format_version", 0) != kPlanStoreFormatVersion)
-            MYST_THROW(ParseError,
-                       "plan store entry: stale schema version " +
-                           std::to_string(entry.get_int("format_version", 0)));
+        if (const int64_t version = entry.at("format_version").as_int();
+            version != kPlanStoreFormatVersion)
+            MYST_THROW(ParseError, "plan store entry: stale schema version " << version);
         // A renamed/copied entry must not impersonate another key: the
         // plan's key has to match the one the file name addressed.
         const Json& plan = entry.at("plan");

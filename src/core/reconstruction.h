@@ -80,8 +80,6 @@ class Reconstructor {
         return cu_.create_function(name, std::move(graph));
     }
 
-    const jit::CompilationUnit& compilation_unit() const { return cu_; }
-
   private:
     jit::CompilationUnit cu_;
 };

@@ -15,22 +15,6 @@
 
 namespace mystique::core {
 
-namespace {
-
-dev::OpCategory
-category_from_name(const std::string& name)
-{
-    for (dev::OpCategory c : {dev::OpCategory::kATen, dev::OpCategory::kComm,
-                              dev::OpCategory::kFused, dev::OpCategory::kCustom,
-                              dev::OpCategory::kOther}) {
-        if (name == dev::to_string(c))
-            return c;
-    }
-    MYST_THROW(ParseError, "plan json: unknown op category '" + name + "'");
-}
-
-} // namespace
-
 int
 default_opt_level()
 {
@@ -132,8 +116,8 @@ ReplayConfig::from_json(const Json& j)
     if (mode != "numeric" && mode != "shape_only")
         MYST_THROW(ParseError, "replay config json: unknown mode '" + mode + "'");
     cfg.mode = mode == "numeric" ? fw::ExecMode::kNumeric : fw::ExecMode::kShapeOnly;
-    cfg.warmup_iterations = static_cast<int>(j.at("warmup_iterations").as_int());
-    cfg.iterations = static_cast<int>(j.at("iterations").as_int());
+    cfg.warmup_iterations = j.at("warmup_iterations").as_int32();
+    cfg.iterations = j.at("iterations").as_int32();
     cfg.seed = static_cast<uint64_t>(j.at("seed").as_int());
     cfg.power_limit_w.reset();
     if (!j.at("power_limit_w").is_null())
@@ -143,7 +127,7 @@ ReplayConfig::from_json(const Json& j)
         cfg.filter.subtrace_root = filter_j.at("subtrace_root").as_string();
     if (!filter_j.at("only_category").is_null())
         cfg.filter.only_category =
-            category_from_name(filter_j.at("only_category").as_string());
+            dev::op_category_from_string(filter_j.at("only_category").as_string());
     const Json& emb_j = j.at("embedding");
     const std::string& dist = emb_j.at("distribution").as_string();
     if (dist != "zipf" && dist != "uniform")
@@ -159,9 +143,9 @@ ReplayConfig::from_json(const Json& j)
         else
             cfg.custom_ops.register_op(n);
     }
-    cfg.emulate_world_size = static_cast<int>(j.at("emulate_world_size").as_int());
-    cfg.opt_level = static_cast<int>(j.at("opt_level").as_int());
-    cfg.async_level = static_cast<int>(j.at("async_level").as_int());
+    cfg.emulate_world_size = j.at("emulate_world_size").as_int32();
+    cfg.opt_level = j.at("opt_level").as_int32();
+    cfg.async_level = j.at("async_level").as_int32();
     cfg.collect_profiler = j.at("collect_profiler").as_bool();
     return cfg;
 }
@@ -473,7 +457,8 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
         if (node == nullptr)
             MYST_THROW(ParseError, "plan json: selected node " + std::to_string(node_id) +
                                        " is not in the trace");
-        const std::string recorded_kind = o.get_string("kind", "compiled_ir");
+        const Json* kind_j = o.find("kind");
+        const std::string recorded_kind = kind_j != nullptr ? kind_j->as_string() : "compiled_ir";
         const SelectedOp sel{node_id, recorded_kind != "skipped", et::resolve_op_id(*node)};
         plan->selection_.ops.push_back(sel);
 
@@ -509,7 +494,7 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
             op.fn = fn;
         }
         if (const Json* stream = o.find("stream"))
-            op.stream = static_cast<int>(stream->as_int());
+            op.stream = stream->as_int32();
         plan->ops_.push_back(std::move(op));
     }
 
@@ -525,8 +510,9 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
         for (const Json& gj : groups_j->as_array()) {
             FusedGroup g;
             for (const Json& m : gj.at("members").as_array())
-                g.members.push_back(static_cast<int>(m.as_int()));
-            g.dead = gj.get_bool("dead", false);
+                g.members.push_back(m.as_int32());
+            if (const Json* dead = gj.find("dead"))
+                g.dead = dead->as_bool();
             finalize_group(plan->ops_, g, &counts);
             const int gid = static_cast<int>(plan->fused_groups_.size());
             for (const int m : g.members) {

@@ -48,18 +48,21 @@ SweepJournalRecord
 record_from_line(std::string_view line)
 {
     const Json j = Json::parse_sealed(line);
-    if (j.get_int("v", 0) != kRecordVersion)
+    if (j.at("v").as_int() != kRecordVersion)
         MYST_THROW(ParseError, "sweep journal: unknown record version");
     SweepJournalRecord rec;
     rec.sweep_fp = j.at("sweep").as_u64();
     rec.group_fp = j.at("group").as_u64();
     rec.status = group_status_from_string(j.at("status").as_string());
-    rec.attempts = static_cast<uint32_t>(j.get_int("attempts", 0));
+    const int64_t attempts = j.at("attempts").as_int();
+    if (attempts < 0 || attempts > UINT32_MAX)
+        MYST_THROW(ParseError, "sweep journal: attempts " << attempts << " out of range");
+    rec.attempts = static_cast<uint32_t>(attempts);
     rec.population_weight = std::bit_cast<double>(j.at("weight_bits").as_u64());
     rec.mean_iter_us = std::bit_cast<double>(j.at("mean_bits").as_u64());
     for (const Json& it : j.at("iter_us_bits").as_array())
         rec.iter_us.push_back(std::bit_cast<double>(it.as_u64()));
-    rec.error = j.get_string("error", "");
+    rec.error = j.at("error").as_string();
     return rec;
 }
 

@@ -74,16 +74,6 @@ Device::sync_all() const
     return t;
 }
 
-std::vector<int>
-Device::active_streams() const
-{
-    std::vector<int> ids;
-    ids.reserve(stream_tails_.size());
-    for (const auto& [id, tail] : stream_tails_)
-        ids.push_back(id);
-    return ids;
-}
-
 DeviceMetrics
 Device::metrics(sim::TimeUs window_start, sim::TimeUs window_end) const
 {

@@ -88,9 +88,6 @@ class Device {
     /// All kernels launched so far, in launch order.
     const std::vector<KernelRecord>& records() const { return records_; }
 
-    /// IDs of streams that have been used.
-    std::vector<int> active_streams() const;
-
     /// Aggregates metrics over [window_start, window_end); kernels partially
     /// inside the window contribute pro-rata.
     DeviceMetrics metrics(sim::TimeUs window_start, sim::TimeUs window_end) const;

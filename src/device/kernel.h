@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace mystique::dev {
 
@@ -27,6 +28,8 @@ enum class OpCategory {
 
 /// Returns the display name used in traces and reports.
 const char* to_string(OpCategory c);
+/// The category whose to_string() is @p name; throws ParseError otherwise.
+OpCategory op_category_from_string(std::string_view name);
 
 /// Broad kernel families with distinct efficiency/locality behaviour.
 enum class KernelKind {
@@ -44,11 +47,13 @@ enum class KernelKind {
     kFusedPointwise,
     kLstm,
     kOptimizer,
-    kOther,
+    kOther, ///< last: kernel_kind_from_string walks the kinds up to it
 };
 
 /// Returns the display name of a kernel kind.
 const char* to_string(KernelKind k);
+/// The kind whose to_string() is @p name; throws ParseError otherwise.
+KernelKind kernel_kind_from_string(std::string_view name);
 
 /// Hardware-agnostic description of one kernel's work.
 struct KernelDesc {

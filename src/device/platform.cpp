@@ -18,6 +18,17 @@ to_string(OpCategory c)
     return "?";
 }
 
+OpCategory
+op_category_from_string(std::string_view name)
+{
+    for (OpCategory c : {OpCategory::kATen, OpCategory::kComm, OpCategory::kFused,
+                         OpCategory::kCustom, OpCategory::kOther}) {
+        if (name == to_string(c))
+            return c;
+    }
+    MYST_THROW(ParseError, "unknown op category '" << name << "'");
+}
+
 const char*
 to_string(KernelKind k)
 {
@@ -39,6 +50,16 @@ to_string(KernelKind k)
       case KernelKind::kOther: return "other";
     }
     return "?";
+}
+
+KernelKind
+kernel_kind_from_string(std::string_view name)
+{
+    for (int k = 0; k <= static_cast<int>(KernelKind::kOther); ++k) {
+        if (name == to_string(static_cast<KernelKind>(k)))
+            return static_cast<KernelKind>(k);
+    }
+    MYST_THROW(ParseError, "unknown kernel kind '" << name << "'");
 }
 
 PlatformSpec

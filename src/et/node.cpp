@@ -156,17 +156,6 @@ kind_from_name(const std::string& s)
     MYST_THROW(ParseError, "unknown argument kind '" << s << "'");
 }
 
-dev::OpCategory
-category_from_name(const std::string& s)
-{
-    if (s == "ATen") return dev::OpCategory::kATen;
-    if (s == "Comms") return dev::OpCategory::kComm;
-    if (s == "Fused") return dev::OpCategory::kFused;
-    if (s == "Custom") return dev::OpCategory::kCustom;
-    if (s == "Other") return dev::OpCategory::kOther;
-    MYST_THROW(ParseError, "unknown op category '" << s << "'");
-}
-
 } // namespace
 
 Json
@@ -297,9 +286,9 @@ Node::from_json(const Json& j)
     n.name = j.at("name").as_string();
     n.parent = j.at("parent").as_int();
     n.kind = node_kind_from_string(j.at("kind").as_string());
-    n.category = category_from_name(j.at("category").as_string());
-    n.op_schema = j.get_string("op_schema", "");
-    const int64_t tid = j.get_int("tid", 1);
+    n.category = dev::op_category_from_string(j.at("category").as_string());
+    n.op_schema = j.at("op_schema").as_string();
+    const int64_t tid = j.at("tid").as_int();
     if (tid != 1 && tid != 2)
         MYST_THROW(ParseError, "node " << n.id << ": tid " << tid
                                        << " is neither 1 (main) nor 2 (autograd)");
@@ -308,7 +297,8 @@ Node::from_json(const Json& j)
         n.inputs.push_back(Argument::from_json(a));
     for (const auto& a : j.at("outputs").as_array())
         n.outputs.push_back(Argument::from_json(a));
-    n.pg_id = j.get_int("pg", -1);
+    if (const Json* pg = j.find("pg"))
+        n.pg_id = pg->as_int();
     return n;
 }
 

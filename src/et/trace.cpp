@@ -1,6 +1,7 @@
 #include "et/trace.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "common/error.h"
 #include "common/hash.h"
@@ -35,18 +36,25 @@ TraceMeta
 TraceMeta::from_json(const Json& j)
 {
     TraceMeta m;
-    m.workload = j.get_string("workload", "");
-    m.platform = j.get_string("platform", "");
-    m.rank = static_cast<int>(j.get_int("rank", 0));
-    m.world_size = static_cast<int>(j.get_int("world_size", 1));
-    m.iteration = static_cast<int>(j.get_int("iteration", 0));
-    m.seed = static_cast<uint64_t>(j.get_int("seed", 0));
+    m.workload = j.at("workload").as_string();
+    m.platform = j.at("platform").as_string();
+    m.rank = j.at("rank").as_int32();
+    m.world_size = j.at("world_size").as_int32();
+    m.iteration = j.at("iteration").as_int32();
+    m.seed = static_cast<uint64_t>(j.at("seed").as_int());
     if (const Json* groups = j.find("process_groups")) {
         for (const auto& [key, arr] : groups->as_object()) {
+            // The writer spells each id with std::to_string: exactly an
+            // optional '-' and decimal digits.
+            int64_t id = 0;
+            const auto [end, ec] = std::from_chars(key.data(), key.data() + key.size(), id);
+            if (ec != std::errc() || end != key.data() + key.size())
+                MYST_THROW(ParseError, "trace meta: process-group id '" << key
+                                                                        << "' is not a decimal");
             std::vector<int> ranks;
             for (const auto& r : arr.as_array())
-                ranks.push_back(static_cast<int>(r.as_int()));
-            m.process_groups[std::stoll(key)] = std::move(ranks);
+                ranks.push_back(r.as_int32());
+            m.process_groups[id] = std::move(ranks);
         }
     }
     return m;

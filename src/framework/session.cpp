@@ -477,12 +477,6 @@ Session::has_process_group(int64_t pg_id) const
     return process_groups_.count(pg_id) != 0;
 }
 
-void
-Session::clear_process_groups()
-{
-    process_groups_.clear();
-}
-
 std::map<int64_t, std::vector<int>>
 Session::process_group_defs() const
 {

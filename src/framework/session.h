@@ -167,7 +167,6 @@ class Session {
     /// override is installed, switch_thread() only relabels tid — the
     /// handoff semantics belong to the serial two-thread walk.
     void set_clock_override(sim::VirtualClock* clk) { clock_override_ = clk; }
-    sim::VirtualClock* clock_override() const { return clock_override_; }
 
     /// Active thread (kMainThread or kAutogradThread).
     int tid() const { return tid_; }
@@ -206,10 +205,6 @@ class Session {
     bool has_process_group(int64_t pg_id) const;
     /// All registered groups: ET pg id → member ranks (stored in TraceMeta).
     std::map<int64_t, std::vector<int>> process_group_defs() const;
-    /// Drops every registered group — called between replays when one session
-    /// is reused across plans (ReplayDriver's database sweeps), so a previous
-    /// trace's groups cannot leak into the next trace's pg-id space.
-    void clear_process_groups();
 
     // ------------------------------------------------------------ observers
 

@@ -251,21 +251,11 @@ dev::MicroMetrics
 micro_from_json(const Json& j)
 {
     dev::MicroMetrics m;
-    m.ipc = j.get_double("ipc", 0.0);
-    m.l1_hit_rate = j.get_double("l1", 0.0);
-    m.l2_hit_rate = j.get_double("l2", 0.0);
-    m.sm_throughput = j.get_double("sm", 0.0);
+    m.ipc = j.at("ipc").as_double();
+    m.l1_hit_rate = j.at("l1").as_double();
+    m.l2_hit_rate = j.at("l2").as_double();
+    m.sm_throughput = j.at("sm").as_double();
     return m;
-}
-
-dev::OpCategory
-category_from_name(const std::string& s)
-{
-    if (s == "ATen") return dev::OpCategory::kATen;
-    if (s == "Comms") return dev::OpCategory::kComm;
-    if (s == "Fused") return dev::OpCategory::kFused;
-    if (s == "Custom") return dev::OpCategory::kCustom;
-    return dev::OpCategory::kOther;
 }
 
 } // namespace
@@ -313,26 +303,26 @@ ProfilerTrace::from_json(const Json& j)
     for (const auto& e : j.at("cpu_ops").as_array()) {
         CpuOpEvent ev;
         ev.name = e.at("name").as_string();
-        ev.tid = static_cast<int>(e.get_int("tid", 1));
-        ev.ts = e.get_double("ts", 0.0);
-        ev.dur = e.get_double("dur", 0.0);
-        ev.node_id = e.get_int("node_id", -1);
-        ev.category = category_from_name(e.get_string("category", "ATen"));
-        ev.is_wrapper = e.get_bool("wrapper", false);
+        ev.tid = e.at("tid").as_int32();
+        ev.ts = e.at("ts").as_double();
+        ev.dur = e.at("dur").as_double();
+        ev.node_id = e.at("node_id").as_int();
+        ev.category = dev::op_category_from_string(e.at("category").as_string());
+        ev.is_wrapper = e.at("wrapper").as_bool();
         t.add_cpu_op(std::move(ev));
     }
     for (const auto& e : j.at("kernels").as_array()) {
         KernelEvent ev;
         ev.name = e.at("name").as_string();
-        ev.stream = static_cast<int>(e.get_int("stream", 0));
-        ev.ts = e.get_double("ts", 0.0);
-        ev.dur = e.get_double("dur", 0.0);
-        ev.correlation = e.get_int("correlation", -1);
-        ev.category = category_from_name(e.get_string("category", "ATen"));
-        ev.flops = e.get_double("flops", 0.0);
-        ev.bytes = e.get_double("bytes", 0.0);
-        if (const Json* m = e.find("micro"))
-            ev.micro = micro_from_json(*m);
+        ev.stream = e.at("stream").as_int32();
+        ev.ts = e.at("ts").as_double();
+        ev.dur = e.at("dur").as_double();
+        ev.correlation = e.at("correlation").as_int();
+        ev.category = dev::op_category_from_string(e.at("category").as_string());
+        ev.kind = dev::kernel_kind_from_string(e.at("kind").as_string());
+        ev.flops = e.at("flops").as_double();
+        ev.bytes = e.at("bytes").as_double();
+        ev.micro = micro_from_json(e.at("micro"));
         t.add_kernel(std::move(ev));
     }
     return t;

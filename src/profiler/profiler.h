@@ -68,7 +68,10 @@ class ProfilerTrace {
     Json to_chrome_trace() const;
     void save_chrome_trace(const std::string& path) const;
 
-    /// Structured (lossless) serialization.
+    /// Structured (lossless) serialization: from_json(to_json()) restores
+    /// every field of every event.  from_json requires every member to_json
+    /// writes and throws ParseError on a missing or mistyped member or an
+    /// unknown category or kernel kind name.
     Json to_json() const;
     static ProfilerTrace from_json(const Json& j);
 

@@ -49,6 +49,31 @@ TEST(Json, IntAsDoubleCoercion)
     EXPECT_EQ(Json::parse("7.0").as_int(), 7);
 }
 
+TEST(Json, AsIntRejectsIntegralDoublesOutsideInt64)
+{
+    // Integers past int64 parse as doubles; converting those is undefined,
+    // so as_int refuses every integral double outside [-2^63, 2^63).
+    EXPECT_THROW(Json::parse("1e30").as_int(), ParseError);
+    EXPECT_THROW(Json::parse("-1e30").as_int(), ParseError);
+    EXPECT_THROW(Json::parse("9223372036854775808").as_int(), ParseError);
+    EXPECT_THROW(Json::parse("9.223372036854775808e18").as_int(), ParseError);
+    EXPECT_EQ(Json::parse("9223372036854775807").as_int(), INT64_MAX);
+    EXPECT_EQ(Json::parse("-9223372036854775808").as_int(), INT64_MIN);
+    EXPECT_EQ(Json::parse("-9.223372036854775808e18").as_int(), INT64_MIN);
+}
+
+TEST(Json, AsInt32NarrowsOnlyWhatFits)
+{
+    EXPECT_EQ(Json::parse("2147483647").as_int32(), INT32_MAX);
+    EXPECT_EQ(Json::parse("-2147483648").as_int32(), INT32_MIN);
+    EXPECT_EQ(Json::parse("8.0").as_int32(), 8);
+    // 2^32 + 8 would wrap to 8.
+    EXPECT_THROW(Json::parse("4294967304").as_int32(), ParseError);
+    EXPECT_THROW(Json::parse("2147483648").as_int32(), ParseError);
+    EXPECT_THROW(Json::parse("-2147483649").as_int32(), ParseError);
+    EXPECT_THROW(Json::parse("\"8\"").as_int32(), ParseError);
+}
+
 TEST(Json, StringEscapes)
 {
     Json j(std::string("a\"b\\c\nd\te"));
@@ -112,18 +137,25 @@ TEST(Json, FindAndContains)
     EXPECT_THROW(obj.at("b"), ParseError);
 }
 
-TEST(Json, GettersWithDefaults)
+TEST(Json, RequiredAndOptionalMembers)
 {
-    Json obj = Json::object();
-    obj.set("i", Json(5));
-    obj.set("s", Json("str"));
-    obj.set("b", Json(true));
-    EXPECT_EQ(obj.get_int("i", 0), 5);
-    EXPECT_EQ(obj.get_int("missing", -1), -1);
-    EXPECT_EQ(obj.get_string("s", ""), "str");
-    EXPECT_EQ(obj.get_string("missing", "dflt"), "dflt");
-    EXPECT_TRUE(obj.get_bool("b", false));
-    EXPECT_TRUE(obj.get_bool("missing", true));
+    // A reader takes a member its writer always emits with at(key).as_*():
+    // missing and mistyped are both ParseErrors, never a default.
+    const Json obj = Json::parse(R"({"i": 5, "s": "str", "b": true})");
+    EXPECT_EQ(obj.at("i").as_int(), 5);
+    EXPECT_EQ(obj.at("s").as_string(), "str");
+    EXPECT_TRUE(obj.at("b").as_bool());
+    EXPECT_THROW(obj.at("missing").as_int(), ParseError);
+    EXPECT_THROW(obj.at("s").as_int(), ParseError);
+    EXPECT_THROW(obj.at("i").as_string(), ParseError);
+    EXPECT_THROW(obj.at("i").as_bool(), ParseError);
+
+    // A member the writer may omit is read through find(): absent leaves
+    // the default, present must still have the right type.
+    EXPECT_EQ(obj.find("missing"), nullptr);
+    ASSERT_NE(obj.find("b"), nullptr);
+    EXPECT_TRUE(obj.find("b")->as_bool());
+    EXPECT_THROW(obj.find("s")->as_bool(), ParseError);
 }
 
 TEST(Json, NestedStructures)

@@ -13,9 +13,9 @@
 #include <string>
 
 #include "common/fs_util.h"
-#include "common/hash.h"
 #include "core/codegen.h"
 #include "core/plan_cache.h"
+#include "plan_doc_edits.h"
 #include "scoped_env.h"
 #include "workloads/harness.h"
 
@@ -82,14 +82,27 @@ names(const PackageVerification& v, const std::string& what)
     });
 }
 
-/// Rewrites a package's manifest.json through @p edit.
+/// Rewrites a package's sealed manifest.json through @p edit and seals it
+/// again: the manifest passes its seal, so the check a test names is the
+/// one that must reject it.
 void
 edit_manifest(const std::string& dir, const std::function<void(Json&)>& edit)
 {
     const std::string path = dir + "/manifest.json";
-    Json m = Json::parse_file(path);
+    Json m = Json::parse_sealed(read_file(path));
     edit(m);
-    m.dump_file(path, 2);
+    atomic_write_file(path, m.dump_sealed(2));
+}
+
+/// Rewrites a package's sealed replay_plan.json through @p edit and seals it
+/// again.
+void
+edit_plan(const std::string& dir, const std::function<void(Json&)>& edit)
+{
+    const std::string path = dir + "/replay_plan.json";
+    Json plan = Json::parse_sealed(read_file(path));
+    edit(plan);
+    atomic_write_file(path, plan.dump_sealed(2));
 }
 
 /// Rewrites the plan document at @p plan_path with every op moved to the next
@@ -314,8 +327,9 @@ TEST(Codegen, ManifestCarriesConfigAndSealedPlanCarriesKey)
     const std::string dir = fresh_dir("mystique_codegen_manifest");
     const CodegenResult res = generate_benchmark(dir, r0.trace, r0.prof, cfg, &cache);
 
-    const Json m = Json::parse_file(dir + "/manifest.json");
-    // Each fact once: the v7 manifest holds these members and no others.
+    const Json m = Json::parse_sealed(read_file(dir + "/manifest.json"));
+    // Each fact once: under its seal, the v8 manifest holds these members
+    // and no others.
     std::vector<std::string> members;
     for (const auto& [name, value] : m.as_object())
         members.push_back(name);
@@ -464,32 +478,67 @@ TEST(Codegen, VerifyPackageRejectsTamperedProfilerConfigAndMissingFiles)
     ASSERT_FALSE(v2.errors.empty());
     EXPECT_NE(v2.errors.front().find("replay_plan.json"), std::string::npos);
 
-    // A directory with no manifest at all is not a package, and a v5
-    // manifest, which states facts twice, is no longer read.
+    // A directory with no manifest at all is not a package.
     EXPECT_FALSE(verify_package(fresh_dir("mystique_codegen_no_manifest")).ok);
-    const std::string v5_dir = fresh_dir("mystique_codegen_verify_v5");
-    (void)generate_benchmark(v5_dir, r0.trace, r0.prof, tiny_replay(), &cache);
-    edit_manifest(v5_dir, [](Json& m) { m.set("format_version", Json(5)); });
-    EXPECT_TRUE(names(verify_package(v5_dir), "unsupported format_version 5"));
 
-    // Nor is the v6 layout: the plan key and a plan_hash sidecar beside the
-    // config, over an unsealed plan.
-    const std::string v6_dir = fresh_dir("mystique_codegen_verify_v6");
-    const CodegenResult v6 = generate_benchmark(v6_dir, r0.trace, r0.prof, tiny_replay(), &cache);
-    atomic_write_file(v6_dir + "/replay_plan.json", v6.plan->to_json().dump(2));
-    edit_manifest(v6_dir, [&v6](Json& m) {
-        Json old = Json::object();
-        for (const auto& [name, value] : m.as_object()) {
-            if (name == "replay_config") {
-                old.set("plan_key", v6.plan->key().to_json());
-                old.set("plan_hash", Json::from_u64(hash_bytes(v6.plan->to_json().dump(2))));
-            }
-            old.set(name, value);
-        }
-        old.set("format_version", Json(6));
-        m = std::move(old);
-    });
-    EXPECT_TRUE(names(verify_package(v6_dir), "unsupported format_version 6"));
+    // A v7 package, whose manifest is unsealed, is no longer read.
+    const std::string v7_dir = fresh_dir("mystique_codegen_verify_v7");
+    (void)generate_benchmark(v7_dir, r0.trace, r0.prof, tiny_replay(), &cache);
+    Json v7 = Json::parse_sealed(read_file(v7_dir + "/manifest.json"));
+    v7.set("format_version", Json(7));
+    v7.dump_file(v7_dir + "/manifest.json", 2);
+    const PackageVerification old = verify_package(v7_dir);
+    EXPECT_FALSE(old.ok);
+    EXPECT_TRUE(names(old, "manifest.json"));
+    EXPECT_TRUE(names(old, "missing seal"));
+
+    // Nor is a sealed manifest of another version.
+    const std::string v9_dir = fresh_dir("mystique_codegen_verify_v9");
+    (void)generate_benchmark(v9_dir, r0.trace, r0.prof, tiny_replay(), &cache);
+    edit_manifest(v9_dir, [](Json& m) { m.set("format_version", Json(9)); });
+    EXPECT_TRUE(names(verify_package(v9_dir), "unsupported format_version 9"));
+}
+
+TEST(Codegen, VerifyPackageRejectsEditedHarnessKnobs)
+{
+    // No key component covers the replay config's harness knobs, so only
+    // the manifest's seal can catch an edit to them: iterations 0 and
+    // another seed would otherwise verify and report 0 ms per iteration.
+    const auto& r0 = traced("param_linear").rank0();
+    PlanCache cache(8);
+    const std::string dir = fresh_dir("mystique_codegen_verify_knobs");
+    (void)generate_benchmark(dir, r0.trace, r0.prof, tiny_replay(), &cache);
+    const std::string path = dir + "/manifest.json";
+    Json m = Json::parse_file(path); // keeps the old seal, which no longer matches
+    Json cfg = m.at("replay_config");
+    cfg.set("iterations", Json(0));
+    cfg.set("seed", Json(12345));
+    m.set("replay_config", std::move(cfg));
+    m.dump_file(path, 2);
+
+    const PackageVerification v = verify_package(dir);
+    EXPECT_FALSE(v.ok);
+    EXPECT_TRUE(names(v, "manifest.json"));
+    EXPECT_EQ(v.trace, nullptr);
+}
+
+TEST(Codegen, ImportRejectsMistypedOptionalPlanMembers)
+{
+    // Sealed again after the edit, the plan passes verification, and
+    // importing it is a ParseError.
+    const auto& r0 = traced("rm").rank0();
+    ReplayConfig cfg = tiny_replay();
+    cfg.opt_level = 1;
+    PlanCache cache(8);
+    const auto edits = mistyped_optional_member_edits();
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+        const std::string dir = fresh_dir("mystique_codegen_mistyped_" + std::to_string(i));
+        (void)generate_benchmark(dir, r0.trace, r0.prof, cfg, &cache);
+        edit_plan(dir, edits[i]);
+        const PackageVerification pkg = verify_package(dir);
+        ASSERT_TRUE(pkg.ok) << (pkg.errors.empty() ? "" : pkg.errors.front());
+        EXPECT_THROW((void)ReplayPlan::from_json(pkg.plan, pkg.trace), ParseError) << i;
+    }
 }
 
 TEST(Codegen, VerifyPackageRejectsTamperedPlan)
@@ -515,12 +564,11 @@ TEST(Codegen, VerifyPackageRejectsTamperedPlan)
     // and name the file whose fingerprint no longer matches.
     const std::string rekeyed_dir = fresh_dir("mystique_codegen_verify_rekeyed");
     (void)generate_benchmark(rekeyed_dir, r0.trace, r0.prof, tiny_replay(), &cache);
-    const std::string rekeyed_path = rekeyed_dir + "/replay_plan.json";
-    Json plan = Json::parse_sealed(read_file(rekeyed_path));
-    Json key = plan.at("key");
-    key.set("trace_fp", Json::from_u64(key.at("trace_fp").as_u64() + 1));
-    plan.set("key", std::move(key));
-    atomic_write_file(rekeyed_path, plan.dump_sealed(2));
+    edit_plan(rekeyed_dir, [](Json& plan) {
+        Json key = plan.at("key");
+        key.set("trace_fp", Json::from_u64(key.at("trace_fp").as_u64() + 1));
+        plan.set("key", std::move(key));
+    });
     const PackageVerification rekeyed = verify_package(rekeyed_dir);
     EXPECT_FALSE(rekeyed.ok);
     ASSERT_EQ(rekeyed.errors.size(), 1u);

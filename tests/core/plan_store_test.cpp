@@ -27,6 +27,7 @@
 #include "core/plan_cache.h"
 #include "core/plan_store.h"
 #include "core/replayer.h"
+#include "plan_doc_edits.h"
 #include "scoped_env.h"
 #include "workloads/harness.h"
 
@@ -440,6 +441,32 @@ TEST_F(PlanStoreCorruption, KindDriftedEntryQuarantinesAndRebuilds)
         });
     });
     expect_quarantine_and_rebuild(entry);
+}
+
+TEST_F(PlanStoreCorruption, MistypedOptionalPlanMembersQuarantine)
+{
+    // Sealed again after the edit, the entry passes its seal; restoring it
+    // must then fail, and the entry quarantine.
+    const auto& r0 = traced("rm").rank0();
+    ReplayConfig cfg = tiny_replay();
+    cfg.opt_level = 1;
+    const auto trace = std::make_shared<const et::ExecutionTrace>(r0.trace);
+    const auto plan = ReplayPlan::build(trace, &r0.prof, cfg);
+    const auto edits = mistyped_optional_member_edits();
+    const PlanStore store(dir_.path);
+    const std::string entry = store.entry_path(plan->key());
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+        ASSERT_TRUE(store.store(*plan));
+        ASSERT_NE(store.load(plan->key(), trace), nullptr) << i;
+        reseal(entry, [&](Json& doc) { edit_plan(doc, edits[i]); });
+        EXPECT_THROW((void)ReplayPlan::from_json(Json::parse_sealed(read_file(entry)).at("plan"),
+                                                 trace),
+                     ParseError)
+            << i;
+        EXPECT_EQ(store.load(plan->key(), trace), nullptr) << i;
+        EXPECT_TRUE(fs::exists(entry + ".bad")) << i;
+        fs::remove(entry + ".bad");
+    }
 }
 
 TEST_F(PlanStoreCorruption, ConcurrentFetchWritesBackExactlyOnce)

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 
 #include "common/error.h"
@@ -258,6 +259,71 @@ TEST(ExecutionTrace, FromJsonRejectsBadParentsAndTids)
         n.tid = tid;
         EXPECT_THROW(ExecutionTrace::from_json(doc({op_node(1, "a"), n})), ParseError) << tid;
     }
+}
+
+TEST(ExecutionTrace, FromJsonRejectsMissingAndMistypedMembers)
+{
+    // Every member the writer always emits is required with its type, and
+    // the optional "pg" must have its type when present: a hostile edit is
+    // a ParseError, never the value a default would have given.
+    ExecutionTrace t;
+    t.meta().world_size = 8;
+    t.meta().process_groups[1] = {0, 1};
+    Node n = op_node(1, "a");
+    n.pg_id = 1;
+    t.add_node(n);
+    const Json good = t.to_json();
+    ASSERT_NO_THROW(ExecutionTrace::from_json(good));
+
+    auto with_meta = [&good](const std::function<void(Json&)>& edit) {
+        Json doc = good;
+        Json m = doc.at("meta");
+        edit(m);
+        doc.set("meta", std::move(m));
+        return doc;
+    };
+    auto with_node = [&good](const std::function<void(Json&)>& edit) {
+        Json doc = good;
+        Json nodes = doc.at("nodes");
+        edit(nodes.as_array().front());
+        doc.set("nodes", std::move(nodes));
+        return doc;
+    };
+    auto without = [](const char* member) {
+        return [member](Json& o) {
+            Json::Object& members = o.as_object();
+            members.erase(std::remove_if(members.begin(), members.end(),
+                                         [member](const auto& kv) { return kv.first == member; }),
+                          members.end());
+        };
+    };
+    auto with_group_key = [](const char* key) {
+        return [key](Json& m) {
+            Json groups = Json::object();
+            groups.set(key, Json(Json::Array{Json(0), Json(1)}));
+            m.set("process_groups", std::move(groups));
+        };
+    };
+
+    const std::vector<Json> bad = {
+        with_node([](Json& o) { o.set("tid", Json("2")); }),
+        with_node([](Json& o) { o.set("pg", Json("1")); }),
+        with_node(without("tid")),
+        with_node(without("op_schema")),
+        with_meta([](Json& m) { m.set("world_size", Json("8")); }),
+        with_meta([](Json& m) { m.set("world_size", Json(int64_t{4294967304})); }),
+        with_meta(without("rank")),
+        with_meta(with_group_key("x")),
+        with_meta(with_group_key("1x")),
+        with_meta(with_group_key("")),
+        with_meta(with_group_key(" 1")),
+    };
+    for (std::size_t i = 0; i < bad.size(); ++i)
+        EXPECT_THROW(ExecutionTrace::from_json(bad[i]), ParseError) << "case " << i;
+
+    // Process-group ids are the writer's decimals, signs included.
+    const ExecutionTrace negative = ExecutionTrace::from_json(with_meta(with_group_key("-3")));
+    EXPECT_EQ(negative.meta().process_groups.at(-3), (std::vector<int>{0, 1}));
 }
 
 TEST(ExecutionTrace, SaveLoadRoundTrip)

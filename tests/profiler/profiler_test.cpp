@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "profiler/profiler.h"
 
 namespace mystique::prof {
@@ -118,19 +123,87 @@ TEST(ProfilerTrace, ChromeExportStructure)
 
 TEST(ProfilerTrace, JsonRoundTrip)
 {
+    // No field of either event holds its default, so a field the reader
+    // dropped would come back different.
     ProfilerTrace t;
-    t.add_cpu_op(cpu("aten::mm", 1, 4, 11));
-    KernelEvent k = kernel("sgemm", 7, 5, 100, 11);
+    CpuOpEvent c = cpu("aten::mm", 1.5, 4.25, 11, /*wrapper=*/true, dev::OpCategory::kCustom);
+    c.tid = 2;
+    t.add_cpu_op(c);
+    KernelEvent k = kernel("sgemm", 7, 5.5, 100.125, 11, dev::OpCategory::kComm);
+    k.kind = dev::KernelKind::kGemm;
     k.flops = 1e9;
     k.bytes = 1e6;
-    k.micro.ipc = 3.0;
+    k.micro = {.ipc = 3.0, .l1_hit_rate = 0.25, .l2_hit_rate = 0.5, .sm_throughput = 0.75};
     t.add_kernel(k);
-    const ProfilerTrace back = ProfilerTrace::from_json(t.to_json());
+
+    const ProfilerTrace back = ProfilerTrace::from_json(Json::parse(t.to_json().dump()));
     ASSERT_EQ(back.cpu_ops().size(), 1u);
+    const CpuOpEvent& bc = back.cpu_ops()[0];
+    EXPECT_EQ(bc.name, c.name);
+    EXPECT_EQ(bc.tid, c.tid);
+    EXPECT_EQ(bc.ts, c.ts);
+    EXPECT_EQ(bc.dur, c.dur);
+    EXPECT_EQ(bc.node_id, c.node_id);
+    EXPECT_EQ(bc.category, c.category);
+    EXPECT_EQ(bc.is_wrapper, c.is_wrapper);
+
     ASSERT_EQ(back.kernels().size(), 1u);
-    EXPECT_EQ(back.kernels()[0].name, "sgemm");
-    EXPECT_DOUBLE_EQ(back.kernels()[0].flops, 1e9);
-    EXPECT_DOUBLE_EQ(back.kernels()[0].micro.ipc, 3.0);
+    const KernelEvent& bk = back.kernels()[0];
+    EXPECT_EQ(bk.name, k.name);
+    EXPECT_EQ(bk.stream, k.stream);
+    EXPECT_EQ(bk.ts, k.ts);
+    EXPECT_EQ(bk.dur, k.dur);
+    EXPECT_EQ(bk.correlation, k.correlation);
+    EXPECT_EQ(bk.category, k.category);
+    EXPECT_EQ(bk.kind, k.kind);
+    EXPECT_EQ(bk.flops, k.flops);
+    EXPECT_EQ(bk.bytes, k.bytes);
+    EXPECT_EQ(bk.micro.ipc, k.micro.ipc);
+    EXPECT_EQ(bk.micro.l1_hit_rate, k.micro.l1_hit_rate);
+    EXPECT_EQ(bk.micro.l2_hit_rate, k.micro.l2_hit_rate);
+    EXPECT_EQ(bk.micro.sm_throughput, k.micro.sm_throughput);
+    EXPECT_EQ(back.to_json(), t.to_json());
+}
+
+TEST(ProfilerTrace, FromJsonRejectsMissingMistypedAndUnknownMembers)
+{
+    ProfilerTrace t;
+    t.add_cpu_op(cpu("aten::mm", 1, 4, 11));
+    t.add_kernel(kernel("sgemm", 7, 5, 100, 11));
+    const Json good = t.to_json();
+    ASSERT_NO_THROW(ProfilerTrace::from_json(good));
+
+    // Applies @p edit to the first event of @p list in a copy of the trace.
+    auto edited = [&good](const char* list, const std::function<void(Json&)>& edit) {
+        Json doc = good;
+        Json events = doc.at(list);
+        edit(events.as_array().front());
+        doc.set(list, std::move(events));
+        return doc;
+    };
+    auto without = [](const char* member) {
+        return [member](Json& e) {
+            Json::Object& o = e.as_object();
+            o.erase(std::remove_if(o.begin(), o.end(),
+                                   [member](const auto& kv) { return kv.first == member; }),
+                    o.end());
+        };
+    };
+    const std::vector<std::pair<const char*, std::function<void(Json&)>>> cases = {
+        {"kernels", [](Json& e) { e.set("stream", Json("9")); }},
+        {"kernels", [](Json& e) { e.set("category", Json("Bogus")); }},
+        {"kernels", [](Json& e) { e.set("kind", Json("bogus")); }},
+        {"kernels", [](Json& e) { e.set("stream", Json(int64_t{1} << 32)); }},
+        {"kernels", without("micro")},
+        {"kernels", without("kind")},
+        {"cpu_ops", [](Json& e) { e.set("tid", Json("1")); }},
+        {"cpu_ops", [](Json& e) { e.set("category", Json("Bogus")); }},
+        {"cpu_ops", without("wrapper")},
+    };
+    for (std::size_t i = 0; i < cases.size(); ++i)
+        EXPECT_THROW(ProfilerTrace::from_json(edited(cases[i].first, cases[i].second)),
+                     ParseError)
+            << "case " << i;
 }
 
 TEST(ProfilerSession, OnlyRecordsWhileActive)
