@@ -192,8 +192,8 @@ main()
                         rv.prof.kernels().size());
             ok = false;
         }
-        const std::string cov_opt = plan_opt->to_json().at("coverage").dump();
-        const std::string cov_verb = plan_verb->to_json().at("coverage").dump();
+        const std::string cov_opt = plan_opt->to_json().at("coverage").value().dump();
+        const std::string cov_verb = plan_verb->to_json().at("coverage").value().dump();
         if (cov_opt != cov_verb) {
             std::printf("FAIL: %s: coverage reports differ between optimized "
                         "and verbatim plans\n",

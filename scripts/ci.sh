@@ -78,10 +78,10 @@ MYST_ASYNC=0 ctest --output-on-failure -j "$(nproc)"
 # Fuzz smoke corpus: fixed-seed randomized traces through the differential
 # oracle (replay-vs-direct, opt-level invariance, plan round-trip, key
 # stability, K=1-vs-K=4 sweep bit-identity).  Fixed seed => deterministic
-# corpus; failures print `--case <seed>` repro lines.  MYST_FUZZ_ITERS
-# cranks the corpus size for longer scheduled runs (see docs/fuzzing.md).
+# corpus; failures print `--case <seed>` repro lines.  The scheduled
+# fuzz-long CI job runs larger corpora with --iters (see docs/fuzzing.md).
 echo "== fuzz smoke corpus =="
-./mystique-fuzz --seed 7 --iters "${MYST_FUZZ_ITERS:-25}"
+./mystique-fuzz --seed 7 --iters 25
 
 # Fault-injection churn: every registered fault site fires under 8-thread
 # plan-cache churn, with poisoned arena recycling for good measure — never

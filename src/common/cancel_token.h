@@ -1,24 +1,22 @@
 #pragma once
 
 /// @file
-/// Cooperative cancellation with an optional soft deadline.
+/// Cooperative cancellation at a soft deadline.
 ///
 /// The fleet-sweep resilience layer (core/replay_driver.h) must be able to
 /// bound how long one trace group may replay without ever interrupting a
 /// kernel mid-flight — the simulator's determinism depends on every issued op
 /// completing.  A CancelToken is the cooperative half of that contract: the
-/// driver arms a deadline (or calls cancel() outright), threads the token
-/// into the Replayer, and the Replayer polls `expired()` *between* ops —
-/// never inside one — throwing CancelledError at the next safe point.
+/// driver arms a deadline, threads the token into the Replayer, and the
+/// Replayer polls `expired()` *between* ops — never inside one — throwing
+/// CancelledError at the next safe point.
 ///
-/// Cost when disarmed: `expired()` is one relaxed atomic load plus one
-/// branch, so the hook is safe in the per-op replay loop.  A token with a
-/// deadline pays one steady_clock read per poll.
+/// A token without a deadline never expires; one with a deadline pays one
+/// steady_clock read per poll.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
+#include <optional>
 #include <string>
 
 #include "common/error.h"
@@ -36,71 +34,32 @@ class CancelledError : public MystiqueError {
 
 class CancelToken {
   public:
-    CancelToken() = default;
-    CancelToken(const CancelToken&) = delete;
-    CancelToken& operator=(const CancelToken&) = delete;
-
-    /// Requests cancellation with a human-readable reason.  Thread-safe;
-    /// callable from any thread, repeatedly (the first reason wins).
-    void cancel(const std::string& reason)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (reason_.empty())
-                reason_ = reason;
-        }
-        cancelled_.store(true, std::memory_order_release);
-    }
-
-    /// Arms a soft deadline @p ms milliseconds from now.  Arm before handing
-    /// the token to the worker (the deadline itself is a relaxed atomic, but
-    /// the reason string for deadline expiry is fixed, so re-arming mid-run
-    /// only moves the cutoff).
+    /// Arms a soft deadline @p ms milliseconds from now (0: already expired).
+    /// Arm before handing the token to the worker.
     void set_deadline_after_ms(uint64_t ms)
     {
-        const auto when = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-        deadline_ns_.store(when.time_since_epoch().count(), std::memory_order_relaxed);
+        deadline_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
         deadline_ms_ = ms;
     }
 
-    /// True once cancel() was called or the armed deadline has passed.
+    /// True once the armed deadline has passed.
     bool expired() const
     {
-        if (cancelled_.load(std::memory_order_acquire))
-            return true;
-        const int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);
-        if (deadline == 0)
-            return false;
-        return std::chrono::steady_clock::now().time_since_epoch().count() >= deadline;
-    }
-
-    /// Why the token expired: the cancel() reason, else a deadline message.
-    /// Meaningful only once expired() is true.
-    std::string reason() const
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (!reason_.empty())
-                return reason_;
-        }
-        return "deadline of " + std::to_string(deadline_ms_) + " ms exceeded";
+        return deadline_ms_.has_value() && std::chrono::steady_clock::now() >= deadline_;
     }
 
     /// The cooperative cancellation point: throws CancelledError carrying
-    /// @p what plus reason() when the token has expired; no-op otherwise.
+    /// @p what and the deadline once it has passed; no-op otherwise.
     void throw_if_expired(const char* what) const
     {
         if (expired())
-            MYST_THROW(CancelledError, what << ": " << reason());
+            MYST_THROW(CancelledError,
+                       what << ": deadline of " << *deadline_ms_ << " ms exceeded");
     }
 
   private:
-    std::atomic<bool> cancelled_{false};
-    /// steady_clock time_since_epoch in ns; 0 = no deadline armed.
-    std::atomic<int64_t> deadline_ns_{0};
-    uint64_t deadline_ms_ = 0;
-    mutable std::mutex mu_;
-    std::string reason_;
+    std::optional<uint64_t> deadline_ms_; ///< nullopt: no deadline armed
+    std::chrono::steady_clock::time_point deadline_;
 };
 
 } // namespace mystique

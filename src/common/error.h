@@ -24,7 +24,13 @@ class MystiqueError : public std::runtime_error {
 /// Malformed input: JSON, ET files, schema strings, IR text.
 class ParseError : public MystiqueError {
   public:
-    explicit ParseError(const std::string& msg) : MystiqueError("parse error: " + msg) {}
+    explicit ParseError(const std::string& msg) : MystiqueError(kPrefix + msg) {}
+    /// @p inner with @p where (say, "node 7") in front of its message.
+    ParseError(const std::string& where, const ParseError& inner)
+        : MystiqueError(kPrefix + where + ": " + (inner.what() + sizeof(kPrefix) - 1)) {}
+
+  private:
+    static constexpr char kPrefix[] = "parse error: ";
 };
 
 /// Problems encountered while reconstructing or replaying a trace.

@@ -13,6 +13,7 @@
 #include <process.h>
 #else
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -128,6 +129,35 @@ atomic_write_file(const std::string& path, std::string_view content)
     if (ec)
         MYST_THROW(MystiqueError, "atomic_write_file: cannot rename into '" + path + "'");
     guard.commit();
+}
+
+void
+append_file(const std::string& path, std::string_view content)
+{
+    namespace fs = std::filesystem;
+    const fs::path target(path);
+    std::error_code ec;
+    if (target.has_parent_path())
+        fs::create_directories(target.parent_path(), ec); // ec: may already exist
+
+    const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+    if (fd < 0)
+        MYST_THROW(MystiqueError, "append_file: cannot open '" + path + "'");
+    struct Closer {
+        int fd;
+        ~Closer() { ::close(fd); }
+    } closer{fd};
+
+    struct stat st {};
+    char last = '\n';
+    if (::fstat(fd, &st) != 0 || (st.st_size > 0 && ::pread(fd, &last, 1, st.st_size - 1) != 1))
+        MYST_THROW(MystiqueError, "append_file: cannot read the end of '" + path + "'");
+    // One write: O_APPEND puts all of it at the end of the file, even when
+    // another process appends to the same file.
+    const std::string text = (last == '\n' ? "" : "\n") + std::string(content);
+    if (::write(fd, text.data(), text.size()) != static_cast<ssize_t>(text.size()) ||
+        ::fsync(fd) != 0)
+        MYST_THROW(MystiqueError, "append_file: cannot write and sync '" + path + "'");
 }
 
 std::string

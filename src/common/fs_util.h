@@ -1,7 +1,7 @@
 #pragma once
 
 /// @file
-/// Filesystem helpers shared by the persistence layers (plan store, codegen).
+/// Filesystem helpers shared by the persistence layers (plan store, codegen, journal).
 ///
 /// The one contract that matters here is *atomic publication*: a reader must
 /// never observe a half-written file.  POSIX rename() within one filesystem
@@ -25,6 +25,13 @@ namespace mystique {
 /// when the directory cannot be created or the write/rename fails; on
 /// failure the target path is left untouched.
 void atomic_write_file(const std::string& path, std::string_view content);
+
+/// Appends @p content to @p path in one write and fsyncs it, creating the
+/// file and missing parent directories.  A file that does not end in '\n'
+/// (the torn last line of a writer that died mid-append) gets one first, so
+/// @p content never joins a torn line.  Throws MystiqueError when the file
+/// cannot be opened, written or synced.
+void append_file(const std::string& path, std::string_view content);
 
 /// Best-effort quarantine: renames @p path to `path + ".bad"`, overwriting
 /// any previous quarantine of the same file.  Returns false (without

@@ -14,16 +14,27 @@
 
 namespace mystique {
 
+namespace {
+
+/// The start of a type error's message, naming the member being read.
+std::string
+json_error(std::string_view member)
+{
+    return member.empty() ? "json: " : "json: member '" + std::string(member) + "': ";
+}
+
+} // namespace
+
 bool
-Json::as_bool() const
+Json::as_bool(std::string_view member) const
 {
     if (const bool* b = std::get_if<bool>(&value_))
         return *b;
-    MYST_THROW(ParseError, "json: expected bool");
+    MYST_THROW(ParseError, json_error(member) << "expected bool");
 }
 
 int64_t
-Json::as_int() const
+Json::as_int(std::string_view member) const
 {
     if (const int64_t* i = std::get_if<int64_t>(&value_))
         return *i;
@@ -32,51 +43,52 @@ Json::as_int() const
     if (const double* d = std::get_if<double>(&value_);
         d != nullptr && *d == std::floor(*d) && *d >= -0x1p63 && *d < 0x1p63)
         return static_cast<int64_t>(*d);
-    MYST_THROW(ParseError, "json: expected integer");
+    MYST_THROW(ParseError, json_error(member) << "expected integer");
 }
 
 int
-Json::as_int32() const
+Json::as_int32(std::string_view member) const
 {
-    const int64_t v = as_int();
+    const int64_t v = as_int(member);
     if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max())
-        MYST_THROW(ParseError, "json: integer " << v << " does not fit in an int");
+        MYST_THROW(ParseError, json_error(member) << "integer " << v << " does not fit in an int");
     return static_cast<int>(v);
 }
 
 double
-Json::as_double() const
+Json::as_double(std::string_view member) const
 {
     if (const int64_t* i = std::get_if<int64_t>(&value_))
         return static_cast<double>(*i);
     if (const double* d = std::get_if<double>(&value_))
         return *d;
-    MYST_THROW(ParseError, "json: expected number");
+    MYST_THROW(ParseError, json_error(member) << "expected number");
 }
 
 uint64_t
-Json::as_u64() const
+Json::as_u64(std::string_view member) const
 {
-    const std::optional<uint64_t> v = parse_u64(as_string());
+    const std::optional<uint64_t> v = parse_u64(as_string(member));
     if (!v.has_value())
-        MYST_THROW(ParseError, "json: expected a decimal uint64, got '" << as_string() << "'");
+        MYST_THROW(ParseError, json_error(member) << "expected a decimal uint64, got '"
+                                                  << as_string() << "'");
     return *v;
 }
 
 const std::string&
-Json::as_string() const
+Json::as_string(std::string_view member) const
 {
     if (const std::string* str = std::get_if<std::string>(&value_))
         return *str;
-    MYST_THROW(ParseError, "json: expected string");
+    MYST_THROW(ParseError, json_error(member) << "expected string");
 }
 
 const Json::Array&
-Json::as_array() const
+Json::as_array(std::string_view member) const
 {
     if (const Array* arr = std::get_if<Array>(&value_))
         return *arr;
-    MYST_THROW(ParseError, "json: expected array");
+    MYST_THROW(ParseError, json_error(member) << "expected array");
 }
 
 Json::Array&
@@ -88,11 +100,11 @@ Json::as_array()
 }
 
 const Json::Object&
-Json::as_object() const
+Json::as_object(std::string_view member) const
 {
     if (const Object* obj = std::get_if<Object>(&value_))
         return *obj;
-    MYST_THROW(ParseError, "json: expected object");
+    MYST_THROW(ParseError, json_error(member) << "expected object");
 }
 
 Json::Object&
@@ -109,26 +121,25 @@ Json::push_back(Json v)
     as_array().push_back(std::move(v));
 }
 
-const Json*
+std::optional<Json::Member>
 Json::find(std::string_view key) const
 {
     const Object* obj = std::get_if<Object>(&value_);
     if (obj == nullptr)
-        return nullptr;
+        return std::nullopt;
     for (const auto& [k, v] : *obj) {
         if (k == key)
-            return &v;
+            return Member(k, v);
     }
-    return nullptr;
+    return std::nullopt;
 }
 
-const Json&
+Json::Member
 Json::at(std::string_view key) const
 {
-    const Json* v = find(key);
-    if (v == nullptr)
-        MYST_THROW(ParseError, "json: missing key '" << key << "'");
-    return *v;
+    if (const std::optional<Member> m = find(key))
+        return *m;
+    MYST_THROW(ParseError, "json: missing key '" << key << "'");
 }
 
 void

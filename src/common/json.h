@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -35,6 +36,30 @@ class Json {
     using Array = std::vector<Json>;
     /// Insertion-ordered key/value list.
     using Object = std::vector<std::pair<std::string, Json>>;
+
+    /// An object member as at() and find() return it: its key and its value,
+    /// so that reading the value as the wrong type is a ParseError naming the
+    /// key.  Converts to the value; valid while the object it came from lives.
+    class Member {
+      public:
+        Member(std::string_view key, const Json& value) : key_(key), value_(&value) {}
+
+        operator const Json&() const { return *value_; }
+        const Json& value() const { return *value_; }
+        bool is_null() const { return value_->is_null(); }
+        bool as_bool() const { return value_->as_bool(key_); }
+        int64_t as_int() const { return value_->as_int(key_); }
+        int as_int32() const { return value_->as_int32(key_); }
+        double as_double() const { return value_->as_double(key_); }
+        uint64_t as_u64() const { return value_->as_u64(key_); }
+        const std::string& as_string() const { return value_->as_string(key_); }
+        const Array& as_array() const { return value_->as_array(key_); }
+        const Object& as_object() const { return value_->as_object(key_); }
+
+      private:
+        std::string_view key_;
+        const Json* value_;
+    };
 
     /// Constructs null.
     Json() = default;
@@ -65,34 +90,36 @@ class Json {
     bool is_array() const { return type() == Type::kArray; }
     bool is_object() const { return type() == Type::kObject; }
 
-    /// Typed accessors; throw ParseError when the type does not match.
-    bool as_bool() const;
+    /// Typed accessors; throw ParseError when the type does not match.  A
+    /// Member passes its key as @p member, and the error names it.
+    bool as_bool(std::string_view member = {}) const;
     /// An integer, or a double with an integral value inside int64's range.
-    int64_t as_int() const;
+    int64_t as_int(std::string_view member = {}) const;
     /// as_int() narrowed to int; throws ParseError outside int's range.
-    int as_int32() const;
+    int as_int32(std::string_view member = {}) const;
     /// Numeric value as double (accepts int or double).
-    double as_double() const;
-    const std::string& as_string() const;
-    const Array& as_array() const;
+    double as_double(std::string_view member = {}) const;
+    const std::string& as_string(std::string_view member = {}) const;
+    const Array& as_array(std::string_view member = {}) const;
     Array& as_array();
-    const Object& as_object() const;
+    const Object& as_object(std::string_view member = {}) const;
     Object& as_object();
 
     /// Appends to an array (value must be an array).
     void push_back(Json v);
 
-    /// Object member lookup; returns nullptr when absent or not an object.
-    const Json* find(std::string_view key) const;
-    /// Object member access; throws ParseError when the key is absent.
-    /// Readers take what their writer always emits with at(key).as_*() and
-    /// use find() only for members the writer may omit, so a missing or
-    /// mistyped member is a ParseError, never a default.
-    const Json& at(std::string_view key) const;
+    /// Object member lookup; nullopt when absent or not an object.
+    std::optional<Member> find(std::string_view key) const;
+    /// Object member access; throws ParseError naming @p key when it is
+    /// absent.  Readers take what their writer always emits with
+    /// at(key).as_*() and use find() only for members the writer may omit,
+    /// so a missing or mistyped member is a ParseError naming the member,
+    /// never a default.
+    Member at(std::string_view key) const;
     /// Inserts or overwrites an object member (value must be an object).
     void set(std::string_view key, Json v);
     /// True when this is an object containing @p key.
-    bool contains(std::string_view key) const { return find(key) != nullptr; }
+    bool contains(std::string_view key) const { return find(key).has_value(); }
 
     /// The one encoding of a 64-bit hash, fingerprint or bit pattern: a
     /// decimal string.  Json integers are signed, so a value with the high
@@ -100,7 +127,7 @@ class Json {
     static Json from_u64(uint64_t v) { return Json(std::to_string(v)); }
     /// Reads a from_u64() value; throws ParseError unless this is a string
     /// of decimal digits that fits in 64 bits.
-    uint64_t as_u64() const;
+    uint64_t as_u64(std::string_view member = {}) const;
 
     /// Serializes; indent < 0 emits compact one-line JSON.
     std::string dump(int indent = -1) const;

@@ -41,8 +41,8 @@
 namespace mystique::core {
 
 /// Counters for one optimizer run; surfaced through PlanCacheStats and the
-/// MYST_LOG=1 sweep report.  Everything except optimize_us is a pure
-/// function of the resulting fused groups (see derive_optimizer_stats).
+/// sweep summary logged at info level.  Everything except optimize_us is a
+/// pure function of the resulting fused groups (see derive_optimizer_stats).
 struct OptimizerStats {
     int64_t ops_fused = 0;       ///< members subsumed by multi-op chains
     int64_t ops_eliminated = 0;  ///< dead pointwise ops

@@ -5,7 +5,6 @@
 #include <bit>
 #include <chrono>
 #include <climits>
-#include <cstdio>
 #include <string>
 #include <thread>
 
@@ -13,6 +12,8 @@
 #include "common/error.h"
 #include "common/fault_injection.h"
 #include "common/hash.h"
+#include "common/logging.h"
+#include "common/string_util.h"
 
 namespace mystique::core {
 
@@ -38,10 +39,8 @@ struct ReplayDriver::ResolvedResilience {
     uint64_t backoff_ms = 10;
     std::optional<uint64_t> group_deadline_ms;
     bool probe_quarantined = false;
-    /// Sweep-level deadline (never cancelled explicitly; no deadline armed
-    /// when the knob is unset, so expired() stays false forever).
+    /// Sweep-level deadline; never expires when the knob is unset.
     CancelToken sweep_token;
-    bool sweep_deadline_armed = false;
     /// Identity of this sweep for journal lookups: the selected groups
     /// (fingerprints, weights, representatives) × the full config, harness
     /// knobs included — a sweep with different iteration counts must not
@@ -100,10 +99,8 @@ ReplayDriver::resolve_resilience(const std::vector<et::TraceGroup>& groups,
                                 ? group_deadline_ms_
                                 : env_u64("MYST_SWEEP_GROUP_DEADLINE_MS");
     res.probe_quarantined = probe_quarantined_;
-    if (sweep_deadline_ms_.has_value()) {
+    if (sweep_deadline_ms_.has_value())
         res.sweep_token.set_deadline_after_ms(*sweep_deadline_ms_);
-        res.sweep_deadline_armed = true;
-    }
 
     Fnv1a h;
     h.mix(cfg_.to_json().dump());
@@ -194,7 +191,7 @@ ReplayDriver::run_group_resilient(Worker& worker, const et::TraceDatabase& db,
 
     // Sweep deadline: groups not started before it passes are skipped, not
     // failed — nothing is known about them, and they carry no error.
-    if (res.sweep_deadline_armed && res.sweep_token.expired()) {
+    if (res.sweep_token.expired()) {
         g.status = GroupStatus::kSkipped;
         g.attempts = 0;
         return g;
@@ -218,12 +215,9 @@ ReplayDriver::run_group_resilient(Worker& worker, const et::TraceDatabase& db,
                 MYST_THROW(ReplayError, "injected fault: sweep group replay failed "
                                         "(group fp " << group.fingerprint << ")");
             CancelToken token;
-            const CancelToken* cancel = nullptr;
-            if (res.group_deadline_ms.has_value()) {
+            if (res.group_deadline_ms.has_value())
                 token.set_deadline_after_ms(*res.group_deadline_ms);
-                cancel = &token;
-            }
-            GroupReplayResult done = replay_one(worker, db, group, profs, cancel);
+            GroupReplayResult done = replay_one(worker, db, group, profs, &token);
             g.result = std::move(done.result);
             g.status = GroupStatus::kOk;
             g.error.clear();
@@ -274,10 +268,6 @@ ReplayDriver::replay_groups(const et::TraceDatabase& db, std::size_t top_k,
         groups.resize(top_k);
     out.groups.resize(groups.size());
 
-    // MYST_LOG=1 prints the sweep stats below to stderr; it is unrelated to
-    // the MYST_LOG(level, msg) macro in common/logging.h, whose level comes
-    // from MYSTIQUE_LOG_LEVEL.  Read, like every knob, before any group runs.
-    const bool log_stats = env_flag("MYST_LOG");
     ResolvedResilience res;
     resolve_resilience(groups, res);
 
@@ -356,46 +346,28 @@ ReplayDriver::replay_groups(const et::TraceDatabase& db, std::size_t top_k,
         out.arena.bytes_cached += s.bytes_cached;
     }
 
-    if (log_stats) {
-        std::fprintf(stderr,
-                     "[mystique] sweep: %zu groups, parallelism=%zu, "
-                     "weighted_mean_iter_us=%.2f\n"
-                     "[mystique]   resilience: ok=%zu failed=%zu timed_out=%zu "
-                     "quarantined=%zu skipped=%zu retries=%llu backoff_ms=%llu "
-                     "resumed=%zu journal_write_failures=%zu covered_ok=%.4f\n"
-                     "[mystique]   plan cache: hits=%llu misses=%llu disk_hits=%llu "
-                     "disk_misses=%llu builds=%llu writebacks=%llu evictions=%llu "
-                     "size=%zu/%zu\n"
-                     "[mystique]   optimizer: chains=%llu ops_fused=%llu "
-                     "ops_eliminated=%llu optimize_us=%.1f (builds only)\n"
-                     "[mystique]   arena: hits=%llu misses=%llu returns=%llu "
-                     "cached=%lld B outstanding=%lld B (max worker peak %lld B)\n",
-                     out.groups.size(), parallelism_, out.weighted_mean_iter_us,
-                     out.groups_ok, out.groups_failed, out.groups_timed_out,
-                     out.groups_quarantined, out.groups_skipped,
-                     static_cast<unsigned long long>(out.retries),
-                     static_cast<unsigned long long>(out.backoff_ms),
-                     out.journal_resumed, out.journal_write_failures,
-                     out.population_covered_ok,
-                     static_cast<unsigned long long>(out.cache.hits),
-                     static_cast<unsigned long long>(out.cache.misses),
-                     static_cast<unsigned long long>(out.cache.disk_hits),
-                     static_cast<unsigned long long>(out.cache.disk_misses),
-                     static_cast<unsigned long long>(out.cache.builds),
-                     static_cast<unsigned long long>(out.cache.writebacks),
-                     static_cast<unsigned long long>(out.cache.evictions),
-                     out.cache.size, out.cache.capacity,
-                     static_cast<unsigned long long>(out.cache.opt_chains_formed),
-                     static_cast<unsigned long long>(out.cache.opt_ops_fused),
-                     static_cast<unsigned long long>(out.cache.opt_ops_eliminated),
-                     out.cache.opt_time_us,
-                     static_cast<unsigned long long>(out.arena.hits),
-                     static_cast<unsigned long long>(out.arena.misses),
-                     static_cast<unsigned long long>(out.arena.returns),
-                     static_cast<long long>(out.arena.bytes_cached),
-                     static_cast<long long>(out.arena.bytes_outstanding),
-                     static_cast<long long>(out.arena.peak_bytes_outstanding));
-    }
+    const PlanCacheStats& c = out.cache;
+    const fw::StorageArenaStats& a = out.arena;
+    MYST_INFO("sweep: " << out.groups.size() << " groups, parallelism=" << parallelism_
+              << ", weighted_mean_iter_us=" << strprintf("%.2f", out.weighted_mean_iter_us)
+              << "\n  resilience: ok=" << out.groups_ok << " failed=" << out.groups_failed
+              << " timed_out=" << out.groups_timed_out << " quarantined="
+              << out.groups_quarantined << " skipped=" << out.groups_skipped
+              << " retries=" << out.retries << " backoff_ms=" << out.backoff_ms
+              << " resumed=" << out.journal_resumed << " journal_write_failures="
+              << out.journal_write_failures
+              << " covered_ok=" << strprintf("%.4f", out.population_covered_ok)
+              << "\n  plan cache: hits=" << c.hits << " misses=" << c.misses
+              << " disk_hits=" << c.disk_hits << " disk_misses=" << c.disk_misses
+              << " builds=" << c.builds << " writebacks=" << c.writebacks
+              << " evictions=" << c.evictions << " size=" << c.size << "/" << c.capacity
+              << "\n  optimizer: chains=" << c.opt_chains_formed << " ops_fused="
+              << c.opt_ops_fused << " ops_eliminated=" << c.opt_ops_eliminated
+              << " optimize_us=" << strprintf("%.1f", c.opt_time_us) << " (builds only)"
+              << "\n  arena: hits=" << a.hits << " misses=" << a.misses << " returns="
+              << a.returns << " cached=" << a.bytes_cached << " B outstanding="
+              << a.bytes_outstanding << " B (max worker peak " << a.peak_bytes_outstanding
+              << " B)");
     return out;
 }
 

@@ -26,7 +26,7 @@
 /// group order, making the population-weighted mean's summation order fixed.
 /// The reset deliberately keeps each session's StorageArena, so successive
 /// groups on a worker recycle tensor buffers instead of hitting the heap;
-/// set MYST_LOG=1 to print arena + plan-cache counters after each sweep.
+/// MYSTIQUE_LOG_LEVEL=info logs arena + plan-cache counters after each sweep.
 ///
 /// ## Surviving a sweep (resilience layer)
 ///
@@ -130,8 +130,8 @@ struct DatabaseReplayResult {
     uint64_t backoff_ms = 0;
     /// Groups restored from the sweep journal instead of replayed.
     std::size_t journal_resumed = 0;
-    /// Journal appends that failed to publish (best-effort; the sweep
-    /// continues, a future resume just re-replays those groups).
+    /// Journal appends that failed (best-effort; the sweep continues, a
+    /// future resume just re-replays those groups).
     std::size_t journal_write_failures = 0;
     /// Plan-cache counters observed after the sweep — with a disk tier
     /// configured (MYST_PLAN_CACHE_DIR), disk_hits/disk_misses/builds/

@@ -453,49 +453,52 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
     plan->ops_.reserve(ops_j.size());
     for (const Json& o : ops_j) {
         const int64_t node_id = o.at("node_id").as_int();
-        const et::Node* node = plan->trace_->find(node_id);
-        if (node == nullptr)
-            MYST_THROW(ParseError, "plan json: selected node " + std::to_string(node_id) +
-                                       " is not in the trace");
-        const Json* kind_j = o.find("kind");
-        const std::string recorded_kind = kind_j != nullptr ? kind_j->as_string() : "compiled_ir";
-        const SelectedOp sel{node_id, recorded_kind != "skipped", et::resolve_op_id(*node)};
-        plan->selection_.ops.push_back(sel);
+        try {
+            const et::Node* node = plan->trace_->find(node_id);
+            if (node == nullptr)
+                MYST_THROW(ParseError, "the node is not in the trace");
+            const auto kind_j = o.find("kind");
+            const std::string recorded_kind = kind_j ? kind_j->as_string() : "compiled_ir";
+            const SelectedOp sel{node_id, recorded_kind != "skipped", et::resolve_op_id(*node)};
+            plan->selection_.ops.push_back(sel);
 
-        ReconstructedOp op;
-        op.node = node;
-        op.op_id = sel.op_id;
-        // The kind this process's registry would reconstruct.  A drift vs
-        // the recorded kind means the registry / custom-op set no longer
-        // matches the one the plan was generated under — replaying anyway
-        // would silently execute a different benchmark.
-        op.kind = Reconstructor::decide_kind(*node, sel.supported);
-        if (kind_name(op.kind) != recorded_kind)
-            MYST_THROW(MystiqueError,
-                       "plan json: node " + std::to_string(node_id) + " ('" + node->name +
-                           "') reconstructs as " + kind_name(op.kind) +
-                           " but the plan was generated with " + recorded_kind +
-                           " — op registry mismatch with the generating process");
+            ReconstructedOp op;
+            op.node = node;
+            op.op_id = sel.op_id;
+            // The kind this process's registry would reconstruct.  A drift vs
+            // the recorded kind means the registry / custom-op set no longer
+            // matches the one the plan was generated under — replaying anyway
+            // would silently execute a different benchmark.
+            op.kind = Reconstructor::decide_kind(*node, sel.supported);
+            if (kind_name(op.kind) != recorded_kind)
+                MYST_THROW(MystiqueError,
+                           "plan json: node " + std::to_string(node_id) + " ('" + node->name +
+                               "') reconstructs as " + kind_name(op.kind) +
+                               " but the plan was generated with " + recorded_kind +
+                               " — op registry mismatch with the generating process");
 
-        if (op.kind == ReconstructedOp::Kind::kCompiledIr) {
-            const int64_t ref = o.at("ir").as_int();
-            if (ref < 0 || static_cast<std::size_t>(ref) >= ir_table.size())
-                MYST_THROW(ParseError, "plan json: op ir reference " + std::to_string(ref) +
-                                           " is outside the ir_table");
-            op.ir_text = ir_table[static_cast<std::size_t>(ref)].as_string();
-            const jit::Function*& fn = compiled[static_cast<std::size_t>(ref)];
-            // Malformed IR makes parse_ir throw ParseError → the caller
-            // (plan store / package import) treats the document as corrupt.
-            if (fn == nullptr)
-                fn = &plan->reconstructor_.create_function(
-                    strprintf("%s_n%lld", node->name.c_str(),
-                              static_cast<long long>(node->id)),
-                    jit::parse_ir(op.ir_text));
-            op.fn = fn;
+            if (op.kind == ReconstructedOp::Kind::kCompiledIr) {
+                const int64_t ref = o.at("ir").as_int();
+                if (ref < 0 || static_cast<std::size_t>(ref) >= ir_table.size())
+                    MYST_THROW(ParseError,
+                               "ir reference " + std::to_string(ref) + " is outside the ir_table");
+                op.ir_text = ir_table[static_cast<std::size_t>(ref)].as_string();
+                const jit::Function*& fn = compiled[static_cast<std::size_t>(ref)];
+                // Malformed IR makes parse_ir throw ParseError → the caller
+                // (plan store / package import) treats the document as corrupt.
+                if (fn == nullptr)
+                    fn = &plan->reconstructor_.create_function(
+                        strprintf("%s_n%lld", node->name.c_str(),
+                                  static_cast<long long>(node->id)),
+                        jit::parse_ir(op.ir_text));
+                op.fn = fn;
+            }
+            if (const auto stream = o.find("stream"))
+                op.stream = stream->as_int32();
+            plan->ops_.push_back(std::move(op));
+        } catch (const ParseError& e) {
+            throw ParseError("plan json: op for node " + std::to_string(node_id), e);
         }
-        if (const Json* stream = o.find("stream"))
-            op.stream = stream->as_int32();
-        plan->ops_.push_back(std::move(op));
     }
 
     // Fused groups: the document is trusted for *what* was grouped (member
@@ -503,7 +506,7 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
     // metas — is re-derived from the trace by finalize_group, which throws
     // ParseError on any member that is not legally fusable.  A tampered or
     // stale document therefore quarantines instead of replaying wrong.
-    if (const Json* groups_j = j.find("fused_groups")) {
+    if (const auto groups_j = j.find("fused_groups")) {
         // One shared consumer-count scan: restores sit on the disk-hit fast
         // path, where a per-group scan would be quadratic in plan size.
         const ConsumerCounts counts = consumer_counts(plan->ops_);
@@ -511,7 +514,7 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
             FusedGroup g;
             for (const Json& m : gj.at("members").as_array())
                 g.members.push_back(m.as_int32());
-            if (const Json* dead = gj.find("dead"))
+            if (const auto dead = gj.find("dead"))
                 g.dead = dead->as_bool();
             finalize_group(plan->ops_, g, &counts);
             const int gid = static_cast<int>(plan->fused_groups_.size());

@@ -141,31 +141,20 @@ SweepJournal::load()
 }
 
 bool
-SweepJournal::publish_locked()
-{
-    std::string text;
-    for (const SweepJournalRecord& rec : records_) {
-        text += record_to_json(rec).dump_sealed();
-        text += '\n';
-    }
-    try {
-        if (FaultInjection::instance().should_fail("journal.write"))
-            MYST_THROW(MystiqueError, "injected fault: sweep journal publish failed");
-        atomic_write_file(path_, text);
-        return true;
-    } catch (const std::exception& e) {
-        MYST_WARN("sweep journal '" << path_ << "' publish failed (journaling is "
-                                    << "best-effort): " << e.what());
-        return false;
-    }
-}
-
-bool
 SweepJournal::append(const SweepJournalRecord& rec)
 {
     std::lock_guard<std::mutex> lock(mu_);
     records_.push_back(rec);
-    return publish_locked();
+    try {
+        if (FaultInjection::instance().should_fail("journal.write"))
+            MYST_THROW(MystiqueError, "injected fault: sweep journal append failed");
+        append_file(path_, record_to_json(rec).dump_sealed() + '\n');
+        return true;
+    } catch (const std::exception& e) {
+        MYST_WARN("sweep journal '" << path_ << "' append failed (journaling is "
+                                    << "best-effort): " << e.what());
+        return false;
+    }
 }
 
 std::optional<SweepJournalRecord>
@@ -208,13 +197,6 @@ SweepJournal::last_failure(uint64_t group_fp) const
             return *it;
     }
     return std::nullopt;
-}
-
-std::size_t
-SweepJournal::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return records_.size();
 }
 
 } // namespace mystique::core

@@ -27,12 +27,15 @@
 /// The journal is advisory, never authoritative: a lost or corrupt record can
 /// only cost a redundant re-replay, never a wrong result, because `ok`
 /// records are only written after a successful replay and resume restores
-/// exactly what was recorded.  Every append rewrites the file through
-/// `atomic_write_file` (temp + fsync + rename), so readers — including a
-/// process that crashes mid-append and restarts — never observe a torn file;
-/// concurrent writers race benignly (last publish wins; the loser's records
-/// are re-derived by replaying).  Each line is one sealed record (v3,
-/// `Json::dump_sealed`), so an edited record fails its seal.  Unreadable
+/// exactly what was recorded.  Each line is one sealed record (v3,
+/// `Json::dump_sealed`), so an edited record fails its seal.  An append
+/// writes its one line to the end of the file and fsyncs it (`append_file`);
+/// it never rewrites the lines before it, so journals of concurrent sweeps
+/// sharing a directory keep every record each of them appended.  A crash
+/// mid-append leaves at most a torn last line, and the next append starts
+/// on a new line instead of joining it.  A record whose append failed stays
+/// in memory for this sweep's quarantine accounting but is never written
+/// later: a resumed sweep does not see it, and its group replays.  Unreadable
 /// journals and lines that do not parse, fail their seal or carry another
 /// record version are skipped with a warning, and their groups replay.  The
 /// `journal.write` / `journal.load` fault sites (common/fault_injection.h)
@@ -85,11 +88,11 @@ class SweepJournal {
     /// records loaded.
     std::size_t load();
 
-    /// Appends @p rec and atomically republishes the file.  Absorbs write
-    /// failures (journaling is best-effort): returns false — and keeps the
-    /// record in memory, so quarantine accounting still sees it — when the
-    /// publish failed (or the `journal.write` fault fired).  Thread-safe:
-    /// sweep workers append concurrently.
+    /// Appends @p rec's sealed line to the file.  Absorbs write failures
+    /// (journaling is best-effort): returns false — and keeps the record in
+    /// memory, so quarantine accounting still sees it — when the append
+    /// failed (or the `journal.write` fault fired).  Thread-safe: sweep
+    /// workers append concurrently.
     bool append(const SweepJournalRecord& rec);
 
     /// Latest `ok` record for (sweep_fp, group_fp) — the resume lookup — or
@@ -113,9 +116,6 @@ class SweepJournal {
     /// quarantined groups); nullopt when none.
     std::optional<SweepJournalRecord> last_failure(uint64_t group_fp) const;
 
-    const std::string& path() const { return path_; }
-    std::size_t size() const;
-
     /// Failures recorded before quarantine engages.  Two consecutive
     /// failures mean the group failed, was retried by a whole fresh sweep
     /// (fresh sessions, fresh plans), and failed again — at that point a
@@ -123,8 +123,6 @@ class SweepJournal {
     static constexpr int kQuarantineThreshold = 2;
 
   private:
-    bool publish_locked();
-
     std::string path_;
     mutable std::mutex mu_;
     std::vector<SweepJournalRecord> records_; ///< load order, then append order

@@ -283,22 +283,25 @@ Node::from_json(const Json& j)
 {
     Node n;
     n.id = j.at("id").as_int();
-    n.name = j.at("name").as_string();
-    n.parent = j.at("parent").as_int();
-    n.kind = node_kind_from_string(j.at("kind").as_string());
-    n.category = dev::op_category_from_string(j.at("category").as_string());
-    n.op_schema = j.at("op_schema").as_string();
-    const int64_t tid = j.at("tid").as_int();
-    if (tid != 1 && tid != 2)
-        MYST_THROW(ParseError, "node " << n.id << ": tid " << tid
-                                       << " is neither 1 (main) nor 2 (autograd)");
-    n.tid = static_cast<int>(tid);
-    for (const auto& a : j.at("inputs").as_array())
-        n.inputs.push_back(Argument::from_json(a));
-    for (const auto& a : j.at("outputs").as_array())
-        n.outputs.push_back(Argument::from_json(a));
-    if (const Json* pg = j.find("pg"))
-        n.pg_id = pg->as_int();
+    try {
+        n.name = j.at("name").as_string();
+        n.parent = j.at("parent").as_int();
+        n.kind = node_kind_from_string(j.at("kind").as_string());
+        n.category = dev::op_category_from_string(j.at("category").as_string());
+        n.op_schema = j.at("op_schema").as_string();
+        const int64_t tid = j.at("tid").as_int();
+        if (tid != 1 && tid != 2)
+            MYST_THROW(ParseError, "tid " << tid << " is neither 1 (main) nor 2 (autograd)");
+        n.tid = static_cast<int>(tid);
+        for (const auto& a : j.at("inputs").as_array())
+            n.inputs.push_back(Argument::from_json(a));
+        for (const auto& a : j.at("outputs").as_array())
+            n.outputs.push_back(Argument::from_json(a));
+        if (const auto pg = j.find("pg"))
+            n.pg_id = pg->as_int();
+    } catch (const ParseError& e) {
+        throw ParseError("node " + std::to_string(n.id), e);
+    }
     return n;
 }
 

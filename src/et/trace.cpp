@@ -42,7 +42,7 @@ TraceMeta::from_json(const Json& j)
     m.world_size = j.at("world_size").as_int32();
     m.iteration = j.at("iteration").as_int32();
     m.seed = static_cast<uint64_t>(j.at("seed").as_int());
-    if (const Json* groups = j.find("process_groups")) {
+    if (const auto groups = j.find("process_groups")) {
         for (const auto& [key, arr] : groups->as_object()) {
             // The writer spells each id with std::to_string: exactly an
             // optional '-' and decimal digits.

@@ -69,7 +69,7 @@ OpId fused_chain_op_id();
 void register_fused_chain_op(OpRegistry& reg);
 
 /// Executes @p call through Session::call on fused_chain_op_id(), so
-/// dispatch accounting, MYST_LOG stats and the profiler all see a real op.
+/// dispatch accounting, the sweep summary and the profiler all see a real op.
 void run_fused_chain(Session& s, FusedChainCall& call);
 
 } // namespace mystique::fw

@@ -32,7 +32,7 @@
 
 namespace mystique::fw {
 
-/// Counters surfaced like PlanCacheStats (benchmarks, MYST_LOG=1 sweeps).
+/// Counters surfaced like PlanCacheStats (benchmarks, the sweep summary).
 struct StorageArenaStats {
     uint64_t hits = 0;       ///< acquires served from a bucket free list
     uint64_t misses = 0;     ///< acquires that went to the heap

@@ -186,9 +186,9 @@ run_sweep_churn(const std::string& site, const std::string& store_dir, uint64_t 
     std::mutex detail_mu;
     std::string first_detail;
 
-    // Concurrent drivers share the journal directory — their publishes race
-    // benignly (atomic rewrite, last writer wins) — while each drives its
-    // own worker pool, so `drivers × parallelism` replay threads total.
+    // Concurrent drivers share the journal directory — each appends whole
+    // lines and never rewrites another's — while each drives its own worker
+    // pool, so `drivers × parallelism` replay threads total.
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(drivers));
     for (int d = 0; d < drivers; ++d) {
@@ -249,8 +249,8 @@ run_sweep_churn(const std::string& site, const std::string& store_dir, uint64_t 
         identical = got.groups[i].result.iter_us == want.groups[i].result.iter_us;
     rep.healed = identical && rep.heal_builds == 0;
 
-    // Directory audit: the journal publishes through atomic_write_file, so
-    // `.tmp.*` staging turds are forbidden even with journal.write firing.
+    // Directory audit: the journal appends in place and stages nothing, so
+    // a `.tmp.*` file is forbidden even with journal.write firing.
     std::error_code ec;
     for (const auto& entry : std::filesystem::directory_iterator(store_dir, ec)) {
         const std::string name = entry.path().filename().string();

@@ -16,7 +16,6 @@
 #define MYST_GETPID getpid
 #endif
 
-#include "common/env.h"
 #include "common/error.h"
 #include "common/fault_injection.h"
 #include "common/string_util.h"
@@ -65,12 +64,6 @@ run_fuzz_cli(int argc, const char* const* argv, std::FILE* out, std::FILE* err)
 
     uint64_t base_seed = 7;
     uint64_t iters = 25;
-    try {
-        iters = env_u64("MYST_FUZZ_ITERS").value_or(25);
-    } catch (const ConfigError& e) {
-        std::fprintf(err, "mystique-fuzz: %s\n", e.what());
-        return 2;
-    }
     bool have_case = false;
     uint64_t one_case = 0;
     bool churn = false;

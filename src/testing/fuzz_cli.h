@@ -13,7 +13,7 @@
 /// Flags (see the usage string for the authoritative list):
 ///
 ///   --seed N         corpus base seed (default 7)
-///   --iters N        corpus size (default MYST_FUZZ_ITERS, else 25)
+///   --iters N        corpus size (default 25)
 ///   --case S         re-run exactly one case seed (repro mode)
 ///   --churn          fault churn over every registered site
 ///   --churn-site S   fault churn over one named site

@@ -133,8 +133,21 @@ TEST(Json, FindAndContains)
     obj.set("a", Json(1));
     EXPECT_TRUE(obj.contains("a"));
     EXPECT_FALSE(obj.contains("b"));
-    EXPECT_EQ(obj.find("b"), nullptr);
+    EXPECT_FALSE(obj.find("b").has_value());
     EXPECT_THROW(obj.at("b"), ParseError);
+}
+
+/// The ParseError message of @p fn, or "" when it does not throw one.
+template <typename Fn>
+std::string
+parse_error_of(Fn&& fn)
+{
+    try {
+        fn();
+    } catch (const ParseError& e) {
+        return e.what();
+    }
+    return {};
 }
 
 TEST(Json, RequiredAndOptionalMembers)
@@ -152,10 +165,20 @@ TEST(Json, RequiredAndOptionalMembers)
 
     // A member the writer may omit is read through find(): absent leaves
     // the default, present must still have the right type.
-    EXPECT_EQ(obj.find("missing"), nullptr);
-    ASSERT_NE(obj.find("b"), nullptr);
+    EXPECT_FALSE(obj.find("missing").has_value());
+    ASSERT_TRUE(obj.find("b").has_value());
     EXPECT_TRUE(obj.find("b")->as_bool());
     EXPECT_THROW(obj.find("s")->as_bool(), ParseError);
+
+    // Either way the error names the member.
+    EXPECT_EQ(parse_error_of([&] { (void)obj.at("missing"); }),
+              "parse error: json: missing key 'missing'");
+    EXPECT_EQ(parse_error_of([&] { (void)obj.at("s").as_int(); }),
+              "parse error: json: member 's': expected integer");
+    EXPECT_EQ(parse_error_of([&] { (void)obj.find("i")->as_string(); }),
+              "parse error: json: member 'i': expected string");
+    // A value outside any object has no member to name.
+    EXPECT_EQ(parse_error_of([&] { (void)obj.as_array(); }), "parse error: json: expected array");
 }
 
 TEST(Json, NestedStructures)
@@ -163,7 +186,7 @@ TEST(Json, NestedStructures)
     const char* text = R"({"a": [1, {"b": [true, null]}], "c": {"d": 2.5}})";
     const Json j = Json::parse(text);
     EXPECT_EQ(j.at("a").as_array()[1].at("b").as_array().size(), 2u);
-    EXPECT_DOUBLE_EQ(j.at("c").at("d").as_double(), 2.5);
+    EXPECT_DOUBLE_EQ(j.at("c").value().at("d").as_double(), 2.5);
     // Round-trip through compact and pretty forms.
     EXPECT_EQ(Json::parse(j.dump()), j);
     EXPECT_EQ(Json::parse(j.dump(2)), j);

@@ -116,7 +116,7 @@ move_every_stream(const std::string& plan_path)
     Json::Array ops = plan.at("ops").as_array();
     std::size_t moved = 0;
     for (Json& op : ops) {
-        if (const Json* stream = op.find("stream")) {
+        if (const auto stream = op.find("stream")) {
             op.set("stream", Json(stream->as_int() + 1));
             ++moved;
         }

@@ -147,7 +147,7 @@ TEST(PlanOptimizer, FusesSingleConsumerChainAndEliminatesDeadTail)
 
     // Coverage counts the original ops, not the groups.
     const auto verbatim = ReplayPlan::build(trace, nullptr, replay_cfg(0));
-    EXPECT_EQ(plan->to_json().at("coverage"), verbatim->to_json().at("coverage"));
+    EXPECT_EQ(plan->to_json().at("coverage").value(), verbatim->to_json().at("coverage").value());
 }
 
 TEST(PlanOptimizer, MultiConsumerIntermediateIsNotFusedOver)
@@ -384,7 +384,7 @@ TEST(PlanOptimizer, FusedReplayIsBitIdenticalToVerbatim)
             EXPECT_EQ(x.dur, y.dur) << c.workload << " kernel " << i;
             EXPECT_EQ(x.stream, y.stream) << c.workload << " kernel " << i;
         }
-        EXPECT_EQ(p_opt->to_json().at("coverage"), p_verb->to_json().at("coverage"))
+        EXPECT_EQ(p_opt->to_json().at("coverage").value(), p_verb->to_json().at("coverage").value())
             << c.workload;
     }
 }

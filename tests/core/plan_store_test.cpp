@@ -453,16 +453,32 @@ TEST_F(PlanStoreCorruption, MistypedOptionalPlanMembersQuarantine)
     const auto trace = std::make_shared<const et::ExecutionTrace>(r0.trace);
     const auto plan = ReplayPlan::build(trace, &r0.prof, cfg);
     const auto edits = mistyped_optional_member_edits();
+    // The error names the mistyped member, and for an op the op's node.
+    const auto expected_error = [](const Json& doc, std::size_t edit) -> std::string {
+        if (edit == 1)
+            return "parse error: json: member 'dead': expected bool";
+        for (const Json& op : doc.at("ops").as_array()) {
+            if (const auto kind = op.find("kind"); kind && kind->value().is_int())
+                return "parse error: plan json: op for node " +
+                       std::to_string(op.at("node_id").as_int()) +
+                       ": json: member 'kind': expected string";
+        }
+        return "no op with a mistyped kind";
+    };
     const PlanStore store(dir_.path);
     const std::string entry = store.entry_path(plan->key());
     for (std::size_t i = 0; i < edits.size(); ++i) {
         ASSERT_TRUE(store.store(*plan));
         ASSERT_NE(store.load(plan->key(), trace), nullptr) << i;
         reseal(entry, [&](Json& doc) { edit_plan(doc, edits[i]); });
-        EXPECT_THROW((void)ReplayPlan::from_json(Json::parse_sealed(read_file(entry)).at("plan"),
-                                                 trace),
-                     ParseError)
-            << i;
+        const Json edited = Json::parse_sealed(read_file(entry)).at("plan");
+        std::string what;
+        try {
+            (void)ReplayPlan::from_json(edited, trace);
+        } catch (const ParseError& e) {
+            what = e.what();
+        }
+        EXPECT_EQ(what, expected_error(edited, i)) << i;
         EXPECT_EQ(store.load(plan->key(), trace), nullptr) << i;
         EXPECT_TRUE(fs::exists(entry + ".bad")) << i;
         fs::remove(entry + ".bad");

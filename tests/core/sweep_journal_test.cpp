@@ -1,10 +1,12 @@
 /// SweepJournal unit tests: bit-exact record round-trips, torn-line
-/// tolerance, record seals, old record versions, latest-record-wins resume
+/// tolerance, record seals, old record versions, appends that leave earlier
+/// lines and other journals' records alone, latest-record-wins resume
 /// lookups, the quarantine streak and its healing, and best-effort appends
 /// under injected journal faults.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -14,6 +16,7 @@
 
 #include "common/error.h"
 #include "common/fault_injection.h"
+#include "common/fs_util.h"
 #include "common/hash.h"
 #include "common/json.h"
 #include "core/sweep_journal.h"
@@ -222,6 +225,82 @@ TEST(SweepJournal, V2LinesAreSkipped)
     EXPECT_FALSE(j.completed(1, 12).has_value());
 }
 
+TEST(SweepJournal, JournalsSharingADirectoryKeepEveryRecord)
+{
+    // Two sweeps journaling to one directory, appending in turn: neither
+    // may drop the records of the other.
+    TempDir dir;
+    SweepJournal a(dir.path);
+    SweepJournal b(dir.path);
+    for (uint64_t g = 0; g < 10; ++g)
+        EXPECT_TRUE((g % 2 == 0 ? a : b).append(ok_record(1, g, 100.0 + g)));
+
+    SweepJournal fresh(dir.path);
+    EXPECT_EQ(fresh.load(), 10u);
+    for (uint64_t g = 0; g < 10; ++g)
+        EXPECT_TRUE(fresh.completed(1, g).has_value()) << g;
+}
+
+TEST(SweepJournal, AppendLeavesEveryEarlierByteAsItWas)
+{
+    TempDir dir;
+    {
+        SweepJournal j(dir.path);
+        EXPECT_TRUE(j.append(ok_record(1, 10, 100.0)));
+        EXPECT_TRUE(j.append(ok_record(1, 11, 200.0)));
+    }
+    // Group 11's line is edited by hand, so it fails its seal.
+    std::vector<std::string> lines = journal_lines(dir.path);
+    ASSERT_EQ(lines.size(), 2u);
+    const std::size_t attempts = lines[1].find("\"attempts\":1,");
+    ASSERT_NE(attempts, std::string::npos) << lines[1];
+    lines[1][attempts + 11] = '7';
+    write_journal(dir.path, lines);
+    const std::string path = dir.path + "/sweep_journal.jsonl";
+    const std::string before = read_file(path);
+
+    SweepJournal j(dir.path);
+    EXPECT_EQ(j.load(), 1u);
+    EXPECT_TRUE(j.append(ok_record(1, 12, 300.0)));
+    const std::string after = read_file(path);
+    ASSERT_GT(after.size(), before.size());
+    EXPECT_EQ(after.substr(0, before.size()), before);
+    EXPECT_EQ(std::count(after.begin() + static_cast<std::ptrdiff_t>(before.size()), after.end(),
+                         '\n'),
+              1);
+
+    // The edited line is still in the file, and still skipped.
+    SweepJournal fresh(dir.path);
+    EXPECT_EQ(fresh.load(), 2u);
+    EXPECT_TRUE(fresh.completed(1, 10).has_value());
+    EXPECT_FALSE(fresh.completed(1, 11).has_value());
+    EXPECT_TRUE(fresh.completed(1, 12).has_value());
+}
+
+TEST(SweepJournal, AppendAfterATornTailStartsANewLine)
+{
+    TempDir dir;
+    {
+        SweepJournal j(dir.path);
+        EXPECT_TRUE(j.append(ok_record(1, 10, 100.0)));
+        EXPECT_TRUE(j.append(ok_record(1, 11, 200.0)));
+    }
+    {
+        // A crash mid-append leaves a last line without its '\n'.
+        std::ofstream f(dir.path + "/sweep_journal.jsonl", std::ios::app);
+        f << "{\"v\":3,\"sweep\":\"1\",\"gro";
+    }
+    SweepJournal j(dir.path);
+    EXPECT_EQ(j.load(), 2u);
+    EXPECT_TRUE(j.append(ok_record(1, 12, 300.0)));
+
+    // The torn line does not swallow the record appended after it.
+    SweepJournal fresh(dir.path);
+    EXPECT_EQ(fresh.load(), 3u);
+    for (const uint64_t g : {10, 11, 12})
+        EXPECT_TRUE(fresh.completed(1, g).has_value()) << g;
+}
+
 TEST(SweepJournal, LatestRecordWinsAndFailureInvalidatesStaleSuccess)
 {
     TempDir dir;
@@ -280,16 +359,22 @@ TEST(SweepJournal, WriteFaultIsAbsorbedAndAccountingSurvivesInMemory)
     fi.arm("journal.write", 1, FaultMode::kEvery);
 
     SweepJournal j(dir.path);
-    EXPECT_FALSE(j.append(failed_record(1, 10, "x"))); // publish fails...
+    EXPECT_FALSE(j.append(failed_record(1, 10, "x"))); // the append fails...
     EXPECT_FALSE(j.append(failed_record(2, 10, "y")));
     EXPECT_EQ(j.consecutive_failures(10), 2); // ...but accounting still sees it
     EXPECT_TRUE(j.quarantined(10));
     fi.disarm_all();
 
-    // Nothing was ever published, so a fresh journal starts empty.
+    // Nothing was ever written, so a fresh journal starts empty.
     SweepJournal j2(dir.path);
     EXPECT_EQ(j2.load(), 0u);
     EXPECT_FALSE(j2.quarantined(10));
+
+    // A later append writes only its own record, never the failed ones.
+    EXPECT_TRUE(j.append(failed_record(3, 11, "z")));
+    EXPECT_EQ(j2.load(), 1u);
+    EXPECT_FALSE(j2.quarantined(10));
+    EXPECT_EQ(j2.consecutive_failures(11), 1);
 }
 
 TEST(SweepJournal, LoadFaultWarnsAndStartsFresh)

@@ -321,6 +321,21 @@ TEST(ExecutionTrace, FromJsonRejectsMissingAndMistypedMembers)
     for (std::size_t i = 0; i < bad.size(); ++i)
         EXPECT_THROW(ExecutionTrace::from_json(bad[i]), ParseError) << "case " << i;
 
+    // The error names the member, and inside a node the node's id too.
+    const auto error_of = [](const Json& doc) -> std::string {
+        try {
+            (void)ExecutionTrace::from_json(doc);
+        } catch (const ParseError& e) {
+            return e.what();
+        }
+        return {};
+    };
+    EXPECT_EQ(error_of(bad[0]), "parse error: node 1: json: member 'tid': expected integer");
+    EXPECT_EQ(error_of(bad[2]), "parse error: node 1: json: missing key 'tid'");
+    EXPECT_EQ(error_of(with_node([](Json& o) { o.set("kind", Json(3)); })),
+              "parse error: node 1: json: member 'kind': expected string");
+    EXPECT_EQ(error_of(bad[4]), "parse error: json: member 'world_size': expected integer");
+
     // Process-group ids are the writer's decimals, signs included.
     const ExecutionTrace negative = ExecutionTrace::from_json(with_meta(with_group_key("-3")));
     EXPECT_EQ(negative.meta().process_groups.at(-3), (std::vector<int>{0, 1}));

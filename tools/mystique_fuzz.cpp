@@ -5,8 +5,8 @@
 ///   mystique-fuzz --churn [--churn-dir DIR]  # fault churn, every site
 ///   mystique-fuzz --churn-site SITE          # fault churn, one site
 ///
-/// Default --iters comes from MYST_FUZZ_ITERS (else 25); CI runs the fixed
-/// `--seed 7` smoke corpus and one churn pass (see scripts/ci.sh).  Every
+/// --iters defaults to 25; CI runs the fixed `--seed 7` smoke corpus and one
+/// churn pass (see scripts/ci.sh).  Every
 /// failure line carries the *case seed* and the *failing check name* (the
 /// reproduce hint repeats both); `--case <seed>` reproduces that exact
 /// trace, config and checks, regardless of the corpus it came from.
