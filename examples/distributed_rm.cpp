@@ -4,12 +4,13 @@
 /// traces, and then demonstrates scaled-down emulation: reproducing the
 /// N-rank iteration time with only two replay ranks.
 ///
-/// Usage: distributed_rm [world_size]
+/// Usage: distributed_rm [world_size, 2 to 64; default 8]
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "common/stats.h"
+#include "common/string_util.h"
 #include "core/replayer.h"
 #include "workloads/harness.h"
 
@@ -17,7 +18,13 @@ int
 main(int argc, char** argv)
 {
     using namespace mystique;
-    const int world = argc > 1 ? std::atoi(argv[1]) : 8;
+    // Each rank is a thread; the scale-down step replays ranks 0 and 1.
+    const std::optional<uint64_t> parsed = parse_u64(argc > 1 ? argv[1] : "8");
+    if (argc > 2 || !parsed.has_value() || *parsed < 2 || *parsed > 64) {
+        std::fprintf(stderr, "usage: %s [world_size, 2 to 64]\n", argv[0]);
+        return 2;
+    }
+    const int world = static_cast<int>(*parsed);
 
     wl::RunConfig run_cfg;
     run_cfg.mode = fw::ExecMode::kShapeOnly;

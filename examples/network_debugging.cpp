@@ -6,11 +6,12 @@
 /// two network conditions — healthy and a degraded inter-node fabric — to
 /// show how comms-only replay isolates the network contribution.
 ///
-/// Usage: network_debugging [world_size]
+/// Usage: network_debugging [world_size, 2 to 64; default 4]
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "common/string_util.h"
 #include "core/replayer.h"
 #include "workloads/harness.h"
 
@@ -18,7 +19,13 @@ int
 main(int argc, char** argv)
 {
     using namespace mystique;
-    const int world = argc > 1 ? std::atoi(argv[1]) : 4;
+    // Each rank is a thread; one rank has no collective to time.
+    const std::optional<uint64_t> parsed = parse_u64(argc > 1 ? argv[1] : "4");
+    if (argc > 2 || !parsed.has_value() || *parsed < 2 || *parsed > 64) {
+        std::fprintf(stderr, "usage: %s [world_size, 2 to 64]\n", argv[0]);
+        return 2;
+    }
+    const int world = static_cast<int>(*parsed);
 
     wl::RunConfig run_cfg;
     run_cfg.mode = fw::ExecMode::kShapeOnly;

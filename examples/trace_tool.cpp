@@ -2,7 +2,8 @@
 /// engineer would use against a trace database:
 ///
 ///   trace_tool collect  <workload> <out_dir> [platform] [world]
-///       runs a workload and writes per-rank ET + profiler JSON files
+///       runs a workload on `world` ranks (1 to 64, default 1) and writes
+///       per-rank ET + profiler JSON files
 ///   trace_tool stats    <et.json> [prof.json]
 ///       prints the operator-level summary (§8.2 analyzer)
 ///   trace_tool validate <et.json>
@@ -13,11 +14,12 @@
 ///       writes the IP-protected trace (§8.4)
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 
+#include "common/string_util.h"
 #include "core/obfuscator.h"
 #include "core/replayer.h"
 #include "et/trace_db.h"
@@ -31,9 +33,11 @@ using namespace mystique;
 int
 cmd_collect(int argc, char** argv)
 {
-    if (argc < 2) {
+    // Each rank is a thread.
+    const std::optional<uint64_t> world = parse_u64(argc > 3 ? argv[3] : "1");
+    if (argc < 2 || argc > 4 || !world.has_value() || *world < 1 || *world > 64) {
         std::fprintf(stderr, "usage: trace_tool collect <workload> <out_dir> "
-                             "[platform] [world]\n");
+                             "[platform] [world, 1 to 64]\n");
         return 2;
     }
     const std::string workload = argv[0];
@@ -41,7 +45,7 @@ cmd_collect(int argc, char** argv)
     wl::RunConfig cfg;
     cfg.mode = fw::ExecMode::kShapeOnly;
     cfg.platform = argc > 2 ? argv[2] : "A100";
-    cfg.world_size = argc > 3 ? std::atoi(argv[3]) : 1;
+    cfg.world_size = static_cast<int>(*world);
     std::filesystem::create_directories(out_dir);
     const wl::RunResult res = wl::run_original(workload, {}, cfg);
     for (std::size_t rank = 0; rank < res.ranks.size(); ++rank) {

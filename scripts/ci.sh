@@ -27,7 +27,8 @@ echo "== bench summaries =="
 echo "== cross-process plan-store reuse =="
 plan_store_dir=$(mktemp -d)
 package_dir=$(mktemp -d)
-trap 'rm -rf "$plan_store_dir" "$package_dir"' EXIT
+trace_dir=$(mktemp -d)
+trap 'rm -rf "$plan_store_dir" "$package_dir" "$trace_dir"' EXIT
 ./example_cross_process_sweep "$plan_store_dir" cold | tee /tmp/myst_sweep_cold.txt
 ./example_cross_process_sweep "$plan_store_dir" warm | tee /tmp/myst_sweep_warm.txt
 MYST_ARENA_POISON=1 ./example_cross_process_sweep "$plan_store_dir" warm \
@@ -53,6 +54,26 @@ for f in benchmark_main.cpp README.md; do
     fi
 done
 echo "shared_benchmark OK: its program and README match the generator"
+
+# The scenario examples and the trace_tool CLI must run to completion (set -e
+# stops the script on a nonzero exit), and a malformed count must be a usage
+# error (exit 2), not an abort.
+echo "== examples =="
+./example_quickstart > /dev/null
+./example_distributed_rm > /dev/null
+./example_network_debugging > /dev/null
+./example_platform_screening > /dev/null
+./example_trace_tool collect rm "$trace_dir" > /dev/null
+./example_trace_tool stats "$trace_dir/rm_rank0.et.json" "$trace_dir/rm_rank0.prof.json" > /dev/null
+./example_trace_tool validate "$trace_dir/rm_rank0.et.json" > /dev/null
+./example_trace_tool replay "$trace_dir/rm_rank0.et.json" "$trace_dir/rm_rank0.prof.json" > /dev/null
+status=0
+./example_distributed_rm abc 2> /dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "FAIL: example_distributed_rm abc exited $status, expected the usage error 2"
+    exit 1
+fi
+echo "examples OK: every scenario and trace_tool command exited 0, a bad count exited 2"
 
 # Read-before-write sentinel: recycled arena buffers are not zeroed, so run
 # the suite once with poisoned recycling (0xFF fill) to flush any kernel that

@@ -35,10 +35,17 @@ class CancelledError : public MystiqueError {
 class CancelToken {
   public:
     /// Arms a soft deadline @p ms milliseconds from now (0: already expired).
-    /// Arm before handing the token to the worker.
+    /// A deadline beyond the clock's range saturates at its end, so it never
+    /// expires.  Arm before handing the token to the worker.
     void set_deadline_after_ms(uint64_t ms)
     {
-        deadline_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+        using Clock = std::chrono::steady_clock;
+        const Clock::time_point now = Clock::now();
+        const auto room =
+            std::chrono::duration_cast<std::chrono::milliseconds>(Clock::time_point::max() - now);
+        deadline_ = ms < static_cast<uint64_t>(room.count())
+                        ? now + std::chrono::milliseconds(ms)
+                        : Clock::time_point::max();
         deadline_ms_ = ms;
     }
 

@@ -1,5 +1,6 @@
 #include "common/fault_injection.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -25,6 +26,20 @@ fault_sites()
     };
     return sites;
 }
+
+namespace {
+
+/// Throws ConfigError unless @p site is in fault_sites(): arming a misspelt
+/// site would run an un-faulted pass.
+void
+require_fault_site(const std::string& site, const char* who)
+{
+    const std::vector<std::string>& sites = fault_sites();
+    if (std::find(sites.begin(), sites.end(), site) == sites.end())
+        MYST_THROW(ConfigError, who << ": unknown fault site '" << site << "'");
+}
+
+} // namespace
 
 struct FaultInjection::Impl {
     struct Site {
@@ -55,8 +70,8 @@ struct FaultInjection::Impl {
     }
 
     /// Parses "site:nth[:mode]" specs from MYST_FAULT (comma-separated).
-    /// Unknown modes or malformed counts throw ConfigError: a typo in a
-    /// fault spec must fail loudly, not silently run an un-faulted pass.
+    /// Unknown sites or modes and malformed counts throw ConfigError: a typo
+    /// in a fault spec must fail loudly, not silently run an un-faulted pass.
     void load_env_locked()
     {
         const std::string env = env_string("MYST_FAULT");
@@ -68,6 +83,7 @@ struct FaultInjection::Impl {
                 MYST_THROW(ConfigError,
                            "MYST_FAULT: expected <site>:<nth>[:<mode>], got '" << spec
                                                                               << "'");
+            require_fault_site(parts[0], "MYST_FAULT");
             const std::optional<uint64_t> nth = parse_u64(parts[1]);
             if (!nth.has_value() || *nth == 0)
                 MYST_THROW(ConfigError, "MYST_FAULT: bad count in '" << spec << "'");
@@ -128,6 +144,7 @@ void
 FaultInjection::arm(const std::string& site, uint64_t nth, FaultMode mode)
 {
     MYST_CHECK_MSG(nth > 0, "fault nth is 1-based");
+    require_fault_site(site, "FaultInjection::arm");
     Impl& im = impl();
     std::lock_guard<std::mutex> lock(im.mu);
     Impl::Site& s = im.site_locked(site);

@@ -69,7 +69,8 @@ class FaultInjection {
     /// Arms @p site: mode kOnce fires exactly on hit @p nth (1-based);
     /// kEvery fires whenever the site's hit count is a multiple of @p nth;
     /// kDelay sleeps @p nth milliseconds on every hit.  Re-arming a site
-    /// replaces its spec and resets its counters.
+    /// replaces its spec and resets its counters.  Throws ConfigError for a
+    /// site not in fault_sites().
     void arm(const std::string& site, uint64_t nth, FaultMode mode = FaultMode::kOnce);
 
     /// Disarms every site and clears all counters.  The `MYST_FAULT`

@@ -9,27 +9,13 @@
 #include "common/error.h"
 #include "common/fault_injection.h"
 
-#ifdef _WIN32
-#include <process.h>
-#else
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace mystique {
 
 namespace {
-
-long
-process_id()
-{
-#ifdef _WIN32
-    return static_cast<long>(_getpid());
-#else
-    return static_cast<long>(::getpid());
-#endif
-}
 
 /// Removes the staged temp file on every exit path that did not publish it —
 /// including exceptions thrown *between* the write and the rename (fault
@@ -63,7 +49,6 @@ sync_file(const std::filesystem::path& path)
     if (FaultInjection::instance().should_fail("fs.write_fsync"))
         MYST_THROW(MystiqueError,
                    "injected fault: fsync of '" + path.string() + "' failed");
-#ifndef _WIN32
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
         MYST_THROW(MystiqueError, "atomic_write_file: cannot reopen '" + path.string() +
@@ -73,7 +58,6 @@ sync_file(const std::filesystem::path& path)
     if (rc != 0)
         MYST_THROW(MystiqueError, "atomic_write_file: fsync of '" + path.string() +
                                       "' failed");
-#endif
 }
 
 } // namespace
@@ -92,7 +76,7 @@ atomic_write_file(const std::string& path, std::string_view content)
     // the same target never collide on the temp name, and each rename
     // publishes a complete file.
     static std::atomic<uint64_t> counter{0};
-    const fs::path tmp = target.string() + ".tmp." + std::to_string(process_id()) + "." +
+    const fs::path tmp = target.string() + ".tmp." + std::to_string(::getpid()) + "." +
                          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
     TmpFileGuard guard(tmp);
 

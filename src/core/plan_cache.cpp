@@ -10,7 +10,20 @@
 
 namespace mystique::core {
 
-PlanCache::PlanCache(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1))
+namespace {
+
+/// The disk tier in @p dir; null for "".
+std::shared_ptr<PlanStore>
+open_store(const std::string& dir)
+{
+    return dir.empty() ? nullptr : std::make_shared<PlanStore>(dir);
+}
+
+} // namespace
+
+PlanCache::PlanCache(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(capacity, 1)),
+      store_(open_store(env_string("MYST_PLAN_CACHE_DIR")))
 {
 }
 
@@ -24,24 +37,6 @@ PlanCache::instance()
 {
     static PlanCache cache;
     return cache;
-}
-
-std::shared_ptr<PlanStore>
-PlanCache::open_store() const
-{
-    std::string dir;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (store_override_.has_value()) {
-            dir = *store_override_;
-        } else {
-            // Read at use time like every other runtime knob (docs/env_vars.md).
-            dir = env_string("MYST_PLAN_CACHE_DIR");
-        }
-    }
-    if (dir.empty())
-        return nullptr;
-    return std::make_shared<PlanStore>(std::move(dir));
 }
 
 std::shared_ptr<const ReplayPlan>
@@ -69,6 +64,7 @@ PlanCache::resolve(const et::ExecutionTrace& trace,
 
     std::promise<std::shared_ptr<const ReplayPlan>> promise;
     std::shared_future<std::shared_ptr<const ReplayPlan>> future;
+    std::shared_ptr<PlanStore> store;
     bool builder = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -82,6 +78,7 @@ PlanCache::resolve(const et::ExecutionTrace& trace,
         } else {
             ++stats_.misses;
             builder = true;
+            store = store_;
             future = promise.get_future().share();
             entries_[key] = Entry{future, /*ready=*/false, ++tick_};
         }
@@ -95,7 +92,6 @@ PlanCache::resolve(const et::ExecutionTrace& trace,
     // costs one parse instead of the whole selection+reconstruction pass —
     // and anything wrong with the entry was quarantined inside load(), so a
     // null return always means "build it".
-    const std::shared_ptr<PlanStore> store = open_store();
     try {
         // The plan must outlive the caller's trace reference: share the
         // caller's handle when it has one, deep-copy exactly once when not.
@@ -245,13 +241,14 @@ PlanCache::clear()
 }
 
 void
-PlanCache::set_store_dir(std::optional<std::string> dir)
+PlanCache::set_store_dir(const std::string& dir)
 {
     // Writebacks bound for the *old* store should land before the switch
     // takes effect (tests rely on a settled directory).
     flush_writebacks();
+    std::shared_ptr<PlanStore> store = open_store(dir);
     std::lock_guard<std::mutex> lock(mu_);
-    store_override_ = std::move(dir);
+    store_ = std::move(store);
 }
 
 void

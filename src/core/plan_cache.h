@@ -13,12 +13,12 @@
 /// ## Two tiers
 ///
 /// The in-memory tier above is process-local.  When `MYST_PLAN_CACHE_DIR`
-/// is set (or a directory is injected via set_store_dir()), a *disk tier*
-/// (core/plan_store.h) extends reuse across process restarts: a memory miss
-/// first consults the content-addressed on-disk store — one atomically
-/// written JSON entry per full PlanKey — and only builds when the disk
-/// misses too; fresh builds are written back asynchronously on the shared
-/// background ThreadPool.  A repeated sweep of a stable database in a new
+/// is set as the cache is constructed (or set_store_dir() names a
+/// directory), a *disk tier* (core/plan_store.h) extends reuse across
+/// process restarts: a memory miss first consults the content-addressed
+/// on-disk store — one atomically written JSON entry per full PlanKey — and
+/// only builds when the disk misses too; fresh builds are written back
+/// asynchronously on the shared background ThreadPool.  A repeated sweep of a stable database in a new
 /// process therefore performs **zero plan builds**: every group is a disk
 /// hit (one parse) instead of a selection+reconstruction pass.  Invalid disk
 /// entries (corrupt, truncated, stale schema, kind-drifted) are quarantined
@@ -41,7 +41,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -85,6 +84,8 @@ class PlanCache {
   public:
     static constexpr std::size_t kDefaultCapacity = 64;
 
+    /// Reads `MYST_PLAN_CACHE_DIR` once: when set, it names the disk tier's
+    /// directory; unset or empty, the cache is memory-only.
     explicit PlanCache(std::size_t capacity = kDefaultCapacity);
 
     /// Waits for outstanding disk writebacks (plans already built are never
@@ -92,7 +93,8 @@ class PlanCache {
     /// construction anyway — see core/plan_store.h).
     ~PlanCache();
 
-    /// The process-wide instance used by run_distributed / ReplayDriver.
+    /// The process-wide instance used by run_distributed / ReplayDriver,
+    /// constructed on first use.
     static PlanCache& instance();
 
     /// Returns the plan for (trace, prof, cfg): from memory, else from the
@@ -134,12 +136,10 @@ class PlanCache {
     /// exactly the cross-process scenario it simulates.
     void clear();
 
-    /// Overrides the disk tier for this cache instance:
-    ///  - nullopt (the default): follow `MYST_PLAN_CACHE_DIR`, re-read at
-    ///    every miss like the other runtime knobs;
-    ///  - "": disk tier off, regardless of the environment;
-    ///  - a path: use that directory.
-    void set_store_dir(std::optional<std::string> dir);
+    /// Replaces the disk tier the constructor read from
+    /// `MYST_PLAN_CACHE_DIR`: @p dir is the tier's directory, and "" turns
+    /// the tier off.
+    void set_store_dir(const std::string& dir);
 
     /// Blocks until every asynchronous disk writeback issued so far has
     /// completed (successfully or not), so `stats().writebacks` is final and
@@ -160,8 +160,6 @@ class PlanCache {
     };
 
     void evict_excess_locked();
-    /// The disk tier to consult right now (override or env); nullptr = off.
-    std::shared_ptr<PlanStore> open_store() const;
     void submit_writeback(std::shared_ptr<PlanStore> store,
                           std::shared_ptr<const ReplayPlan> plan);
 
@@ -169,7 +167,7 @@ class PlanCache {
     std::size_t capacity_;
     uint64_t tick_ = 0;
     PlanCacheStats stats_; ///< the counters; stats() fills in size and capacity
-    std::optional<std::string> store_override_;
+    std::shared_ptr<PlanStore> store_; ///< the disk tier; null = off
     std::vector<std::future<void>> writeback_futures_;
     std::unordered_map<PlanKey, Entry, PlanKeyHash> entries_;
 };

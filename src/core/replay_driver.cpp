@@ -30,15 +30,9 @@ struct ReplayDriver::Worker {
     std::shared_ptr<comm::CommFabric> fabric;
 };
 
-/// Per-sweep snapshot of the resilience knobs plus the shared mutable state
-/// of one replay_groups call.  Snapshotting once keeps every group of a sweep
-/// under the same policy even if the environment changes mid-sweep; the
-/// counters are atomics because workers bump them concurrently.
+/// The shared mutable state of one replay_groups call.  The counters are
+/// atomics because workers bump them concurrently.
 struct ReplayDriver::ResolvedResilience {
-    int max_retries = 0;
-    uint64_t backoff_ms = 10;
-    std::optional<uint64_t> group_deadline_ms;
-    bool probe_quarantined = false;
     /// Sweep-level deadline; never expires when the knob is unset.
     CancelToken sweep_token;
     /// Identity of this sweep for journal lookups: the selected groups
@@ -54,7 +48,11 @@ struct ReplayDriver::ResolvedResilience {
 };
 
 ReplayDriver::ReplayDriver(ReplayConfig cfg, PlanCache* cache, std::size_t parallelism)
-    : cfg_(std::move(cfg)), cache_(cache), parallelism_(std::max<std::size_t>(1, parallelism))
+    : cfg_(std::move(cfg)), cache_(cache), parallelism_(std::max<std::size_t>(1, parallelism)),
+      max_retries_(static_cast<int>(env_u64("MYST_SWEEP_RETRIES", INT_MAX).value_or(0))),
+      backoff_ms_(env_u64("MYST_SWEEP_BACKOFF_MS").value_or(10)),
+      group_deadline_ms_(env_u64("MYST_SWEEP_GROUP_DEADLINE_MS")),
+      journal_dir_(env_string("MYST_SWEEP_JOURNAL"))
 {
     MYST_CHECK(cache_ != nullptr);
 }
@@ -79,26 +77,15 @@ void
 ReplayDriver::resolve_resilience(const std::vector<et::TraceGroup>& groups,
                                  ResolvedResilience& res) const
 {
-    res.max_retries =
-        max_retries_.has_value()
-            ? *max_retries_
-            : static_cast<int>(env_u64("MYST_SWEEP_RETRIES", INT_MAX).value_or(0));
-    res.max_retries = std::max(0, res.max_retries);
-    res.backoff_ms =
-        backoff_ms_.has_value() ? *backoff_ms_ : env_u64("MYST_SWEEP_BACKOFF_MS").value_or(10);
     // The last retry sleeps backoff_ms << (max_retries - 1).  A shift of 64
     // bits or more is undefined and a wrapped product sleeps a wrong time, so
     // a pair whose largest sleep does not fit in 64 bits is rejected here,
     // before any group runs.
-    if (res.backoff_ms != 0 && res.max_retries - 1 > std::countl_zero(res.backoff_ms))
-        MYST_THROW(ConfigError, "sweep retries=" << res.max_retries
-                                                 << " with backoff_ms=" << res.backoff_ms
+    if (backoff_ms_ != 0 && max_retries_ - 1 > std::countl_zero(backoff_ms_))
+        MYST_THROW(ConfigError, "sweep retries=" << max_retries_
+                                                 << " with backoff_ms=" << backoff_ms_
                                                  << ": the last backoff, backoff_ms << "
                                                     "(retries - 1), overflows 64 bits");
-    res.group_deadline_ms = group_deadline_ms_.has_value()
-                                ? group_deadline_ms_
-                                : env_u64("MYST_SWEEP_GROUP_DEADLINE_MS");
-    res.probe_quarantined = probe_quarantined_;
     if (sweep_deadline_ms_.has_value())
         res.sweep_token.set_deadline_after_ms(*sweep_deadline_ms_);
 
@@ -111,10 +98,8 @@ ReplayDriver::resolve_resilience(const std::vector<et::TraceGroup>& groups,
     }
     res.sweep_fp = h.value();
 
-    const std::string dir =
-        journal_dir_.has_value() ? *journal_dir_ : env_string("MYST_SWEEP_JOURNAL");
-    if (!dir.empty()) {
-        res.journal = std::make_unique<SweepJournal>(dir);
+    if (!journal_dir_.empty()) {
+        res.journal = std::make_unique<SweepJournal>(journal_dir_);
         res.journal->load(); // absorbs journal.load faults: worst case, no resume
     }
 }
@@ -181,7 +166,7 @@ ReplayDriver::run_group_resilient(Worker& worker, const et::TraceDatabase& db,
     // probing — a probe gives it exactly one healing attempt, no retries.
     const bool quarantined =
         res.journal != nullptr && res.journal->quarantined(group.fingerprint);
-    if (quarantined && !res.probe_quarantined) {
+    if (quarantined && !probe_quarantined_) {
         g.status = GroupStatus::kQuarantined;
         g.attempts = 0;
         if (const auto fail = res.journal->last_failure(group.fingerprint))
@@ -197,13 +182,14 @@ ReplayDriver::run_group_resilient(Worker& worker, const et::TraceDatabase& db,
         return g;
     }
 
-    const int max_attempts = quarantined ? 1 : 1 + res.max_retries;
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+    // 64 bits: 1 + INT_MAX retries must not wrap to a loop that never runs.
+    const int64_t max_attempts = quarantined ? 1 : int64_t{1} + max_retries_;
+    for (int64_t attempt = 1; attempt <= max_attempts; ++attempt) {
         if (attempt > 1) {
             // Deterministic exponential backoff: 1×, 2×, 4×, ... the base
             // (resolve_resilience bounds the shift whenever the base is
             // nonzero).
-            const uint64_t sleep_ms = res.backoff_ms == 0 ? 0 : res.backoff_ms << (attempt - 2);
+            const uint64_t sleep_ms = backoff_ms_ == 0 ? 0 : backoff_ms_ << (attempt - 2);
             res.retries.fetch_add(1, std::memory_order_relaxed);
             res.backoff_slept_ms.fetch_add(sleep_ms, std::memory_order_relaxed);
             if (sleep_ms > 0)
@@ -215,8 +201,8 @@ ReplayDriver::run_group_resilient(Worker& worker, const et::TraceDatabase& db,
                 MYST_THROW(ReplayError, "injected fault: sweep group replay failed "
                                         "(group fp " << group.fingerprint << ")");
             CancelToken token;
-            if (res.group_deadline_ms.has_value())
-                token.set_deadline_after_ms(*res.group_deadline_ms);
+            if (group_deadline_ms_.has_value())
+                token.set_deadline_after_ms(*group_deadline_ms_);
             GroupReplayResult done = replay_one(worker, db, group, profs, &token);
             g.result = std::move(done.result);
             g.status = GroupStatus::kOk;

@@ -41,7 +41,8 @@
 ///    re-attempted up to `max_retries` times on a freshly
 ///    reset_for_replay()ed session, sleeping `backoff_ms << (attempt-1)`
 ///    between attempts (knobs: set_max_retries / set_backoff_ms, defaulting
-///    from MYST_SWEEP_RETRIES / MYST_SWEEP_BACKOFF_MS, re-read per sweep);
+///    from MYST_SWEEP_RETRIES / MYST_SWEEP_BACKOFF_MS, read when the driver
+///    is constructed);
 ///  - **deadlines** — a per-group soft deadline (set_group_deadline_ms /
 ///    MYST_SWEEP_GROUP_DEADLINE_MS) enforced by a cooperative CancelToken the
 ///    Replayer polls between plan units (status `timed_out`; never retried), plus a
@@ -66,6 +67,7 @@
 /// sweep entry point lives here as ReplayDriver::replay_groups(db) rather
 /// than as a TraceDatabase method.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -151,6 +153,8 @@ class ReplayDriver {
     /// @param cache        defaults to the process-wide cache; tests inject one.
     /// @param parallelism  worker sessions replaying groups concurrently;
     ///        1 (default) sweeps sequentially on a single reused session.
+    /// Reads the resilience knobs' environment variables (see the setters);
+    /// throws ConfigError naming a variable whose value is malformed.
     explicit ReplayDriver(ReplayConfig cfg, PlanCache* cache = &PlanCache::instance(),
                           std::size_t parallelism = 1);
     ~ReplayDriver();
@@ -163,30 +167,27 @@ class ReplayDriver {
     void set_parallelism(std::size_t parallelism);
     std::size_t parallelism() const { return parallelism_; }
 
-    /// Resilience knobs.  Each defaults from its environment variable
-    /// (re-read at every sweep, like the cache knobs) until set explicitly;
-    /// pass nullopt to return a knob to environment control.
+    /// Resilience knobs.  The constructor reads each one's environment
+    /// variable once; a setter replaces that value for later sweeps.
     /// Retries beyond the first attempt per failed group
-    /// (MYST_SWEEP_RETRIES; default 0).  Timeouts are never retried.
-    void set_max_retries(std::optional<int> retries) { max_retries_ = retries; }
+    /// (MYST_SWEEP_RETRIES; default 0; a negative count is 0).  Timeouts
+    /// are never retried.
+    void set_max_retries(int retries) { max_retries_ = std::max(0, retries); }
     /// Base backoff in ms before retry attempt n sleeps
     /// `backoff << (n-1)` (MYST_SWEEP_BACKOFF_MS; default 10).  A sweep whose
     /// last sleep would overflow 64 bits throws ConfigError before any group
     /// runs.
-    void set_backoff_ms(std::optional<uint64_t> ms) { backoff_ms_ = ms; }
+    void set_backoff_ms(uint64_t ms) { backoff_ms_ = ms; }
     /// Per-group soft deadline in ms, polled between replayed plan units
-    /// (MYST_SWEEP_GROUP_DEADLINE_MS; default none).  0 = already expired.
+    /// (MYST_SWEEP_GROUP_DEADLINE_MS; default none).  nullopt = no
+    /// deadline, 0 = already expired.
     void set_group_deadline_ms(std::optional<uint64_t> ms) { group_deadline_ms_ = ms; }
     /// Sweep-level deadline in ms: groups not yet *started* when it passes
-    /// are marked skipped.  Programmatic only; default none.
+    /// are marked skipped.  Programmatic only; nullopt (the default) = none.
     void set_sweep_deadline_ms(std::optional<uint64_t> ms) { sweep_deadline_ms_ = ms; }
     /// Journal directory for crash-safe resume + quarantine
-    /// (MYST_SWEEP_JOURNAL; default off).  "" disables regardless of the
-    /// environment.
-    void set_journal_dir(std::optional<std::string> dir)
-    {
-        journal_dir_ = std::move(dir);
-    }
+    /// (MYST_SWEEP_JOURNAL; default off).  "" turns journaling off.
+    void set_journal_dir(std::string dir) { journal_dir_ = std::move(dir); }
     /// When true, quarantined groups get one probe attempt (no retries)
     /// instead of being skipped — the heal path.  Default false.
     void set_probe_quarantined(bool probe) { probe_quarantined_ = probe; }
@@ -205,7 +206,7 @@ class ReplayDriver {
 
   private:
     struct Worker; // Session + CommFabric, defined in the .cpp
-    struct ResolvedResilience; // per-sweep knob snapshot, defined in the .cpp
+    struct ResolvedResilience; // per-sweep state, defined in the .cpp
 
     Worker& ensure_worker(std::size_t index);
     GroupReplayResult replay_one(Worker& worker, const et::TraceDatabase& db,
@@ -219,21 +220,20 @@ class ReplayDriver {
                                           const et::TraceGroup& group,
                                           const std::vector<const prof::ProfilerTrace*>* profs,
                                           ResolvedResilience& res);
-    /// Snapshots the resilience knobs (setters first, environment second)
-    /// and opens/loads the journal for one sweep over @p groups.
-    /// Throws ConfigError for a malformed knob, or for a retries/backoff pair
-    /// whose largest sleep overflows 64 bits.
+    /// Arms the sweep deadline, fingerprints the sweep and opens/loads the
+    /// journal for one sweep over @p groups.  Throws ConfigError for a
+    /// retries/backoff pair whose largest sleep overflows 64 bits.
     void resolve_resilience(const std::vector<et::TraceGroup>& groups,
                             ResolvedResilience& res) const;
 
     ReplayConfig cfg_;
     PlanCache* cache_;
     std::size_t parallelism_;
-    std::optional<int> max_retries_;
-    std::optional<uint64_t> backoff_ms_;
+    int max_retries_;
+    uint64_t backoff_ms_;
     std::optional<uint64_t> group_deadline_ms_;
     std::optional<uint64_t> sweep_deadline_ms_;
-    std::optional<std::string> journal_dir_;
+    std::string journal_dir_; ///< "" = journaling off
     bool probe_quarantined_ = false;
     /// Workers persist across sweeps: session construction and arena warmth
     /// are paid once per driver, not once per sweep.

@@ -60,61 +60,8 @@ TraceMeta::from_json(const Json& j)
     return m;
 }
 
-namespace {
-
-/// Transfers one (valid, value) fingerprint-cache pair; clears the source's
-/// validity when @p reset_src (moves leave the source without its nodes, so
-/// its cached values would be stale).  Source atomics bind as non-const even
-/// from the copy constructor's const source because the members are mutable.
-void
-transfer_fp_cache(std::atomic<bool>& src_valid, std::atomic<uint64_t>& src_fp,
-                  std::atomic<bool>& dst_valid, std::atomic<uint64_t>& dst_fp,
-                  bool reset_src = false)
-{
-    if (src_valid.load(std::memory_order_acquire)) {
-        dst_fp.store(src_fp.load(std::memory_order_relaxed), std::memory_order_relaxed);
-        dst_valid.store(true, std::memory_order_release);
-    } else {
-        dst_valid.store(false, std::memory_order_release);
-    }
-    if (reset_src)
-        src_valid.store(false, std::memory_order_release);
-}
-
-} // namespace
-
-ExecutionTrace::ExecutionTrace(const ExecutionTrace& other)
-    : meta_(other.meta_), nodes_(other.nodes_)
-{
-    transfer_fp_cache(other.fp_valid_, other.fp_, fp_valid_, fp_);
-    transfer_fp_cache(other.sfp_valid_, other.sfp_, sfp_valid_, sfp_);
-}
-
-ExecutionTrace::ExecutionTrace(ExecutionTrace&& other) noexcept
-    : meta_(std::move(other.meta_)), nodes_(std::move(other.nodes_))
-{
-    transfer_fp_cache(other.fp_valid_, other.fp_, fp_valid_, fp_, /*reset_src=*/true);
-    transfer_fp_cache(other.sfp_valid_, other.sfp_, sfp_valid_, sfp_, /*reset_src=*/true);
-}
-
-ExecutionTrace&
-ExecutionTrace::operator=(const ExecutionTrace& other)
-{
-    if (this == &other)
-        return *this;
-    *this = ExecutionTrace(other);
-    return *this;
-}
-
-ExecutionTrace&
-ExecutionTrace::operator=(ExecutionTrace&& other) noexcept
-{
-    meta_ = std::move(other.meta_);
-    nodes_ = std::move(other.nodes_);
-    transfer_fp_cache(other.fp_valid_, other.fp_, fp_valid_, fp_, /*reset_src=*/true);
-    transfer_fp_cache(other.sfp_valid_, other.sfp_, sfp_valid_, sfp_, /*reset_src=*/true);
-    return *this;
-}
+// vector<ExecutionTrace> growth must move its elements, not copy them.
+static_assert(std::is_nothrow_move_constructible_v<ExecutionTrace>);
 
 void
 ExecutionTrace::add_node(Node node)
@@ -123,8 +70,8 @@ ExecutionTrace::add_node(Node node)
         MYST_CHECK_MSG(node.id > nodes_.back().id,
                        "node IDs must increase: " << node.id << " after " << nodes_.back().id);
     nodes_.push_back(std::move(node));
-    fp_valid_.store(false, std::memory_order_release);
-    sfp_valid_.store(false, std::memory_order_release);
+    fp_.reset();
+    sfp_.reset();
 }
 
 const Node*
@@ -223,25 +170,22 @@ ExecutionTrace::load(const std::string& path)
 uint64_t
 ExecutionTrace::fingerprint() const
 {
-    if (fp_valid_.load(std::memory_order_acquire))
-        return fp_.load(std::memory_order_relaxed);
-
-    // Order-independent histogram hash over (op name, count).
-    std::unordered_map<std::string, int64_t> hist;
-    for (const auto& n : nodes_) {
-        if (n.is_op())
-            ++hist[n.name];
-    }
-    std::vector<std::pair<std::string, int64_t>> sorted(hist.begin(), hist.end());
-    std::sort(sorted.begin(), sorted.end());
-    Fnv1a h;
-    for (const auto& [name, count] : sorted) {
-        h.mix_bytes(name.data(), name.size());
-        h.mix_pod(count);
-    }
-    fp_.store(h.value(), std::memory_order_relaxed);
-    fp_valid_.store(true, std::memory_order_release);
-    return h.value();
+    return fp_.get([this] {
+        // Order-independent histogram hash over (op name, count).
+        std::unordered_map<std::string, int64_t> hist;
+        for (const auto& n : nodes_) {
+            if (n.is_op())
+                ++hist[n.name];
+        }
+        std::vector<std::pair<std::string, int64_t>> sorted(hist.begin(), hist.end());
+        std::sort(sorted.begin(), sorted.end());
+        Fnv1a h;
+        for (const auto& [name, count] : sorted) {
+            h.mix_bytes(name.data(), name.size());
+            h.mix_pod(count);
+        }
+        return h.value();
+    });
 }
 
 namespace {
@@ -311,45 +255,42 @@ mix_argument(Fnv1a& h, const Argument& a)
 uint64_t
 ExecutionTrace::structural_fingerprint() const
 {
-    if (sfp_valid_.load(std::memory_order_acquire))
-        return sfp_.load(std::memory_order_relaxed);
+    return sfp_.get([this] {
+        Fnv1a h;
+        // Replay-relevant metadata: world size and group membership shape the
+        // executor's process-group mapping; rank identity deliberately excluded.
+        h.mix_pod(meta_.world_size);
+        for (const auto& [pg_id, ranks] : meta_.process_groups) {
+            h.mix_pod(pg_id);
+            for (int r : ranks)
+                h.mix_pod(r);
+            h.mix_pod(ranks.size());
+        }
+        h.mix_pod(meta_.process_groups.size());
 
-    Fnv1a h;
-    // Replay-relevant metadata: world size and group membership shape the
-    // executor's process-group mapping; rank identity deliberately excluded.
-    h.mix_pod(meta_.world_size);
-    for (const auto& [pg_id, ranks] : meta_.process_groups) {
-        h.mix_pod(pg_id);
-        for (int r : ranks)
-            h.mix_pod(r);
-        h.mix_pod(ranks.size());
-    }
-    h.mix_pod(meta_.process_groups.size());
+        // Full node structure in execution order — everything the plan builder
+        // reads: identity, hierarchy, schema, arguments (shapes, dtypes, values,
+        // recorded tensor IDs), thread and process-group assignment.
+        for (const Node& n : nodes_) {
+            h.mix_pod(n.id);
+            h.mix(n.name);
+            h.mix_pod(n.parent);
+            h.mix_pod(n.kind);
+            h.mix_pod(n.category);
+            h.mix(n.op_schema);
+            h.mix_pod(n.tid);
+            h.mix_pod(n.pg_id);
+            for (const auto& a : n.inputs)
+                mix_argument(h, a);
+            h.mix_pod(n.inputs.size());
+            for (const auto& a : n.outputs)
+                mix_argument(h, a);
+            h.mix_pod(n.outputs.size());
+        }
+        h.mix_pod(nodes_.size());
 
-    // Full node structure in execution order — everything the plan builder
-    // reads: identity, hierarchy, schema, arguments (shapes, dtypes, values,
-    // recorded tensor IDs), thread and process-group assignment.
-    for (const Node& n : nodes_) {
-        h.mix_pod(n.id);
-        h.mix(n.name);
-        h.mix_pod(n.parent);
-        h.mix_pod(n.kind);
-        h.mix_pod(n.category);
-        h.mix(n.op_schema);
-        h.mix_pod(n.tid);
-        h.mix_pod(n.pg_id);
-        for (const auto& a : n.inputs)
-            mix_argument(h, a);
-        h.mix_pod(n.inputs.size());
-        for (const auto& a : n.outputs)
-            mix_argument(h, a);
-        h.mix_pod(n.outputs.size());
-    }
-    h.mix_pod(nodes_.size());
-
-    sfp_.store(h.value(), std::memory_order_relaxed);
-    sfp_valid_.store(true, std::memory_order_release);
-    return h.value();
+        return h.value();
+    });
 }
 
 void

@@ -3,7 +3,6 @@
 /// @file
 /// The execution trace container and the observer that records it.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -12,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "et/node.h"
 
 namespace mystique::et {
@@ -36,12 +36,6 @@ struct TraceMeta {
 /// A complete per-process execution trace: nodes in execution (ID) order.
 class ExecutionTrace {
   public:
-    ExecutionTrace() = default;
-    ExecutionTrace(const ExecutionTrace& other);
-    ExecutionTrace(ExecutionTrace&& other) noexcept;
-    ExecutionTrace& operator=(const ExecutionTrace& other);
-    ExecutionTrace& operator=(ExecutionTrace&& other) noexcept;
-
     TraceMeta& meta() { return meta_; }
     const TraceMeta& meta() const { return meta_; }
 
@@ -85,9 +79,8 @@ class ExecutionTrace {
     /// Deliberately coarse: it ignores shapes and ordering, because the
     /// paper's grouping policy replays one representative per operator-mix
     /// group regardless of member-to-member shape drift.
-    /// Computed lazily and cached — repeated calls are O(1).  The cache
-    /// follows the OpIdCache idempotent-atomic pattern, so concurrent
-    /// first-calls on a shared const trace are race-free.
+    /// Computed lazily and cached (CachedHash) — repeated calls are O(1),
+    /// and concurrent first-calls on a shared const trace are race-free.
     uint64_t fingerprint() const;
 
     /// Stable *structural* fingerprint: node order, names, schemas, argument
@@ -107,10 +100,8 @@ class ExecutionTrace {
     TraceMeta meta_;
     std::vector<Node> nodes_; ///< strictly increasing IDs; find() binary-searches
 
-    mutable std::atomic<bool> fp_valid_{false};
-    mutable std::atomic<uint64_t> fp_{0};
-    mutable std::atomic<bool> sfp_valid_{false};
-    mutable std::atomic<uint64_t> sfp_{0};
+    CachedHash fp_;
+    CachedHash sfp_;
 };
 
 /// Records execution into an ExecutionTrace.

@@ -1,7 +1,5 @@
 #include "framework/fused.h"
 
-#include <cmath>
-
 #include "common/error.h"
 #include "framework/kernel_utils.h"
 #include "framework/math.h"
@@ -63,36 +61,6 @@ fused_mul_add_relu(Session& s, const Tensor& a, const Tensor& b, const Tensor& c
         return {ga, gb, gz};
     };
     return s.call_dynamic(def, {IValue(a), IValue(b), IValue(c)})[0].tensor();
-}
-
-Tensor
-fused_add_sigmoid(Session& s, const Tensor& a, const Tensor& b)
-{
-    MYST_CHECK_MSG(a.numel() == b.numel(), "fused_add_sigmoid requires matching shapes");
-    OpDef def;
-    def.name = "fused::add_sigmoid";
-    def.schema = "";
-    def.category = dev::OpCategory::kFused;
-    def.grad_name = "FusedAddSigmoid";
-    def.fn = [](Session& sess, const std::vector<IValue>& in) -> std::vector<IValue> {
-        const Tensor& x = in[0].tensor();
-        const Tensor& y = in[1].tensor();
-        Tensor out = sess.alloc(x.shape());
-        if (sess.numeric()) {
-            for (int64_t i = 0; i < x.numel(); ++i)
-                out.f32()[i] = 1.0f / (1.0f + std::exp(-(x.f32()[i] + y.f32()[i])));
-        }
-        sess.launch(fused_kernel("add_sigmoid", x.numel(), 2, 5.0), dev::kComputeStream,
-                    {x, y}, {out});
-        return {IValue(out)};
-    };
-    def.backward = [](Session& sess, const AutogradContext& ctx,
-                      const std::vector<Tensor>& gouts) -> std::vector<Tensor> {
-        Tensor g = sess.call_t(MYST_OP("aten::sigmoid_backward"),
-                               {IValue(gouts[0]), IValue(ctx.outputs[0].tensor())});
-        return {g, g};
-    };
-    return s.call_dynamic(def, {IValue(a), IValue(b)})[0].tensor();
 }
 
 } // namespace mystique::fw

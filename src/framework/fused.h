@@ -19,7 +19,4 @@ namespace mystique::fw {
 /// The backward decomposes into ordinary ATen ops, as JIT autodiff does.
 Tensor fused_mul_add_relu(Session& s, const Tensor& a, const Tensor& b, const Tensor& c);
 
-/// out = sigmoid(a + b), executed as one fused kernel.
-Tensor fused_add_sigmoid(Session& s, const Tensor& a, const Tensor& b);
-
 } // namespace mystique::fw

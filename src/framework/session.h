@@ -243,9 +243,6 @@ class Session {
     /// previous group's tensor buffers.
     void reset_for_replay();
 
-    /// Next ET node ID (for tests and the replayer's bookkeeping).
-    int64_t next_node_id() const { return next_node_id_; }
-
     /// Assigns a unique tensor ID on first observation (external tensors
     /// get theirs when first used as inputs, §4.4).
     int64_t tensor_uid(const Tensor& t);

@@ -7,73 +7,21 @@
 
 namespace mystique::prof {
 
-namespace {
-
-/// Transfers the replay-fingerprint cache pair; clears the source's validity
-/// when @p reset_src (moved-from traces lose their kernels, so a retained
-/// cached value would be stale).  Source atomics bind as non-const because
-/// the members are mutable.
-void
-transfer_rfp_cache(std::atomic<bool>& src_valid, std::atomic<uint64_t>& src_fp,
-                   std::atomic<bool>& dst_valid, std::atomic<uint64_t>& dst_fp,
-                   bool reset_src = false)
-{
-    if (src_valid.load(std::memory_order_acquire)) {
-        dst_fp.store(src_fp.load(std::memory_order_relaxed), std::memory_order_relaxed);
-        dst_valid.store(true, std::memory_order_release);
-    } else {
-        dst_valid.store(false, std::memory_order_release);
-    }
-    if (reset_src)
-        src_valid.store(false, std::memory_order_release);
-}
-
-} // namespace
-
-ProfilerTrace::ProfilerTrace(const ProfilerTrace& other)
-    : cpu_ops_(other.cpu_ops_), kernels_(other.kernels_)
-{
-    transfer_rfp_cache(other.rfp_valid_, other.rfp_, rfp_valid_, rfp_);
-}
-
-ProfilerTrace::ProfilerTrace(ProfilerTrace&& other) noexcept
-    : cpu_ops_(std::move(other.cpu_ops_)), kernels_(std::move(other.kernels_))
-{
-    transfer_rfp_cache(other.rfp_valid_, other.rfp_, rfp_valid_, rfp_, /*reset_src=*/true);
-}
-
-ProfilerTrace&
-ProfilerTrace::operator=(const ProfilerTrace& other)
-{
-    if (this == &other)
-        return *this;
-    *this = ProfilerTrace(other);
-    return *this;
-}
-
-ProfilerTrace&
-ProfilerTrace::operator=(ProfilerTrace&& other) noexcept
-{
-    cpu_ops_ = std::move(other.cpu_ops_);
-    kernels_ = std::move(other.kernels_);
-    transfer_rfp_cache(other.rfp_valid_, other.rfp_, rfp_valid_, rfp_, /*reset_src=*/true);
-    return *this;
-}
+// vector<ProfilerTrace> growth must move its elements, not copy them.
+static_assert(std::is_nothrow_move_constructible_v<ProfilerTrace>);
 
 uint64_t
 ProfilerTrace::replay_fingerprint() const
 {
-    if (rfp_valid_.load(std::memory_order_acquire))
-        return rfp_.load(std::memory_order_relaxed);
-    Fnv1a h;
-    for (const auto& k : kernels_) {
-        h.mix_pod(k.correlation);
-        h.mix_pod(k.stream);
-    }
-    h.mix_pod(kernels_.size());
-    rfp_.store(h.value(), std::memory_order_relaxed);
-    rfp_valid_.store(true, std::memory_order_release);
-    return h.value();
+    return rfp_.get([this] {
+        Fnv1a h;
+        for (const auto& k : kernels_) {
+            h.mix_pod(k.correlation);
+            h.mix_pod(k.stream);
+        }
+        h.mix_pod(kernels_.size());
+        return h.value();
+    });
 }
 
 sim::Interval

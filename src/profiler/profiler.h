@@ -3,7 +3,6 @@
 /// @file
 /// Profiler trace container, session, and timeline analysis.
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -11,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/json.h"
 #include "profiler/events.h"
 
@@ -27,17 +27,11 @@ struct CategoryBreakdown {
 /// A complete per-process profiler trace.
 class ProfilerTrace {
   public:
-    ProfilerTrace() = default;
-    ProfilerTrace(const ProfilerTrace& other);
-    ProfilerTrace(ProfilerTrace&& other) noexcept;
-    ProfilerTrace& operator=(const ProfilerTrace& other);
-    ProfilerTrace& operator=(ProfilerTrace&& other) noexcept;
-
     void add_cpu_op(CpuOpEvent ev) { cpu_ops_.push_back(std::move(ev)); }
     void add_kernel(KernelEvent ev)
     {
         kernels_.push_back(std::move(ev));
-        rfp_valid_.store(false, std::memory_order_release);
+        rfp_.reset();
     }
 
     const std::vector<CpuOpEvent>& cpu_ops() const { return cpu_ops_; }
@@ -83,17 +77,16 @@ class ProfilerTrace {
     /// deliberately excluded: they carry per-rank simulation jitter that
     /// never matches across equivalent runs, and they only feed the plan's
     /// *coverage statistics*, which are representative-level by the §8.2
-    /// grouping semantics anyway.  Lazily computed and cached (OpIdCache
-    /// idempotent-atomic pattern), invalidated by add_kernel; cpu-op events
-    /// are not hashed because plan building never reads them.
+    /// grouping semantics anyway.  Lazily computed and cached (CachedHash),
+    /// invalidated by add_kernel; cpu-op events are not hashed because plan
+    /// building never reads them.
     uint64_t replay_fingerprint() const;
 
   private:
     std::vector<CpuOpEvent> cpu_ops_;
     std::vector<KernelEvent> kernels_;
 
-    mutable std::atomic<bool> rfp_valid_{false};
-    mutable std::atomic<uint64_t> rfp_{0};
+    CachedHash rfp_;
 };
 
 /// Active recording handle attached to a Session (torch.profiler.profile).

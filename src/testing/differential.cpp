@@ -5,13 +5,7 @@
 #include <map>
 #include <sstream>
 
-#ifdef _WIN32
-#include <process.h>
-#define MYST_GETPID _getpid
-#else
 #include <unistd.h>
-#define MYST_GETPID getpid
-#endif
 
 #include "core/plan_cache.h"
 #include "core/replay_driver.h"
@@ -422,7 +416,7 @@ DifferentialOracle::check_sweep_at(const et::TraceDatabase& db,
         namespace fs = std::filesystem;
         const fs::path dir =
             fs::temp_directory_path() /
-            ("mystique-diff-journal-" + std::to_string(MYST_GETPID()) + "-" +
+            ("mystique-diff-journal-" + std::to_string(::getpid()) + "-" +
              std::to_string(seed));
         std::error_code ec;
         fs::remove_all(dir, ec);

@@ -8,13 +8,7 @@
 #include <string>
 #include <vector>
 
-#ifdef _WIN32
-#include <process.h>
-#define MYST_GETPID _getpid
-#else
 #include <unistd.h>
-#define MYST_GETPID getpid
-#endif
 
 #include "common/error.h"
 #include "common/fault_injection.h"
@@ -136,7 +130,7 @@ run_fuzz_cli(int argc, const char* const* argv, std::FILE* out, std::FILE* err)
     if (churn) {
         if (churn_dir.empty()) {
             churn_dir = (std::filesystem::temp_directory_path() /
-                         ("mystique-fuzz-churn-" + std::to_string(MYST_GETPID())))
+                         ("mystique-fuzz-churn-" + std::to_string(::getpid())))
                             .string();
         }
         std::filesystem::create_directories(churn_dir);

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <unistd.h>
@@ -15,6 +14,7 @@
 #include "common/error.h"
 #include "common/fault_injection.h"
 #include "common/fs_util.h"
+#include "scoped_env.h"
 
 namespace mystique {
 namespace {
@@ -160,10 +160,9 @@ TEST(FaultInjection, SiteCatalogCoversTheThreadedHooks)
 TEST(FaultInjectionEnv, SpecArmsTheSite)
 {
     DisarmGuard guard;
-    ASSERT_EQ(::setenv("MYST_FAULT", "fs.read:2:every", 1), 0);
+    const ScopedEnv env("MYST_FAULT", "fs.read:2:every");
     FaultInjection& fi = FaultInjection::instance();
     fi.reload_env();
-    ::unsetenv("MYST_FAULT");
     EXPECT_FALSE(fi.should_fail("fs.read"));
     EXPECT_TRUE(fi.should_fail("fs.read"));
 }
@@ -171,10 +170,9 @@ TEST(FaultInjectionEnv, SpecArmsTheSite)
 TEST(FaultInjectionEnv, MultipleSpecsCommaSeparated)
 {
     DisarmGuard guard;
-    ASSERT_EQ(::setenv("MYST_FAULT", "fs.read:1:every,fs.rename:1:every", 1), 0);
+    const ScopedEnv env("MYST_FAULT", "fs.read:1:every,fs.rename:1:every");
     FaultInjection& fi = FaultInjection::instance();
     fi.reload_env();
-    ::unsetenv("MYST_FAULT");
     EXPECT_TRUE(fi.should_fail("fs.read"));
     EXPECT_TRUE(fi.should_fail("fs.rename"));
 }
@@ -182,10 +180,9 @@ TEST(FaultInjectionEnv, MultipleSpecsCommaSeparated)
 TEST(FaultInjectionEnv, DefaultModeIsOnce)
 {
     DisarmGuard guard;
-    ASSERT_EQ(::setenv("MYST_FAULT", "fs.read:1", 1), 0);
+    const ScopedEnv env("MYST_FAULT", "fs.read:1");
     FaultInjection& fi = FaultInjection::instance();
     fi.reload_env();
-    ::unsetenv("MYST_FAULT");
     EXPECT_TRUE(fi.should_fail("fs.read"));
     EXPECT_FALSE(fi.should_fail("fs.read")); // once, not every
 }
@@ -195,12 +192,19 @@ TEST(FaultInjectionEnv, MalformedSpecsThrowConfigError)
     DisarmGuard guard;
     FaultInjection& fi = FaultInjection::instance();
     for (const char* bad : {"fs.read", "fs.read:0", "fs.read:x", "fs.read:1:sometimes",
-                            "fs.read:1:every:extra"}) {
-        ASSERT_EQ(::setenv("MYST_FAULT", bad, 1), 0);
+                            "fs.read:1:every:extra", "fs.renme:1"}) {
+        const ScopedEnv env("MYST_FAULT", bad);
         EXPECT_THROW(fi.reload_env(), ConfigError) << bad;
     }
-    ::unsetenv("MYST_FAULT");
     fi.reload_env(); // back to a clean registry
+}
+
+TEST(FaultInjection, ArmingAnUnknownSiteThrowsConfigError)
+{
+    DisarmGuard guard;
+    FaultInjection& fi = FaultInjection::instance();
+    EXPECT_THROW(fi.arm("fs.renme", 1, FaultMode::kEvery), ConfigError);
+    EXPECT_FALSE(fi.should_fail("fs.renme"));
 }
 
 // ---------------------------------------- fs_util under injected failures

@@ -16,6 +16,7 @@
 #include <functional>
 #include <unistd.h>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -261,26 +262,30 @@ TEST(PlanStoreTier, ClearedCacheRefillsFromDiskNotFromBuild)
     EXPECT_EQ(s.builds, 0u);
 }
 
-TEST(PlanStoreTier, EnvVarEnablesTier)
+TEST(PlanStoreTier, EnvVarIsReadWhenTheCacheIsConstructed)
 {
     const auto& r0 = traced("param_linear").rank0();
     const ReplayConfig cfg = tiny_replay();
     TempStoreDir dir;
 
+    const ScopedEnv unset("MYST_PLAN_CACHE_DIR", std::nullopt);
+    PlanCache before(8); // built before the variable was set
+    std::optional<PlanCache> during;
     {
         const ScopedEnv store_dir("MYST_PLAN_CACHE_DIR", dir.path);
-        PlanCache cache(8); // no override: follows the environment
-        (void)cache.get_or_build(r0.trace, &r0.prof, cfg);
-        cache.flush_writebacks();
-        EXPECT_EQ(cache.stats().writebacks, 1u);
+        during.emplace(8);
     }
+
+    // The variable is gone, but the cache built under it keeps its tier.
+    (void)during->get_or_build(r0.trace, &r0.prof, cfg);
+    during->flush_writebacks();
+    EXPECT_EQ(during->stats().writebacks, 1u);
     sole_entry(dir.path);
 
-    // With the variable gone the tier is off again: no disk traffic.
-    const ScopedEnv unset("MYST_PLAN_CACHE_DIR", std::nullopt);
-    PlanCache plain(8);
-    (void)plain.get_or_build(r0.trace, &r0.prof, cfg);
-    const PlanCacheStats s = plain.stats();
+    // Setting the variable later gives the older cache no tier.
+    const ScopedEnv store_dir("MYST_PLAN_CACHE_DIR", dir.path);
+    (void)before.get_or_build(r0.trace, &r0.prof, cfg);
+    const PlanCacheStats s = before.stats();
     EXPECT_EQ(s.disk_hits + s.disk_misses, 0u);
     EXPECT_EQ(s.builds, 1u);
 }

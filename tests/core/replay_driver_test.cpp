@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -557,11 +558,14 @@ TEST(ReplayDriverResilience, OverflowingBackoffIsRejectedBeforeAnyGroupRuns)
     ScopedEnv no_retries("MYST_SWEEP_RETRIES", std::nullopt);
     ScopedEnv no_backoff("MYST_SWEEP_BACKOFF_MS", std::nullopt);
     SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
+    // nullopt leaves a knob at what the constructor read.
     const auto rejected = [&](std::optional<int> retries, std::optional<uint64_t> backoff) {
         PlanCache cache(16);
         ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
-        driver.set_max_retries(retries);
-        driver.set_backoff_ms(backoff);
+        if (retries.has_value())
+            driver.set_max_retries(*retries);
+        if (backoff.has_value())
+            driver.set_backoff_ms(*backoff);
         EXPECT_THROW((void)driver.replay_groups(fx.db, SIZE_MAX, &fx.profs), ConfigError);
         EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
     };
@@ -574,7 +578,9 @@ TEST(ReplayDriverResilience, OverflowingBackoffIsRejectedBeforeAnyGroupRuns)
     }
     {
         ScopedEnv env("MYST_SWEEP_RETRIES", "abc"); // used to read as 0
-        rejected(std::nullopt, std::nullopt);
+        PlanCache cache(16);
+        EXPECT_THROW(ReplayDriver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1),
+                     ConfigError);
     }
 
     // The largest sleep that fits, 1 << 63, is accepted.
@@ -599,6 +605,71 @@ TEST(ReplayDriverResilience, OverflowingBackoffIsRejectedBeforeAnyGroupRuns)
         EXPECT_EQ(g.attempts, 4u);
     EXPECT_EQ(got.retries, 3u * got.groups.size());
     EXPECT_EQ(got.backoff_ms, 7u * got.groups.size());
+}
+
+TEST(ReplayDriverResilience, KnobsAreReadWhenTheDriverIsConstructed)
+{
+    FaultGuard guard;
+    const ScopedEnv unset("MYST_SWEEP_GROUP_DEADLINE_MS", std::nullopt);
+    SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
+    PlanCache cache(16);
+
+    std::optional<ReplayDriver> expiring;
+    {
+        const ScopedEnv expired("MYST_SWEEP_GROUP_DEADLINE_MS", "0");
+        expiring.emplace(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
+    }
+    // The variable is gone, but the driver built under it keeps its deadline.
+    const DatabaseReplayResult timed_out = expiring->replay_groups(fx.db, SIZE_MAX, &fx.profs);
+    EXPECT_EQ(timed_out.groups_timed_out, timed_out.groups.size());
+
+    ReplayDriver after(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
+    expect_all_ok(after.replay_groups(fx.db, SIZE_MAX, &fx.profs));
+
+    // A malformed knob fails the construction and names the variable.
+    const ScopedEnv bad("MYST_SWEEP_BACKOFF_MS", "abc");
+    try {
+        ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
+        ADD_FAILURE() << "MYST_SWEEP_BACKOFF_MS=abc was accepted";
+    } catch (const ConfigError& e) {
+        EXPECT_NE(std::string_view(e.what()).find("MYST_SWEEP_BACKOFF_MS"),
+                  std::string_view::npos)
+            << e.what();
+    }
+}
+
+TEST(ReplayDriverResilience, HugeGroupDeadlinesNeverExpire)
+{
+    // UINT64_MAX ms used to wrap to -1 ms, and 10^13 ms overflowed the
+    // clock: both timed out every group at once.
+    FaultGuard guard;
+    SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
+    for (const uint64_t ms : {UINT64_MAX, uint64_t{10'000'000'000'000}}) {
+        PlanCache cache(16);
+        ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 2);
+        driver.set_group_deadline_ms(ms);
+        expect_all_ok(driver.replay_groups(fx.db, SIZE_MAX, &fx.profs));
+    }
+}
+
+TEST(ReplayDriverResilience, MaximalRetryCountStillReplaysEveryGroup)
+{
+    // 1 + INT_MAX attempts used to wrap to a loop that never ran: every
+    // group read ok with a zero mean and no replay.
+    FaultGuard guard;
+    SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
+    PlanCache cache_ref(16), cache(16);
+    ReplayDriver ref(replay_cfg(fw::ExecMode::kShapeOnly), &cache_ref, 1);
+    const DatabaseReplayResult want = ref.replay_groups(fx.db, SIZE_MAX, &fx.profs);
+
+    ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
+    driver.set_max_retries(INT_MAX);
+    driver.set_backoff_ms(0);
+    const DatabaseReplayResult got = driver.replay_groups(fx.db, SIZE_MAX, &fx.profs);
+    expect_identical(want, got);
+    expect_all_ok(got);
+    for (const GroupReplayResult& g : got.groups)
+        EXPECT_EQ(g.attempts, 1u);
 }
 
 TEST(ReplayDriverResilience, JournalFaultsAreAbsorbed)

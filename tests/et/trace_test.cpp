@@ -403,6 +403,31 @@ TEST(ExecutionTrace, FingerprintStableUnderReorderOfCounts)
     EXPECT_NE(a.fingerprint(), c.fingerprint());
 }
 
+TEST(ExecutionTrace, CopiesKeepAndMovedFromTracesRecomputeFingerprints)
+{
+    ExecutionTrace a;
+    a.add_node(op_node(0, "x"));
+    a.add_node(op_node(1, "y"));
+    const uint64_t fp = a.fingerprint();
+    const uint64_t sfp = a.structural_fingerprint();
+
+    const ExecutionTrace copy = a;
+    EXPECT_EQ(copy.fingerprint(), fp);
+    EXPECT_EQ(copy.structural_fingerprint(), sfp);
+
+    // A moved-from trace has no nodes left: its fingerprints are an empty
+    // trace's, not the values its cache held.
+    const ExecutionTrace empty;
+    ExecutionTrace moved = std::move(a);
+    EXPECT_EQ(moved.fingerprint(), fp);
+    EXPECT_EQ(a.fingerprint(), empty.fingerprint());
+    EXPECT_EQ(a.structural_fingerprint(), empty.structural_fingerprint());
+    a = std::move(moved);
+    EXPECT_EQ(a.structural_fingerprint(), sfp);
+    EXPECT_EQ(moved.fingerprint(), empty.fingerprint());
+    EXPECT_EQ(moved.structural_fingerprint(), empty.structural_fingerprint());
+}
+
 TEST(Observer, SortsCompletionOrderIntoIdOrder)
 {
     ExecutionTraceObserver obs;
