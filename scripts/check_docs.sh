@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Doc-link check: documentation must not drift from the code.  Every env
 # var, C++ symbol, and file path referenced from README.md or docs/*.md has
-# to still exist in the tree, or this script fails CI.
+# to still exist in the tree, and the knob table of docs/env_vars.md has to
+# list exactly the variables src/ reads, or this script fails CI.
 #
 # Deliberately grep-based and conservative: it extracts
 #   1. MYST_* / MYSTIQUE_* env-var / macro names,
@@ -59,8 +60,26 @@ for path in $(grep -ohE '[`(][A-Za-z0-9_./-]+\.(h|cpp|md|sh|json|yml|txt)[`)]' \
     [ "$found" = 1 ] || say_missing "file '$path'"
 done
 
+# ---- 5. the knob table, both ways ------------------------------------------
+# The variables src/ reads through common/env.h must be exactly the MYST*_
+# names in the rows of the first table of docs/env_vars.md: a row for a knob
+# nothing reads fails (check 1 would pass while a test still names it), and
+# so does a knob without a row.
+read_knobs=$(grep -rhoE 'env_(u64|flag|string)\("MYST(IQUE)?_[A-Z_]+"' src |
+                 grep -oE 'MYST(IQUE)?_[A-Z_]+' | sort -u || true)
+table_knobs=$(awk '/^\|/ { in_table = 1; print; next } in_table { exit }' docs/env_vars.md |
+                  grep -oE 'MYST(IQUE)?_[A-Z][A-Z_]*' | sort -u || true)
+for var in $(comm -23 <(echo "$table_knobs") <(echo "$read_knobs")); do
+    echo "doc-check FAIL: knob '$var' has a row in docs/env_vars.md's table, but src/ never reads it"
+    fail=1
+done
+for var in $(comm -13 <(echo "$table_knobs") <(echo "$read_knobs")); do
+    echo "doc-check FAIL: knob '$var' is read in src/ but has no row in docs/env_vars.md's table"
+    fail=1
+done
+
 if [ "$fail" != 0 ]; then
     echo "doc-check: documentation references symbols/files that no longer exist"
     exit 1
 fi
-echo "doc-check OK: all referenced env vars, symbols, and files exist"
+echo "doc-check OK: all referenced env vars, symbols, and files exist; the knob table lists every knob src/ reads"

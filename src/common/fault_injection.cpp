@@ -178,6 +178,15 @@ FaultInjection::reload_env()
         std::rethrow_exception(im.env_error);
 }
 
+void
+FaultInjection::check_env()
+{
+    Impl& im = impl();
+    std::lock_guard<std::mutex> lock(im.mu);
+    if (im.env_error)
+        std::rethrow_exception(im.env_error);
+}
+
 bool
 FaultInjection::should_fail(const char* site)
 {

@@ -95,6 +95,11 @@ class FaultInjection {
     /// parse happens once per process, so env-driven tests re-trigger it here.
     void reload_env();
 
+    /// Throws the ConfigError of a malformed `MYST_FAULT` spec that every
+    /// should_fail() throws, if one is kept; does nothing otherwise.  Unlike
+    /// reload_env() it re-reads nothing and leaves armed sites alone.
+    void check_env();
+
     /// Snapshot of per-site counters, armed or not, in first-hit order.
     std::vector<FaultSiteStats> stats() const;
 

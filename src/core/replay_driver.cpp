@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
-#include <chrono>
 #include <climits>
 #include <string>
-#include <thread>
 
 #include "common/env.h"
 #include "common/error.h"
@@ -33,8 +30,6 @@ struct ReplayDriver::Worker {
 /// The shared mutable state of one replay_groups call.  The counters are
 /// atomics because workers bump them concurrently.
 struct ReplayDriver::ResolvedResilience {
-    /// Sweep-level deadline; never expires when the knob is unset.
-    CancelToken sweep_token;
     /// Identity of this sweep for journal lookups: the selected groups
     /// (fingerprints, weights, representatives) × the full config, harness
     /// knobs included — a sweep with different iteration counts must not
@@ -42,7 +37,6 @@ struct ReplayDriver::ResolvedResilience {
     uint64_t sweep_fp = 0;
     std::unique_ptr<SweepJournal> journal; ///< null = journaling off
     std::atomic<uint64_t> retries{0};
-    std::atomic<uint64_t> backoff_slept_ms{0};
     std::atomic<std::size_t> journal_resumed{0};
     std::atomic<std::size_t> journal_write_failures{0};
 };
@@ -50,7 +44,6 @@ struct ReplayDriver::ResolvedResilience {
 ReplayDriver::ReplayDriver(ReplayConfig cfg, PlanCache* cache, std::size_t parallelism)
     : cfg_(std::move(cfg)), cache_(cache), parallelism_(std::max<std::size_t>(1, parallelism)),
       max_retries_(static_cast<int>(env_u64("MYST_SWEEP_RETRIES", INT_MAX).value_or(0))),
-      backoff_ms_(env_u64("MYST_SWEEP_BACKOFF_MS").value_or(10)),
       group_deadline_ms_(env_u64("MYST_SWEEP_GROUP_DEADLINE_MS")),
       journal_dir_(env_string("MYST_SWEEP_JOURNAL"))
 {
@@ -60,35 +53,9 @@ ReplayDriver::ReplayDriver(ReplayConfig cfg, PlanCache* cache, std::size_t paral
 ReplayDriver::~ReplayDriver() = default;
 
 void
-ReplayDriver::set_parallelism(std::size_t parallelism)
-{
-    parallelism_ = std::max<std::size_t>(1, parallelism);
-}
-
-ReplayDriver::Worker&
-ReplayDriver::ensure_worker(std::size_t index)
-{
-    while (workers_.size() <= index)
-        workers_.push_back(std::make_unique<Worker>(cfg_));
-    return *workers_[index];
-}
-
-void
 ReplayDriver::resolve_resilience(const std::vector<et::TraceGroup>& groups,
                                  ResolvedResilience& res) const
 {
-    // The last retry sleeps backoff_ms << (max_retries - 1).  A shift of 64
-    // bits or more is undefined and a wrapped product sleeps a wrong time, so
-    // a pair whose largest sleep does not fit in 64 bits is rejected here,
-    // before any group runs.
-    if (backoff_ms_ != 0 && max_retries_ - 1 > std::countl_zero(backoff_ms_))
-        MYST_THROW(ConfigError, "sweep retries=" << max_retries_
-                                                 << " with backoff_ms=" << backoff_ms_
-                                                 << ": the last backoff, backoff_ms << "
-                                                    "(retries - 1), overflows 64 bits");
-    if (sweep_deadline_ms_.has_value())
-        res.sweep_token.set_deadline_after_ms(*sweep_deadline_ms_);
-
     Fnv1a h;
     h.mix(cfg_.to_json().dump());
     for (const et::TraceGroup& g : groups) {
@@ -104,7 +71,7 @@ ReplayDriver::resolve_resilience(const std::vector<et::TraceGroup>& groups,
     }
 }
 
-GroupReplayResult
+ReplayResult
 ReplayDriver::replay_one(Worker& worker, const et::TraceDatabase& db,
                          const et::TraceGroup& group,
                          const std::vector<const prof::ProfilerTrace*>* profs,
@@ -128,13 +95,7 @@ ReplayDriver::replay_one(Worker& worker, const et::TraceDatabase& db,
     // timeout or failure is rewound, never reused dirty.
     worker.session->reset_for_replay();
     Replayer executor(plan, cfg_);
-    GroupReplayResult g;
-    g.group = group;
-    g.representative = rep;
-    g.result = executor.run_with(*worker.session, worker.fabric, cancel);
-    g.status = GroupStatus::kOk;
-    g.attempts = 1;
-    return g;
+    return executor.run_with(*worker.session, worker.fabric, cancel);
 }
 
 GroupReplayResult
@@ -145,10 +106,9 @@ ReplayDriver::run_group_resilient(Worker& worker, const et::TraceDatabase& db,
 {
     GroupReplayResult g;
     g.group = group;
-    g.representative = group.representative();
 
     // Resume: a completed group restores its recorded (bit-exact) timings
-    // for free — even past the sweep deadline, since no replay is burned.
+    // for free.
     if (res.journal != nullptr) {
         if (const auto rec = res.journal->completed(res.sweep_fp, group.fingerprint)) {
             g.status = GroupStatus::kOk;
@@ -174,27 +134,14 @@ ReplayDriver::run_group_resilient(Worker& worker, const et::TraceDatabase& db,
         return g;
     }
 
-    // Sweep deadline: groups not started before it passes are skipped, not
-    // failed — nothing is known about them, and they carry no error.
-    if (res.sweep_token.expired()) {
-        g.status = GroupStatus::kSkipped;
-        g.attempts = 0;
-        return g;
-    }
-
-    // 64 bits: 1 + INT_MAX retries must not wrap to a loop that never runs.
+    // Retries run at once: a replay is a pure function of (plan, config),
+    // so only an injected fault or an allocation failure can differ between
+    // attempts, and neither depends on how long the driver waits.  64 bits:
+    // 1 + INT_MAX retries must not wrap to a loop that never runs.
     const int64_t max_attempts = quarantined ? 1 : int64_t{1} + max_retries_;
     for (int64_t attempt = 1; attempt <= max_attempts; ++attempt) {
-        if (attempt > 1) {
-            // Deterministic exponential backoff: 1×, 2×, 4×, ... the base
-            // (resolve_resilience bounds the shift whenever the base is
-            // nonzero).
-            const uint64_t sleep_ms = backoff_ms_ == 0 ? 0 : backoff_ms_ << (attempt - 2);
+        if (attempt > 1)
             res.retries.fetch_add(1, std::memory_order_relaxed);
-            res.backoff_slept_ms.fetch_add(sleep_ms, std::memory_order_relaxed);
-            if (sleep_ms > 0)
-                std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-        }
         g.attempts = static_cast<uint32_t>(attempt);
         try {
             if (FaultInjection::instance().should_fail("sweep.group"))
@@ -203,8 +150,7 @@ ReplayDriver::run_group_resilient(Worker& worker, const et::TraceDatabase& db,
             CancelToken token;
             if (group_deadline_ms_.has_value())
                 token.set_deadline_after_ms(*group_deadline_ms_);
-            GroupReplayResult done = replay_one(worker, db, group, profs, &token);
-            g.result = std::move(done.result);
+            g.result = replay_one(worker, db, group, profs, &token);
             g.status = GroupStatus::kOk;
             g.error.clear();
             break;
@@ -257,36 +203,33 @@ ReplayDriver::replay_groups(const et::TraceDatabase& db, std::size_t top_k,
     ResolvedResilience res;
     resolve_resilience(groups, res);
 
-    const std::size_t workers = std::min(parallelism_, groups.size());
-    if (workers <= 1) {
-        Worker& w = ensure_worker(0);
-        for (std::size_t i = 0; i < groups.size(); ++i)
-            out.groups[i] = run_group_resilient(w, db, groups[i], profs, res);
-    } else {
-        for (std::size_t w = 0; w < workers; ++w)
-            ensure_worker(w); // construct on the driver thread, use on pool threads
-        if (pool_ == nullptr || pool_->size() != workers)
-            pool_ = std::make_unique<ThreadPool>(workers);
+    // Workers are constructed on the calling thread and kept for later
+    // sweeps.
+    const std::size_t k = std::min(parallelism_, groups.size());
+    while (workers_.size() < k)
+        workers_.push_back(std::make_unique<Worker>(cfg_));
 
-        // Deterministic striping: worker w replays groups w, w+K, w+2K, ...
-        // Each worker session is owned by exactly one pool task; only the
-        // PlanCache and the resilience state (both thread-safe) are shared.
-        // Tasks never throw: every per-group outcome — including an injected
-        // sweep.group fault on several workers at once — lands in its own
-        // GroupReplayResult, so one sick group can no longer mask another's
-        // error or abort the sweep.
+    // Deterministic striping: worker w replays groups w, w+K, w+2K, ...
+    // Each worker session is used by exactly one stripe; only the PlanCache
+    // and the resilience state (both thread-safe) are shared.  A stripe never
+    // throws: every per-group outcome — including an injected sweep.group
+    // fault on several workers at once — lands in its own GroupReplayResult,
+    // so one sick group can never mask another's error or abort the sweep.
+    const auto stripe = [&](std::size_t w) {
+        for (std::size_t i = w; i < groups.size(); i += k)
+            out.groups[i] = run_group_resilient(*workers_[w], db, groups[i], profs, res);
+    };
+    if (k == 1) {
+        stripe(0);
+    } else {
+        if (pool_ == nullptr || pool_->size() != k)
+            pool_ = std::make_unique<ThreadPool>(k);
         std::vector<std::future<void>> done;
-        done.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-            done.push_back(pool_->submit([this, w, workers, &groups, &db, profs, &res,
-                                          &out] {
-                for (std::size_t i = w; i < groups.size(); i += workers)
-                    out.groups[i] =
-                        run_group_resilient(*workers_[w], db, groups[i], profs, res);
-            }));
-        }
-        for (std::size_t w = 0; w < workers; ++w)
-            done[w].get();
+        done.reserve(k);
+        for (std::size_t w = 0; w < k; ++w)
+            done.push_back(pool_->submit([&stripe, w] { stripe(w); }));
+        for (std::future<void>& f : done)
+            f.get();
     }
 
     // Merge in group order regardless of which worker replayed what, so the
@@ -307,14 +250,12 @@ ReplayDriver::replay_groups(const et::TraceDatabase& db, std::size_t top_k,
         case GroupStatus::kFailed: ++out.groups_failed; break;
         case GroupStatus::kTimedOut: ++out.groups_timed_out; break;
         case GroupStatus::kQuarantined: ++out.groups_quarantined; break;
-        case GroupStatus::kSkipped: ++out.groups_skipped; break;
         }
     }
     out.population_covered = weight_sum;
     out.population_covered_ok = ok_weight_sum;
     out.weighted_mean_iter_us = ok_weight_sum > 0.0 ? weighted_us / ok_weight_sum : 0.0;
     out.retries = res.retries.load(std::memory_order_relaxed);
-    out.backoff_ms = res.backoff_slept_ms.load(std::memory_order_relaxed);
     out.journal_resumed = res.journal_resumed.load(std::memory_order_relaxed);
     out.journal_write_failures = res.journal_write_failures.load(std::memory_order_relaxed);
     out.cache = cache_->stats();
@@ -338,8 +279,7 @@ ReplayDriver::replay_groups(const et::TraceDatabase& db, std::size_t top_k,
               << ", weighted_mean_iter_us=" << strprintf("%.2f", out.weighted_mean_iter_us)
               << "\n  resilience: ok=" << out.groups_ok << " failed=" << out.groups_failed
               << " timed_out=" << out.groups_timed_out << " quarantined="
-              << out.groups_quarantined << " skipped=" << out.groups_skipped
-              << " retries=" << out.retries << " backoff_ms=" << out.backoff_ms
+              << out.groups_quarantined << " retries=" << out.retries
               << " resumed=" << out.journal_resumed << " journal_write_failures="
               << out.journal_write_failures
               << " covered_ok=" << strprintf("%.4f", out.population_covered_ok)

@@ -17,7 +17,8 @@
 /// The driver owns a pool of `parallelism` workers, each a Session +
 /// CommFabric pair constructed once and reused across groups (and across
 /// sweeps).  Groups are striped deterministically across workers (group i →
-/// worker i % K) on a shared ThreadPool; plans are fetched through the
+/// worker i % K); K=1 sweeps on the calling thread, K>1 runs one task per
+/// worker on the driver's ThreadPool.  Plans are fetched through the
 /// thread-safe PlanCache, so workers hitting the same fingerprint share one
 /// build.  Before each group the worker session is reset_for_replay()ed —
 /// clocks to zero, RNG reseeded, device cleared — so every group's replay is
@@ -32,22 +33,19 @@
 ///
 /// A fleet database is never uniformly healthy, so `replay_groups` is
 /// fault-isolating rather than fail-fast: one group's failure records a
-/// GroupStatus (`ok` / `failed` / `timed_out` / `quarantined` / `skipped`)
-/// with its error text, and the sweep carries on — the weighted mean is
-/// computed over the groups that succeeded, with `population_covered_ok`
-/// reporting how much of the fleet they represent.  On top of isolation:
+/// GroupStatus (`ok` / `failed` / `timed_out` / `quarantined`) with its
+/// error text, and the sweep carries on — the weighted mean is computed over
+/// the groups that succeeded, with `population_covered_ok` reporting how much
+/// of the fleet they represent.  On top of isolation:
 ///
-///  - **retry with deterministic exponential backoff** — a failed group is
-///    re-attempted up to `max_retries` times on a freshly
-///    reset_for_replay()ed session, sleeping `backoff_ms << (attempt-1)`
-///    between attempts (knobs: set_max_retries / set_backoff_ms, defaulting
-///    from MYST_SWEEP_RETRIES / MYST_SWEEP_BACKOFF_MS, read when the driver
-///    is constructed);
-///  - **deadlines** — a per-group soft deadline (set_group_deadline_ms /
-///    MYST_SWEEP_GROUP_DEADLINE_MS) enforced by a cooperative CancelToken the
-///    Replayer polls between plan units (status `timed_out`; never retried), plus a
-///    sweep-level deadline (set_sweep_deadline_ms) that marks groups it
-///    could not start as `skipped`;
+///  - **retry** — a failed group is re-attempted at once, up to
+///    `max_retries` times, on a freshly reset_for_replay()ed session
+///    (set_max_retries / MYST_SWEEP_RETRIES, read when the driver is
+///    constructed);
+///  - **a per-group deadline** — a soft deadline (set_group_deadline_ms /
+///    MYST_SWEEP_GROUP_DEADLINE_MS) enforced by a cooperative CancelToken
+///    the Replayer polls between plan units (status `timed_out`; never
+///    retried);
 ///  - **journal + quarantine** — with a journal directory configured
 ///    (set_journal_dir / MYST_SWEEP_JOURNAL), per-group outcomes persist to
 ///    an append-only JSONL journal (core/sweep_journal.h): a restarted sweep
@@ -88,8 +86,6 @@ namespace mystique::core {
 /// One group's replay outcome.
 struct GroupReplayResult {
     et::TraceGroup group;
-    /// Database index of the replayed representative (group.members.front()).
-    std::size_t representative = 0;
     /// Valid when status == kOk; default-initialized otherwise.  For a group
     /// restored from the journal, iter_us / mean_iter_us are the recorded
     /// bit-exact timings and the remaining fields are default (the journal
@@ -97,10 +93,10 @@ struct GroupReplayResult {
     ReplayResult result;
     GroupStatus status = GroupStatus::kOk;
     /// Error text of the last attempt (failed / timed_out), or of the
-    /// journaled failure that quarantined the group.  Empty for ok/skipped.
+    /// journaled failure that quarantined the group.  Empty for ok.
     std::string error;
     /// Replay attempts consumed (1 = first try succeeded; 0 = never
-    /// attempted: restored, quarantined, or skipped).
+    /// attempted: restored or quarantined).
     uint32_t attempts = 0;
     /// True when the result was restored from the sweep journal.
     bool from_journal = false;
@@ -125,11 +121,8 @@ struct DatabaseReplayResult {
     std::size_t groups_failed = 0;
     std::size_t groups_timed_out = 0;
     std::size_t groups_quarantined = 0;
-    std::size_t groups_skipped = 0;
-    /// Retry/backoff accounting: re-attempts beyond each group's first, and
-    /// total milliseconds slept backing off before them.
+    /// Re-attempts beyond each group's first.
     uint64_t retries = 0;
-    uint64_t backoff_ms = 0;
     /// Groups restored from the sweep journal instead of replayed.
     std::size_t journal_resumed = 0;
     /// Journal appends that failed (best-effort; the sweep continues, a
@@ -162,29 +155,18 @@ class ReplayDriver {
     ReplayDriver(const ReplayDriver&) = delete;
     ReplayDriver& operator=(const ReplayDriver&) = delete;
 
-    /// Changes the worker count for subsequent sweeps.  Existing worker
-    /// sessions (and their arenas) are kept; 0 is clamped to 1.
-    void set_parallelism(std::size_t parallelism);
     std::size_t parallelism() const { return parallelism_; }
 
     /// Resilience knobs.  The constructor reads each one's environment
     /// variable once; a setter replaces that value for later sweeps.
-    /// Retries beyond the first attempt per failed group
+    /// Retries beyond the first attempt per failed group, each run at once
     /// (MYST_SWEEP_RETRIES; default 0; a negative count is 0).  Timeouts
     /// are never retried.
     void set_max_retries(int retries) { max_retries_ = std::max(0, retries); }
-    /// Base backoff in ms before retry attempt n sleeps
-    /// `backoff << (n-1)` (MYST_SWEEP_BACKOFF_MS; default 10).  A sweep whose
-    /// last sleep would overflow 64 bits throws ConfigError before any group
-    /// runs.
-    void set_backoff_ms(uint64_t ms) { backoff_ms_ = ms; }
     /// Per-group soft deadline in ms, polled between replayed plan units
     /// (MYST_SWEEP_GROUP_DEADLINE_MS; default none).  nullopt = no
     /// deadline, 0 = already expired.
     void set_group_deadline_ms(std::optional<uint64_t> ms) { group_deadline_ms_ = ms; }
-    /// Sweep-level deadline in ms: groups not yet *started* when it passes
-    /// are marked skipped.  Programmatic only; nullopt (the default) = none.
-    void set_sweep_deadline_ms(std::optional<uint64_t> ms) { sweep_deadline_ms_ = ms; }
     /// Journal directory for crash-safe resume + quarantine
     /// (MYST_SWEEP_JOURNAL; default off).  "" turns journaling off.
     void set_journal_dir(std::string dir) { journal_dir_ = std::move(dir); }
@@ -208,31 +190,28 @@ class ReplayDriver {
     struct Worker; // Session + CommFabric, defined in the .cpp
     struct ResolvedResilience; // per-sweep state, defined in the .cpp
 
-    Worker& ensure_worker(std::size_t index);
-    GroupReplayResult replay_one(Worker& worker, const et::TraceDatabase& db,
-                                 const et::TraceGroup& group,
-                                 const std::vector<const prof::ProfilerTrace*>* profs,
-                                 const CancelToken* cancel);
+    /// Replays @p group's representative once on @p worker's reset session.
+    ReplayResult replay_one(Worker& worker, const et::TraceDatabase& db,
+                            const et::TraceGroup& group,
+                            const std::vector<const prof::ProfilerTrace*>* profs,
+                            const CancelToken* cancel);
     /// The resilient wrapper around replay_one: journal resume, quarantine,
-    /// deadlines, retry/backoff, status recording.  Never throws; shared
+    /// the group deadline, retries, status recording.  Never throws; shared
     /// counters live in @p res as atomics (workers call this concurrently).
     GroupReplayResult run_group_resilient(Worker& worker, const et::TraceDatabase& db,
                                           const et::TraceGroup& group,
                                           const std::vector<const prof::ProfilerTrace*>* profs,
                                           ResolvedResilience& res);
-    /// Arms the sweep deadline, fingerprints the sweep and opens/loads the
-    /// journal for one sweep over @p groups.  Throws ConfigError for a
-    /// retries/backoff pair whose largest sleep overflows 64 bits.
+    /// Fingerprints the sweep and opens/loads the journal for one sweep over
+    /// @p groups.
     void resolve_resilience(const std::vector<et::TraceGroup>& groups,
                             ResolvedResilience& res) const;
 
     ReplayConfig cfg_;
     PlanCache* cache_;
-    std::size_t parallelism_;
+    const std::size_t parallelism_;
     int max_retries_;
-    uint64_t backoff_ms_;
     std::optional<uint64_t> group_deadline_ms_;
-    std::optional<uint64_t> sweep_deadline_ms_;
     std::string journal_dir_; ///< "" = journaling off
     bool probe_quarantined_ = false;
     /// Workers persist across sweeps: session construction and arena warmth

@@ -41,6 +41,18 @@ record_to_json(const SweepJournalRecord& rec)
     return j;
 }
 
+/// The status of a journaled outcome: only the terminal ones the driver
+/// writes.  Anything else, `quarantined` included, is a ParseError.
+GroupStatus
+journaled_status(const std::string& text)
+{
+    for (GroupStatus s : {GroupStatus::kOk, GroupStatus::kFailed, GroupStatus::kTimedOut}) {
+        if (text == to_string(s))
+            return s;
+    }
+    MYST_THROW(ParseError, "sweep journal: unexpected group status '" << text << "'");
+}
+
 /// Reads one journal line.  A line whose bytes changed after it was written
 /// fails its seal, so its group replays instead of restoring a number the
 /// sweep never produced.
@@ -53,7 +65,7 @@ record_from_line(std::string_view line)
     SweepJournalRecord rec;
     rec.sweep_fp = j.at("sweep").as_u64();
     rec.group_fp = j.at("group").as_u64();
-    rec.status = group_status_from_string(j.at("status").as_string());
+    rec.status = journaled_status(j.at("status").as_string());
     const int64_t attempts = j.at("attempts").as_int();
     if (attempts < 0 || attempts > UINT32_MAX)
         MYST_THROW(ParseError, "sweep journal: attempts " << attempts << " out of range");
@@ -76,20 +88,8 @@ to_string(GroupStatus status)
     case GroupStatus::kFailed: return "failed";
     case GroupStatus::kTimedOut: return "timed_out";
     case GroupStatus::kQuarantined: return "quarantined";
-    case GroupStatus::kSkipped: return "skipped";
     }
     return "unknown";
-}
-
-GroupStatus
-group_status_from_string(const std::string& text)
-{
-    for (GroupStatus s : {GroupStatus::kOk, GroupStatus::kFailed, GroupStatus::kTimedOut,
-                          GroupStatus::kQuarantined, GroupStatus::kSkipped}) {
-        if (text == to_string(s))
-            return s;
-    }
-    MYST_THROW(ParseError, "sweep journal: unknown group status '" << text << "'");
 }
 
 SweepJournal::SweepJournal(const std::string& dir)

@@ -36,10 +36,10 @@
 /// on a new line instead of joining it.  A record whose append failed stays
 /// in memory for this sweep's quarantine accounting but is never written
 /// later: a resumed sweep does not see it, and its group replays.  Unreadable
-/// journals and lines that do not parse, fail their seal or carry another
-/// record version are skipped with a warning, and their groups replay.  The
-/// `journal.write` / `journal.load` fault sites (common/fault_injection.h)
-/// let tests prove all of this.
+/// journals and lines that do not parse, fail their seal, carry another
+/// record version or a status the journal never writes are skipped with a
+/// warning, and their groups replay.  The `journal.write` / `journal.load`
+/// fault sites (common/fault_injection.h) let tests prove all of this.
 
 #include <cstdint>
 #include <mutex>
@@ -55,15 +55,14 @@ enum class GroupStatus {
     kFailed,      ///< every attempt threw; error text recorded
     kTimedOut,    ///< the per-group deadline expired (cooperative cancel)
     kQuarantined, ///< skipped: the journal shows repeated prior failures
-    kSkipped,     ///< never started: the sweep-level deadline expired first
 };
 
 const char* to_string(GroupStatus status);
-GroupStatus group_status_from_string(const std::string& text);
 
 /// One journal line.  Only terminal outcomes are journaled (`ok`, `failed`,
-/// `timed_out`); `quarantined`/`skipped` groups were not attempted, so they
-/// leave no record and a later sweep may try them again.
+/// `timed_out`); `quarantined` groups were not attempted, so they leave no
+/// record and a later sweep may try them again.  A line carrying any other
+/// status is skipped on load, like a torn one.
 struct SweepJournalRecord {
     uint64_t sweep_fp = 0; ///< identity of the sweep (db groups × full config)
     uint64_t group_fp = 0; ///< the group's operator-mix fingerprint

@@ -395,7 +395,8 @@ DifferentialOracle::check_sweep_at(const et::TraceDatabase& db,
             if (a.groups.size() != b.groups.size())
                 return "group count diverges between K=1 and K=4";
             for (std::size_t i = 0; i < a.groups.size(); ++i) {
-                if (a.groups[i].representative != b.groups[i].representative)
+                if (a.groups[i].group.representative() !=
+                    b.groups[i].group.representative())
                     return "group " + std::to_string(i) + " representative diverges";
                 std::string diff =
                     compare_results(a.groups[i].result, b.groups[i].result);
@@ -442,7 +443,6 @@ DifferentialOracle::check_sweep_at(const et::TraceDatabase& db,
             ReplayDriver resilient(cfg, &cache_res, 4);
             resilient.set_journal_dir(dir.string());
             resilient.set_max_retries(2);
-            resilient.set_backoff_ms(0);
             const auto got = resilient.replay_groups(db, db.size(), &profs);
 
             std::string sick = all_groups_ok(got, "resilient");

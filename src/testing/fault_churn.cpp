@@ -27,6 +27,32 @@ prof_of(const FuzzedCase& c)
     return c.use_prof ? &c.prof : nullptr;
 }
 
+/// Arms @p site for churn: the delay site stalls 5 ms on every hit to widen
+/// race windows, every other site fails on every 3rd hit.
+void
+arm_for_churn(const std::string& site)
+{
+    if (site == "pool.background_delay")
+        FaultInjection::instance().arm(site, 5, FaultMode::kDelay);
+    else
+        FaultInjection::instance().arm(site, 3, FaultMode::kEvery);
+}
+
+/// Directory audit: `.tmp.*` turds are forbidden on every failure path;
+/// `.bad` quarantines are the designed outcome of unreadable entries.
+void
+audit_dir(const std::string& dir, ChurnReport& rep)
+{
+    std::error_code ec;
+    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+        const std::string name = entry.path().filename().string();
+        if (name.find(".tmp.") != std::string::npos)
+            ++rep.tmp_files;
+        else if (name.size() > 4 && name.compare(name.size() - 4, 4, ".bad") == 0)
+            ++rep.quarantined;
+    }
+}
+
 } // namespace
 
 ChurnReport
@@ -48,10 +74,7 @@ run_churn(const std::string& site, const std::string& store_dir, uint64_t seed,
 
     FaultInjection& fi = FaultInjection::instance();
     fi.disarm_all();
-    if (site == "pool.background_delay")
-        fi.arm(site, 5, FaultMode::kDelay); // 5 ms stalls widen race windows
-    else
-        fi.arm(site, 3, FaultMode::kEvery); // every 3rd hit fails
+    arm_for_churn(site);
 
     std::atomic<uint64_t> ops{0};
     std::atomic<uint64_t> errs{0};
@@ -115,17 +138,7 @@ run_churn(const std::string& site, const std::string& store_dir, uint64_t seed,
     cache.flush_writebacks();
     rep.heal_builds = cache.stats().builds - builds_before;
     rep.healed = rep.heal_builds == 0;
-
-    // Directory audit: `.tmp.*` turds are forbidden on every failure path;
-    // `.bad` quarantines are the designed outcome of unreadable entries.
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(store_dir, ec)) {
-        const std::string name = entry.path().filename().string();
-        if (name.find(".tmp.") != std::string::npos)
-            ++rep.tmp_files;
-        else if (name.size() > 4 && name.compare(name.size() - 4, 4, ".bad") == 0)
-            ++rep.quarantined;
-    }
+    audit_dir(store_dir, rep);
 
     if (!rep.ok() && rep.detail.empty()) {
         if (!first_detail.empty())
@@ -176,10 +189,7 @@ run_sweep_churn(const std::string& site, const std::string& store_dir, uint64_t 
     ref.set_journal_dir(std::string());
     const core::DatabaseReplayResult want = ref.replay_groups(db);
 
-    if (site == "pool.background_delay")
-        fi.arm(site, 5, FaultMode::kDelay);
-    else
-        fi.arm(site, 3, FaultMode::kEvery); // every 3rd hit fails
+    arm_for_churn(site);
 
     std::atomic<uint64_t> ops{0};
     std::atomic<uint64_t> errs{0};
@@ -200,7 +210,6 @@ run_sweep_churn(const std::string& site, const std::string& store_dir, uint64_t 
                                           static_cast<std::size_t>(parallelism));
                 driver.set_journal_dir(store_dir);
                 driver.set_max_retries(1);
-                driver.set_backoff_ms(0);
                 for (int s = 0; s < sweeps_per_driver; ++s) {
                     const core::DatabaseReplayResult r = driver.replay_groups(db);
                     ops += r.groups.size();
@@ -248,17 +257,9 @@ run_sweep_churn(const std::string& site, const std::string& store_dir, uint64_t 
     for (std::size_t i = 0; identical && i < got.groups.size(); ++i)
         identical = got.groups[i].result.iter_us == want.groups[i].result.iter_us;
     rep.healed = identical && rep.heal_builds == 0;
-
-    // Directory audit: the journal appends in place and stages nothing, so
-    // a `.tmp.*` file is forbidden even with journal.write firing.
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(store_dir, ec)) {
-        const std::string name = entry.path().filename().string();
-        if (name.find(".tmp.") != std::string::npos)
-            ++rep.tmp_files;
-        else if (name.size() > 4 && name.compare(name.size() - 4, 4, ".bad") == 0)
-            ++rep.quarantined;
-    }
+    // The journal appends in place and stages nothing, so a `.tmp.*` file is
+    // forbidden even with journal.write firing.
+    audit_dir(store_dir, rep);
 
     if (!rep.ok() && rep.detail.empty()) {
         if (!first_detail.empty())
@@ -275,11 +276,12 @@ run_sweep_churn(const std::string& site, const std::string& store_dir, uint64_t 
 }
 
 ChurnReport
-run_churn_site(const std::string& site, const std::string& store_dir, uint64_t seed)
+run_churn_site(const std::string& site, const std::string& store_dir, uint64_t seed,
+               int threads, int ops_per_thread)
 {
     if (site.rfind("sweep.", 0) == 0 || site.rfind("journal.", 0) == 0)
         return run_sweep_churn(site, store_dir, seed);
-    return run_churn(site, store_dir, seed);
+    return run_churn(site, store_dir, seed, threads, ops_per_thread);
 }
 
 std::vector<ChurnReport>
@@ -296,10 +298,7 @@ run_churn_all(const std::string& store_root, uint64_t seed, int threads,
                 ch = '_';
         dir += "/" + sub;
         std::filesystem::create_directories(dir);
-        if (site.rfind("sweep.", 0) == 0 || site.rfind("journal.", 0) == 0)
-            reports.push_back(run_sweep_churn(site, dir, seed));
-        else
-            reports.push_back(run_churn(site, dir, seed, threads, ops_per_thread));
+        reports.push_back(run_churn_site(site, dir, seed, threads, ops_per_thread));
     }
     return reports;
 }

@@ -74,10 +74,11 @@ ChurnReport run_sweep_churn(const std::string& site, const std::string& store_di
                             int sweeps_per_driver = 3);
 
 /// Dispatches @p site to the harness that exercises it: sweep-resilience
-/// sites (`sweep.*`, `journal.*`) go through run_sweep_churn, everything
-/// else through run_churn.
+/// sites (`sweep.*`, `journal.*`) go through run_sweep_churn at its default
+/// driver counts, everything else through run_churn with @p threads and
+/// @p ops_per_thread.
 ChurnReport run_churn_site(const std::string& site, const std::string& store_dir,
-                           uint64_t seed);
+                           uint64_t seed, int threads = 8, int ops_per_thread = 12);
 
 /// run_churn_site() over every registered fault site; each site gets a
 /// private subdirectory of @p store_root.

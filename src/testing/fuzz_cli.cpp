@@ -123,6 +123,16 @@ run_fuzz_cli(int argc, const char* const* argv, std::FILE* out, std::FILE* err)
         }
     }
 
+    // A malformed MYST_FAULT makes every fault hook throw, so each case's
+    // sweeps would fail with a reproduce hint that reproduces nothing without
+    // the variable: reject the setting once, before anything runs.
+    try {
+        FaultInjection::instance().check_env();
+    } catch (const ConfigError& e) {
+        std::fprintf(err, "mystique-fuzz: %s\n", e.what());
+        return 2;
+    }
+
     uint64_t faults_fired = 0;
     uint64_t faults_survived = 0;
     uint64_t churn_violations = 0;

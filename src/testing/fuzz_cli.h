@@ -20,7 +20,8 @@
 ///   --churn-dir DIR  churn scratch directory (default: a fresh tmp dir)
 ///
 /// Exit codes: 0 = all checks passed, 1 = mismatches or churn violations,
-/// 2 = usage error (bad flag or value).
+/// 2 = usage error (bad flag or value, or a malformed `MYST_FAULT`, rejected
+/// before any case or churn runs).
 
 #include <cstdio>
 

@@ -8,12 +8,12 @@
 
 #include <filesystem>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "common/error.h"
 #include "common/fault_injection.h"
 #include "common/fs_util.h"
+#include "scoped_dir.h"
 #include "scoped_env.h"
 
 namespace mystique {
@@ -25,25 +25,6 @@ namespace fs = std::filesystem;
 /// into the next test.
 struct DisarmGuard {
     ~DisarmGuard() { FaultInjection::instance().disarm_all(); }
-};
-
-/// Fresh scratch directory per test.
-struct TempDir {
-    TempDir()
-    {
-        static int counter = 0;
-        path = (fs::temp_directory_path() /
-                ("myst_fault_test_" + std::to_string(::getpid()) + "_" +
-                 std::to_string(counter++)))
-                   .string();
-        fs::create_directories(path);
-    }
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path, ec);
-    }
-    std::string path;
 };
 
 std::size_t
@@ -212,7 +193,7 @@ TEST(FaultInjection, ArmingAnUnknownSiteThrowsConfigError)
 TEST(AtomicWriteFault, WriteOpenFailureLeavesNoTurdAndNoTarget)
 {
     DisarmGuard guard;
-    TempDir dir;
+    ScopedDir dir("myst_fault_test");
     const std::string target = dir.path + "/out.json";
     FaultInjection::instance().arm("fs.write_open", 1);
     EXPECT_THROW(atomic_write_file(target, "{}"), MystiqueError);
@@ -223,7 +204,7 @@ TEST(AtomicWriteFault, WriteOpenFailureLeavesNoTurdAndNoTarget)
 TEST(AtomicWriteFault, ShortWriteLeavesTargetUntouchedAndReapsTemp)
 {
     DisarmGuard guard;
-    TempDir dir;
+    ScopedDir dir("myst_fault_test");
     const std::string target = dir.path + "/out.json";
     atomic_write_file(target, "original content");
 
@@ -244,7 +225,7 @@ TEST(AtomicWriteFault, ShortWriteLeavesTargetUntouchedAndReapsTemp)
 TEST(AtomicWriteFault, FsyncFailureLeavesTargetUntouchedAndReapsTemp)
 {
     DisarmGuard guard;
-    TempDir dir;
+    ScopedDir dir("myst_fault_test");
     const std::string target = dir.path + "/out.json";
     atomic_write_file(target, "original content");
     FaultInjection::instance().arm("fs.write_fsync", 1);
@@ -256,7 +237,7 @@ TEST(AtomicWriteFault, FsyncFailureLeavesTargetUntouchedAndReapsTemp)
 TEST(AtomicWriteFault, RenameFailureLeavesTargetUntouchedAndReapsTemp)
 {
     DisarmGuard guard;
-    TempDir dir;
+    ScopedDir dir("myst_fault_test");
     const std::string target = dir.path + "/out.json";
     atomic_write_file(target, "original content");
     FaultInjection::instance().arm("fs.rename", 1);
@@ -269,7 +250,7 @@ TEST(AtomicWriteFault, RenameFailureLeavesTargetUntouchedAndReapsTemp)
 TEST(AtomicWriteFault, ReadFaultThrowsParseError)
 {
     DisarmGuard guard;
-    TempDir dir;
+    ScopedDir dir("myst_fault_test");
     const std::string target = dir.path + "/in.json";
     atomic_write_file(target, "bytes");
     FaultInjection::instance().arm("fs.read", 1);
@@ -285,7 +266,7 @@ TEST(AtomicWriteFault, EveryModeSurvivesARetryLoop)
     // retrying through repeated faults accumulates zero staging files and
     // eventually publishes.
     DisarmGuard guard;
-    TempDir dir;
+    ScopedDir dir("myst_fault_test");
     const std::string target = dir.path + "/out.json";
     FaultInjection::instance().arm("fs.rename", 2, FaultMode::kEvery);
     int failures = 0;

@@ -8,13 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <unistd.h>
 #include <map>
 #include <optional>
 #include <set>
@@ -29,6 +27,7 @@
 #include "core/plan_store.h"
 #include "core/replayer.h"
 #include "plan_doc_edits.h"
+#include "scoped_dir.h"
 #include "scoped_env.h"
 #include "workloads/harness.h"
 
@@ -77,25 +76,6 @@ traced(const std::string& workload)
                  .first;
     return it->second;
 }
-
-/// Unique, self-deleting store directory per test.
-struct TempStoreDir {
-    TempStoreDir()
-    {
-        static std::atomic<int> counter{0};
-        path = (fs::temp_directory_path() /
-                ("myst_plan_store_test_" + std::to_string(::getpid()) + "_" +
-                 std::to_string(counter.fetch_add(1))))
-                   .string();
-        fs::create_directories(path);
-    }
-    ~TempStoreDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path, ec);
-    }
-    std::string path;
-};
 
 /// The single store entry in @p dir (fails the test when count != 1).
 std::string
@@ -213,7 +193,7 @@ TEST(PlanStoreTier, SecondCacheInstanceLoadsFromDiskWithZeroBuilds)
 {
     const auto& r0 = traced("param_linear").rank0();
     const ReplayConfig cfg = tiny_replay();
-    TempStoreDir dir;
+    ScopedDir dir("myst_plan_store_test");
 
     PlanCache first(8);
     first.set_store_dir(dir.path);
@@ -248,7 +228,7 @@ TEST(PlanStoreTier, ClearedCacheRefillsFromDiskNotFromBuild)
 {
     const auto& r0 = traced("param_linear").rank0();
     const ReplayConfig cfg = tiny_replay();
-    TempStoreDir dir;
+    ScopedDir dir("myst_plan_store_test");
 
     PlanCache cache(8);
     cache.set_store_dir(dir.path);
@@ -266,7 +246,7 @@ TEST(PlanStoreTier, EnvVarIsReadWhenTheCacheIsConstructed)
 {
     const auto& r0 = traced("param_linear").rank0();
     const ReplayConfig cfg = tiny_replay();
-    TempStoreDir dir;
+    ScopedDir dir("myst_plan_store_test");
 
     const ScopedEnv unset("MYST_PLAN_CACHE_DIR", std::nullopt);
     PlanCache before(8); // built before the variable was set
@@ -337,7 +317,7 @@ class PlanStoreCorruption : public ::testing::Test {
         EXPECT_EQ(healed.stats().builds, 0u);
     }
 
-    TempStoreDir dir_;
+    ScopedDir dir_{"myst_plan_store_test"};
 };
 
 TEST_F(PlanStoreCorruption, TruncatedEntryQuarantinesAndRebuilds)
@@ -599,7 +579,7 @@ class PlanStoreFaults : public ::testing::Test {
         EXPECT_EQ(healed.stats().builds, 0u) << site;
     }
 
-    TempStoreDir dir_;
+    ScopedDir dir_{"myst_plan_store_test"};
 };
 
 TEST_F(PlanStoreFaults, RenameFailureIsAbsorbedAndStoreHeals)
@@ -744,7 +724,7 @@ TEST(PlanStoreApi, EntryPathEncodesTheFullKeyTuple)
 {
     const auto& r0 = traced("param_linear").rank0();
     const ReplayConfig cfg = tiny_replay();
-    TempStoreDir dir;
+    ScopedDir dir("myst_plan_store_test");
     PlanStore store(dir.path);
 
     const PlanKey with_prof = plan_key(r0.trace, &r0.prof, cfg);

@@ -5,9 +5,9 @@
 /// stats surfaced per sweep must show the recycling actually happening.
 ///
 /// The ReplayDriverResilience suite covers the fault-isolation layer: group
-/// failures recorded instead of thrown, retry with backoff, group and sweep
-/// deadlines, journal resume, quarantine + heal — and, crucially, that none
-/// of it perturbs a healthy sweep by a single bit.
+/// failures recorded instead of thrown, retries, the group deadline, journal
+/// resume, quarantine + heal — and, crucially, that none of it perturbs a
+/// healthy sweep by a single bit.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +26,7 @@
 #include "common/string_util.h"
 #include "core/plan_cache.h"
 #include "core/replay_driver.h"
+#include "scoped_dir.h"
 #include "scoped_env.h"
 #include "workloads/harness.h"
 
@@ -94,7 +95,7 @@ expect_identical(const DatabaseReplayResult& a, const DatabaseReplayResult& b)
         const GroupReplayResult& ga = a.groups[i];
         const GroupReplayResult& gb = b.groups[i];
         EXPECT_EQ(ga.group.fingerprint, gb.group.fingerprint);
-        EXPECT_EQ(ga.representative, gb.representative);
+        EXPECT_EQ(ga.group.representative(), gb.group.representative());
         EXPECT_EQ(ga.result.mean_iter_us, gb.result.mean_iter_us);
         ASSERT_EQ(ga.result.iter_us.size(), gb.result.iter_us.size());
         for (std::size_t j = 0; j < ga.result.iter_us.size(); ++j)
@@ -163,44 +164,11 @@ TEST(ReplayDriver, TopKHonoredUnderParallelism)
     EXPECT_GT(r.population_covered, 0.0);
 }
 
-TEST(ReplayDriver, SetParallelismTakesEffect)
-{
-    SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
-    PlanCache cache(16);
-    ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
-    const DatabaseReplayResult r1 = driver.replay_groups(fx.db, SIZE_MAX, &fx.profs);
-    driver.set_parallelism(0); // clamped
-    EXPECT_EQ(driver.parallelism(), 1u);
-    driver.set_parallelism(3);
-    EXPECT_EQ(driver.parallelism(), 3u);
-    const DatabaseReplayResult r3 = driver.replay_groups(fx.db, SIZE_MAX, &fx.profs);
-    expect_identical(r1, r3);
-}
-
 /// Disarms every fault site on construction and destruction, so a failing
 /// assertion mid-test can never leak an armed fault into later tests.
 struct FaultGuard {
     FaultGuard() { FaultInjection::instance().disarm_all(); }
     ~FaultGuard() { FaultInjection::instance().disarm_all(); }
-};
-
-/// Unique per-test scratch directory for journal files.
-struct JournalDir {
-    explicit JournalDir(const char* tag)
-        : path((std::filesystem::path(::testing::TempDir()) /
-                (std::string("myst_sweep_journal_") + tag))
-                   .string())
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path, ec);
-        std::filesystem::create_directories(path);
-    }
-    ~JournalDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path, ec);
-    }
-    std::string path;
 };
 
 void
@@ -231,13 +199,11 @@ TEST(ReplayDriverResilience, NoFaultKnobsKeepBitIdentityAtEveryParallelism)
         const std::size_t k = setup == &cache_k1 ? 1 : 4;
         ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), setup, k);
         driver.set_max_retries(2);
-        driver.set_backoff_ms(5);
         driver.set_group_deadline_ms(uint64_t{60} * 60 * 1000);
         const DatabaseReplayResult got = driver.replay_groups(fx.db, SIZE_MAX, &fx.profs);
         expect_identical(want, got);
         expect_all_ok(got);
         EXPECT_EQ(got.retries, 0u);
-        EXPECT_EQ(got.backoff_ms, 0u);
         EXPECT_EQ(got.journal_resumed, 0u);
         for (const GroupReplayResult& g : got.groups) {
             EXPECT_EQ(g.attempts, 1u);
@@ -307,7 +273,7 @@ TEST(ReplayDriverResilience, ConcurrentFailuresAreAllReported)
     }
 }
 
-TEST(ReplayDriverResilience, RetryWithBackoffHeals)
+TEST(ReplayDriverResilience, RetriesHealATransientFaultAndAreBounded)
 {
     FaultGuard guard;
     SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
@@ -322,16 +288,29 @@ TEST(ReplayDriverResilience, RetryWithBackoffHeals)
     PlanCache cache(16);
     ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
     driver.set_max_retries(1);
-    driver.set_backoff_ms(1);
     const DatabaseReplayResult got = driver.replay_groups(fx.db, SIZE_MAX, &fx.profs);
 
     expect_identical(want, got);
     expect_all_ok(got);
     EXPECT_EQ(got.groups[0].attempts, 2u);
     EXPECT_EQ(got.retries, 1u);
-    EXPECT_EQ(got.backoff_ms, 1u); // base_backoff << 0 for the first retry
     for (std::size_t i = 1; i < got.groups.size(); ++i)
         EXPECT_EQ(got.groups[i].attempts, 1u);
+
+    // A group that keeps failing is attempted 1 + retries times.
+    FaultInjection::instance().arm("sweep.group", 1, FaultMode::kEvery);
+    PlanCache cache_sick(16);
+    ReplayDriver sick(replay_cfg(fw::ExecMode::kShapeOnly), &cache_sick, 1);
+    sick.set_max_retries(3);
+    const DatabaseReplayResult failed = sick.replay_groups(fx.db, SIZE_MAX, &fx.profs);
+    EXPECT_EQ(failed.groups_failed, failed.groups.size());
+    for (const GroupReplayResult& g : failed.groups)
+        EXPECT_EQ(g.attempts, 4u);
+    EXPECT_EQ(failed.retries, 3u * failed.groups.size());
+
+    // A malformed count fails the construction instead of reading as 0.
+    const ScopedEnv bad("MYST_SWEEP_RETRIES", "abc");
+    EXPECT_THROW(ReplayDriver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1), ConfigError);
 }
 
 TEST(ReplayDriverResilience, GroupDeadlineTimesOutWithoutRetry)
@@ -343,12 +322,10 @@ TEST(ReplayDriverResilience, GroupDeadlineTimesOutWithoutRetry)
     ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 2);
     driver.set_group_deadline_ms(0); // already expired: deterministic timeout
     driver.set_max_retries(3);       // must NOT be consumed by timeouts
-    driver.set_backoff_ms(1);
     const DatabaseReplayResult got = driver.replay_groups(fx.db, SIZE_MAX, &fx.profs);
 
     EXPECT_EQ(got.groups_timed_out, got.groups.size());
     EXPECT_EQ(got.retries, 0u);
-    EXPECT_EQ(got.backoff_ms, 0u);
     EXPECT_EQ(got.weighted_mean_iter_us, 0.0);
     for (const GroupReplayResult& g : got.groups) {
         EXPECT_EQ(g.status, GroupStatus::kTimedOut);
@@ -367,31 +344,10 @@ TEST(ReplayDriverResilience, GroupDeadlineTimesOutWithoutRetry)
     expect_all_ok(again);
 }
 
-TEST(ReplayDriverResilience, SweepDeadlineSkipsUnstartedGroups)
-{
-    FaultGuard guard;
-    SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
-
-    PlanCache cache(16);
-    ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
-    driver.set_sweep_deadline_ms(0); // expired before any group starts
-    const DatabaseReplayResult got = driver.replay_groups(fx.db, SIZE_MAX, &fx.profs);
-
-    EXPECT_EQ(got.groups_skipped, got.groups.size());
-    EXPECT_EQ(got.population_covered_ok, 0.0);
-    for (const GroupReplayResult& g : got.groups) {
-        EXPECT_EQ(g.status, GroupStatus::kSkipped);
-        EXPECT_EQ(g.attempts, 0u);
-        EXPECT_TRUE(g.error.empty());
-    }
-    // Skipped groups still report their selection metadata.
-    EXPECT_GT(got.population_covered, 0.0);
-}
-
 TEST(ReplayDriverResilience, JournalResumeSkipsCompletedGroups)
 {
     FaultGuard guard;
-    JournalDir dir("resume");
+    ScopedDir dir("myst_sweep_journal");
     SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
 
     PlanCache cache_a(16);
@@ -421,7 +377,7 @@ TEST(ReplayDriverResilience, JournalResumeSkipsCompletedGroups)
 TEST(ReplayDriverResilience, TamperedJournalRecordReplaysItsGroup)
 {
     FaultGuard guard;
-    JournalDir dir("tamper");
+    ScopedDir dir("myst_sweep_journal");
     SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
 
     PlanCache cache_a(16);
@@ -463,7 +419,7 @@ TEST(ReplayDriverResilience, TamperedJournalRecordReplaysItsGroup)
 TEST(ReplayDriverResilience, CrashedSweepResumesAndReplaysOnlyTheFailedGroup)
 {
     FaultGuard guard;
-    JournalDir dir("crash");
+    ScopedDir dir("myst_sweep_journal");
     SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
 
     PlanCache cache_ref(16);
@@ -497,7 +453,7 @@ TEST(ReplayDriverResilience, CrashedSweepResumesAndReplaysOnlyTheFailedGroup)
 TEST(ReplayDriverResilience, QuarantineAfterRepeatedFailuresAndProbeHeals)
 {
     FaultGuard guard;
-    JournalDir dir("quarantine");
+    ScopedDir dir("myst_sweep_journal");
     SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
 
     PlanCache cache_ref(16);
@@ -549,64 +505,6 @@ TEST(ReplayDriverResilience, QuarantineAfterRepeatedFailuresAndProbeHeals)
     EXPECT_EQ(resumed.journal_resumed, resumed.groups.size());
 }
 
-TEST(ReplayDriverResilience, OverflowingBackoffIsRejectedBeforeAnyGroupRuns)
-{
-    // The last retry sleeps backoff << (retries - 1).  A pair whose largest
-    // sleep does not fit in 64 bits is a configuration error, refused before
-    // any group replays — no plan is even fetched.
-    FaultGuard guard;
-    ScopedEnv no_retries("MYST_SWEEP_RETRIES", std::nullopt);
-    ScopedEnv no_backoff("MYST_SWEEP_BACKOFF_MS", std::nullopt);
-    SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
-    // nullopt leaves a knob at what the constructor read.
-    const auto rejected = [&](std::optional<int> retries, std::optional<uint64_t> backoff) {
-        PlanCache cache(16);
-        ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
-        if (retries.has_value())
-            driver.set_max_retries(*retries);
-        if (backoff.has_value())
-            driver.set_backoff_ms(*backoff);
-        EXPECT_THROW((void)driver.replay_groups(fx.db, SIZE_MAX, &fx.profs), ConfigError);
-        EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
-    };
-    rejected(65, 1);          // a 64-bit shift
-    rejected(64, 2);          // 2 << 63 wraps
-    rejected(2, UINT64_MAX);  // UINT64_MAX << 1 wraps
-    {
-        ScopedEnv env("MYST_SWEEP_RETRIES", "65"); // on the default 10 ms base
-        rejected(std::nullopt, std::nullopt);
-    }
-    {
-        ScopedEnv env("MYST_SWEEP_RETRIES", "abc"); // used to read as 0
-        PlanCache cache(16);
-        EXPECT_THROW(ReplayDriver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1),
-                     ConfigError);
-    }
-
-    // The largest sleep that fits, 1 << 63, is accepted.
-    {
-        PlanCache cache(16);
-        ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
-        driver.set_max_retries(64);
-        driver.set_backoff_ms(1);
-        expect_all_ok(driver.replay_groups(fx.db, SIZE_MAX, &fx.profs));
-    }
-
-    // retries=3 on a 1 ms base behaves as before: a group that keeps failing
-    // is attempted 4 times and sleeps 1 + 2 + 4 ms.
-    FaultInjection::instance().arm("sweep.group", 1, FaultMode::kEvery);
-    PlanCache cache(16);
-    ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
-    driver.set_max_retries(3);
-    driver.set_backoff_ms(1);
-    const DatabaseReplayResult got = driver.replay_groups(fx.db, SIZE_MAX, &fx.profs);
-    EXPECT_EQ(got.groups_failed, got.groups.size());
-    for (const GroupReplayResult& g : got.groups)
-        EXPECT_EQ(g.attempts, 4u);
-    EXPECT_EQ(got.retries, 3u * got.groups.size());
-    EXPECT_EQ(got.backoff_ms, 7u * got.groups.size());
-}
-
 TEST(ReplayDriverResilience, KnobsAreReadWhenTheDriverIsConstructed)
 {
     FaultGuard guard;
@@ -627,12 +525,12 @@ TEST(ReplayDriverResilience, KnobsAreReadWhenTheDriverIsConstructed)
     expect_all_ok(after.replay_groups(fx.db, SIZE_MAX, &fx.profs));
 
     // A malformed knob fails the construction and names the variable.
-    const ScopedEnv bad("MYST_SWEEP_BACKOFF_MS", "abc");
+    const ScopedEnv bad("MYST_SWEEP_GROUP_DEADLINE_MS", "abc");
     try {
         ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
-        ADD_FAILURE() << "MYST_SWEEP_BACKOFF_MS=abc was accepted";
+        ADD_FAILURE() << "MYST_SWEEP_GROUP_DEADLINE_MS=abc was accepted";
     } catch (const ConfigError& e) {
-        EXPECT_NE(std::string_view(e.what()).find("MYST_SWEEP_BACKOFF_MS"),
+        EXPECT_NE(std::string_view(e.what()).find("MYST_SWEEP_GROUP_DEADLINE_MS"),
                   std::string_view::npos)
             << e.what();
     }
@@ -664,7 +562,6 @@ TEST(ReplayDriverResilience, MaximalRetryCountStillReplaysEveryGroup)
 
     ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 1);
     driver.set_max_retries(INT_MAX);
-    driver.set_backoff_ms(0);
     const DatabaseReplayResult got = driver.replay_groups(fx.db, SIZE_MAX, &fx.profs);
     expect_identical(want, got);
     expect_all_ok(got);
@@ -678,7 +575,7 @@ TEST(ReplayDriverResilience, JournalFaultsAreAbsorbed)
     // the write failures, and a later sweep simply cannot resume (no record
     // survived), which is degraded, never wrong.
     FaultGuard guard;
-    JournalDir dir("journalfault");
+    ScopedDir dir("myst_sweep_journal");
     SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
 
     FaultInjection::instance().arm("journal.write", 1, FaultMode::kEvery);

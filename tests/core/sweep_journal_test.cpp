@@ -1,48 +1,27 @@
 /// SweepJournal unit tests: bit-exact record round-trips, torn-line
-/// tolerance, record seals, old record versions, appends that leave earlier
-/// lines and other journals' records alone, latest-record-wins resume
-/// lookups, the quarantine streak and its healing, and best-effort appends
-/// under injected journal faults.
+/// tolerance, record seals, old record versions, statuses the driver never
+/// writes, appends that leave earlier lines and other journals' records
+/// alone, latest-record-wins resume lookups, the quarantine streak and its
+/// healing, and best-effort appends under injected journal faults.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/error.h"
 #include "common/fault_injection.h"
 #include "common/fs_util.h"
 #include "common/hash.h"
 #include "common/json.h"
 #include "core/sweep_journal.h"
+#include "scoped_dir.h"
 
 namespace mystique::core {
 namespace {
-
-namespace fs = std::filesystem;
-
-struct TempDir {
-    TempDir()
-    {
-        static int counter = 0;
-        path = (fs::temp_directory_path() /
-                ("myst_journal_test_" + std::to_string(counter++)))
-                   .string();
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path, ec);
-    }
-    std::string path;
-};
 
 uint64_t
 bits(double v)
@@ -79,17 +58,9 @@ failed_record(uint64_t sweep, uint64_t group, const std::string& error)
     return rec;
 }
 
-TEST(SweepJournal, StatusStringsRoundTrip)
-{
-    for (GroupStatus s : {GroupStatus::kOk, GroupStatus::kFailed, GroupStatus::kTimedOut,
-                          GroupStatus::kQuarantined, GroupStatus::kSkipped})
-        EXPECT_EQ(group_status_from_string(to_string(s)), s);
-    EXPECT_THROW(group_status_from_string("sideways"), ParseError);
-}
-
 TEST(SweepJournal, RecordsRoundTripBitExactly)
 {
-    TempDir dir;
+    ScopedDir dir("myst_journal_test");
     // Awkward doubles on purpose: a denormal, a value with no short decimal
     // form, and a negative zero — the bit-pattern encoding must keep each.
     SweepJournalRecord rec = ok_record(0xDEADBEEF12345678ull, 42, 0.1 + 0.2);
@@ -118,7 +89,7 @@ TEST(SweepJournal, RecordsRoundTripBitExactly)
 
 TEST(SweepJournal, TornLinesAreSkippedNotFatal)
 {
-    TempDir dir;
+    ScopedDir dir("myst_journal_test");
     {
         SweepJournal j(dir.path);
         EXPECT_TRUE(j.append(ok_record(1, 10, 100.0)));
@@ -156,7 +127,7 @@ write_journal(const std::string& dir, const std::vector<std::string>& lines)
 
 TEST(SweepJournal, RecordsFailingTheirSealAreSkipped)
 {
-    TempDir dir;
+    ScopedDir dir("myst_journal_test");
     {
         SweepJournal j(dir.path);
         EXPECT_TRUE(j.append(ok_record(1, 10, 100.0)));
@@ -197,7 +168,7 @@ TEST(SweepJournal, RecordsFailingTheirSealAreSkipped)
 
 TEST(SweepJournal, V2LinesAreSkipped)
 {
-    TempDir dir;
+    ScopedDir dir("myst_journal_test");
     {
         SweepJournal j(dir.path);
         EXPECT_TRUE(j.append(ok_record(1, 10, 100.0)));
@@ -225,11 +196,46 @@ TEST(SweepJournal, V2LinesAreSkipped)
     EXPECT_FALSE(j.completed(1, 12).has_value());
 }
 
+TEST(SweepJournal, OnlyTheStatusesTheDriverWritesLoad)
+{
+    // The driver journals ok, failed and timed_out outcomes, nothing else:
+    // those three load back as written, and a sealed line with any other
+    // status is skipped like a torn one, so a "quarantined" line cannot
+    // lengthen its group's failure streak.
+    ScopedDir dir("myst_journal_test");
+    SweepJournalRecord timed_out = failed_record(1, 12, "deadline");
+    timed_out.status = GroupStatus::kTimedOut;
+    {
+        SweepJournal j(dir.path);
+        EXPECT_TRUE(j.append(ok_record(1, 10, 100.0)));
+        EXPECT_TRUE(j.append(failed_record(1, 11, "failed once")));
+        EXPECT_TRUE(j.append(timed_out));
+    }
+    std::vector<std::string> lines = journal_lines(dir.path);
+    ASSERT_EQ(lines.size(), 3u);
+    for (const char* status : {"quarantined", "skipped", "sideways"}) {
+        Json relabeled = Json::parse_sealed(lines[1]);
+        relabeled.set("status", Json(status));
+        lines.push_back(relabeled.dump_sealed());
+    }
+    write_journal(dir.path, lines);
+
+    SweepJournal j(dir.path);
+    EXPECT_EQ(j.load(), 3u);
+    EXPECT_TRUE(j.completed(1, 10).has_value());
+    EXPECT_EQ(j.consecutive_failures(11), 1);
+    EXPECT_FALSE(j.quarantined(11));
+    ASSERT_TRUE(j.last_failure(11).has_value());
+    EXPECT_EQ(j.last_failure(11)->status, GroupStatus::kFailed);
+    ASSERT_TRUE(j.last_failure(12).has_value());
+    EXPECT_EQ(j.last_failure(12)->status, GroupStatus::kTimedOut);
+}
+
 TEST(SweepJournal, JournalsSharingADirectoryKeepEveryRecord)
 {
     // Two sweeps journaling to one directory, appending in turn: neither
     // may drop the records of the other.
-    TempDir dir;
+    ScopedDir dir("myst_journal_test");
     SweepJournal a(dir.path);
     SweepJournal b(dir.path);
     for (uint64_t g = 0; g < 10; ++g)
@@ -243,7 +249,7 @@ TEST(SweepJournal, JournalsSharingADirectoryKeepEveryRecord)
 
 TEST(SweepJournal, AppendLeavesEveryEarlierByteAsItWas)
 {
-    TempDir dir;
+    ScopedDir dir("myst_journal_test");
     {
         SweepJournal j(dir.path);
         EXPECT_TRUE(j.append(ok_record(1, 10, 100.0)));
@@ -279,7 +285,7 @@ TEST(SweepJournal, AppendLeavesEveryEarlierByteAsItWas)
 
 TEST(SweepJournal, AppendAfterATornTailStartsANewLine)
 {
-    TempDir dir;
+    ScopedDir dir("myst_journal_test");
     {
         SweepJournal j(dir.path);
         EXPECT_TRUE(j.append(ok_record(1, 10, 100.0)));
@@ -303,7 +309,7 @@ TEST(SweepJournal, AppendAfterATornTailStartsANewLine)
 
 TEST(SweepJournal, LatestRecordWinsAndFailureInvalidatesStaleSuccess)
 {
-    TempDir dir;
+    ScopedDir dir("myst_journal_test");
     SweepJournal j(dir.path);
     EXPECT_TRUE(j.append(ok_record(1, 10, 100.0)));
     EXPECT_TRUE(j.completed(1, 10).has_value());
@@ -325,7 +331,7 @@ TEST(SweepJournal, LatestRecordWinsAndFailureInvalidatesStaleSuccess)
 
 TEST(SweepJournal, QuarantineEngagesOnConsecutiveFailuresAndHeals)
 {
-    TempDir dir;
+    ScopedDir dir("myst_journal_test");
     SweepJournal j(dir.path);
     EXPECT_FALSE(j.quarantined(10));
 
@@ -353,7 +359,7 @@ TEST(SweepJournal, QuarantineEngagesOnConsecutiveFailuresAndHeals)
 
 TEST(SweepJournal, WriteFaultIsAbsorbedAndAccountingSurvivesInMemory)
 {
-    TempDir dir;
+    ScopedDir dir("myst_journal_test");
     FaultInjection& fi = FaultInjection::instance();
     fi.disarm_all();
     fi.arm("journal.write", 1, FaultMode::kEvery);
@@ -379,7 +385,7 @@ TEST(SweepJournal, WriteFaultIsAbsorbedAndAccountingSurvivesInMemory)
 
 TEST(SweepJournal, LoadFaultWarnsAndStartsFresh)
 {
-    TempDir dir;
+    ScopedDir dir("myst_journal_test");
     {
         SweepJournal j(dir.path);
         EXPECT_TRUE(j.append(ok_record(1, 10, 100.0)));

@@ -5,36 +5,15 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "scoped_dir.h"
 #include "testing/fault_churn.h"
 
 namespace mystique::testing {
 namespace {
-
-namespace fs = std::filesystem;
-
-struct TempRoot {
-    TempRoot()
-    {
-        static int counter = 0;
-        path = (fs::temp_directory_path() /
-                ("myst_churn_test_" + std::to_string(::getpid()) + "_" +
-                 std::to_string(counter++)))
-                   .string();
-        fs::create_directories(path);
-    }
-    ~TempRoot()
-    {
-        std::error_code ec;
-        fs::remove_all(path, ec);
-    }
-    std::string path;
-};
 
 std::string
 describe(const ChurnReport& r)
@@ -49,7 +28,7 @@ describe(const ChurnReport& r)
 
 TEST(FaultChurn, EverySiteSurvivesEightThreadChurnAndHeals)
 {
-    TempRoot root;
+    ScopedDir root("myst_churn_test");
     const std::vector<ChurnReport> reports =
         run_churn_all(root.path, /*seed=*/7, /*threads=*/8, /*ops_per_thread=*/8);
 
@@ -71,7 +50,7 @@ TEST(FaultChurn, FaultsActuallyFireDuringChurn)
 {
     // A churn pass that never triggers its fault proves nothing.  The fs
     // write-path sites sit on every writeback, so firing is deterministic.
-    TempRoot root;
+    ScopedDir root("myst_churn_test");
     const ChurnReport r =
         run_churn("fs.rename", root.path + "/rename", /*seed=*/11, /*threads=*/8,
                   /*ops_per_thread=*/8);
@@ -86,7 +65,7 @@ TEST(FaultChurn, SweepSitesSurviveConcurrentDriverChurn)
     // uphold the same contract: faults actually fire, nothing escapes, the
     // journal never tears, and a post-churn sweep is bit-identical to the
     // pre-churn reference.
-    TempRoot root;
+    ScopedDir root("myst_churn_test");
     for (const std::string site : {"sweep.group", "journal.write", "journal.load"}) {
         const ChurnReport r = run_sweep_churn(site, root.path + "/" + site, /*seed=*/7);
         EXPECT_GT(r.faults_fired, 0u) << describe(r);
@@ -103,7 +82,7 @@ TEST(FaultChurn, ReportIsReproducibleForAFixedSeed)
     // Same (site, seed) ⇒ same trace working set.  Thread interleaving makes
     // exact fire counts racy, but the *verdict* and the deterministic fields
     // must match run to run.
-    TempRoot root;
+    ScopedDir root("myst_churn_test");
     const ChurnReport a =
         run_churn("store.load", root.path + "/a", 5, /*threads=*/4, /*ops_per_thread=*/6);
     const ChurnReport b =

@@ -1,7 +1,8 @@
 /// In-process coverage for the mystique-fuzz CLI (testing/fuzz_cli.h):
-/// flag parsing and usage errors (exit 2), the summary-line format, a real
-/// passing corpus run (exit 0), a deterministic oracle mismatch via an armed
-/// sweep.group fault (exit 1), and single-site churn via --churn-site.
+/// flag parsing and usage errors (exit 2), a malformed MYST_FAULT (exit 2),
+/// the summary-line format, a real passing corpus run (exit 0), a
+/// deterministic oracle mismatch via an armed sweep.group fault (exit 1),
+/// and single-site churn via --churn-site.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/fault_injection.h"
+#include "scoped_env.h"
 #include "testing/fuzz_cli.h"
 
 namespace mystique::testing {
@@ -138,6 +141,21 @@ TEST(FuzzCli, UsageErrorsExitTwo)
 
     EXPECT_EQ(run_cli({"--churn-site", "no.such.site"}, nullptr, &err), 2);
     EXPECT_NE(err.find("unknown fault site 'no.such.site'"), std::string::npos) << err;
+}
+
+TEST(FuzzCli, MalformedFaultSpecIsAUsageError)
+{
+    // Every fault hook would throw the spec's ConfigError, failing each
+    // case's sweep checks with a reproduce hint that reproduces nothing
+    // without the variable.  The CLI reports it once and runs nothing.
+    FaultGuard guard;
+    const ScopedEnv typo("MYST_FAULT", "fs.renme:1:every");
+    EXPECT_THROW(FaultInjection::instance().reload_env(), ConfigError);
+    std::string out, err;
+    const int rc = run_cli({"--case", "99"}, &out, &err);
+    EXPECT_EQ(rc, 2) << out << err;
+    EXPECT_NE(err.find("fs.renme"), std::string::npos) << err;
+    EXPECT_EQ(out.find("FAIL"), std::string::npos) << out;
 }
 
 TEST(FuzzCli, OracleMismatchExitsOneWithReproLine)

@@ -12,7 +12,7 @@
 /// trace, config and checks, regardless of the corpus it came from.
 ///
 /// Exit status: 0 = all checks passed; 1 = mismatches or churn violations;
-/// 2 = usage error.
+/// 2 = usage error (a bad flag or value, or a malformed MYST_FAULT).
 ///
 /// All behavior lives in testing::run_fuzz_cli (src/testing/fuzz_cli.h) so
 /// the unit suite exercises it in-process; this file only binds the real
