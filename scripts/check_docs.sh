@@ -9,6 +9,8 @@
 #   2. backticked `ns::symbol` references (each :: component is checked),
 #   3. backticked CamelCase type names,
 #   4. backticked or link-target file paths with a known extension,
+#   6. backticked snake_case names (`reset_for_replay()`, `run_with`),
+#   7. `.name(`, `->name(` and `::name(` calls inside fenced code blocks,
 # and verifies each against the source tree.  False negatives are fine
 # (prose is not checked); false positives mean a doc names something that
 # no longer exists — which is exactly the rot this guards against.
@@ -16,8 +18,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 docs=(README.md docs/*.md)
-# Where referenced code/files may legitimately live.
-code_roots=(src bench tests examples scripts shared_benchmark CMakeLists.txt .github)
+# Where referenced code/files may legitimately live.  Not this script: a
+# deleted name that its comments quote would pass checks 1, 3 and 6.
+code_roots=(src bench tests examples scripts/ci.sh shared_benchmark CMakeLists.txt .github)
 
 fail=0
 
@@ -78,8 +81,38 @@ for var in $(comm -13 <(echo "$table_knobs") <(echo "$read_knobs")); do
     fail=1
 done
 
+# ---- 6. backticked snake_case names ----------------------------------------
+# `reset_for_replay()`, `run_with`, `session_options(rank, world)`: a name
+# with an underscore, optionally followed by an argument list, must be a
+# whole word in the code roots.  `bench_<name>` is the CMake target of
+# bench/<name>.cpp, which CMake skips when the target's library is absent.
+for name in $(grep -ohE '`[a-z][a-z0-9]*_[a-z0-9_]*(\([^`]*\))?`' "${docs[@]}" |
+                  sed -E 's/^`//; s/(\(.*\))?`$//' | sort -u); do
+    if [[ "$name" == bench_* ]] && [ -e "bench/${name#bench_}.cpp" ]; then
+        continue
+    fi
+    grep -rqw -- "$name" "${code_roots[@]}" || say_missing "name '$name'"
+done
+
+# ---- 7. calls in fenced code blocks -----------------------------------------
+# `cache.get_or_build(trace, prof, cfg)` names get_or_build: a name called
+# after `.`, `->` or `::` on a line inside a ``` block must be a word in the
+# code.  Each missing name is reported once, with the first line calling it.
+declare -A call_checked=()
+while IFS= read -r line; do
+    for name in $(grep -oE '(\.|->|::)[A-Za-z_][A-Za-z0-9_]*\(' <<<"$line" |
+                      sed -E 's/^(\.|->|::)//; s/\($//'); do
+        [ -n "${call_checked[$name]:-}" ] && continue
+        call_checked[$name]=1
+        grep -rqw -- "$name" src tests bench examples tools ||
+            say_missing "call '$name' in a code block: ${line}"
+    done
+done < <(awk 'FNR == 1 { fence = 0 }
+              /^[[:space:]]*```/ { fence = !fence; next }
+              fence { print FILENAME ":" FNR ": " $0 }' "${docs[@]}")
+
 if [ "$fail" != 0 ]; then
     echo "doc-check: documentation references symbols/files that no longer exist"
     exit 1
 fi
-echo "doc-check OK: all referenced env vars, symbols, and files exist; the knob table lists every knob src/ reads"
+echo "doc-check OK: all referenced env vars, symbols, names, code-block calls and files exist; the knob table lists every knob src/ reads"

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 #include <type_traits>
 
@@ -24,8 +25,28 @@ class Fnv1a {
         const auto* p = static_cast<const unsigned char*>(data);
         for (std::size_t i = 0; i < len; ++i) {
             h_ ^= p[i];
-            h_ *= 0x100000001b3ull;
+            h_ *= kPrime;
         }
+    }
+
+    /// FNV-1a over 8-byte words: each native-endian word is xored in whole
+    /// and followed by one multiply, then the last `len % 8` bytes are mixed
+    /// as mix_bytes does.  Not equal to mix_bytes of the same bytes, but
+    /// each step is a bijection of the state for a fixed word and of the
+    /// word for a fixed state, so inputs of one length that differ in one
+    /// word always hash differently.  For bulk tensor bytes
+    /// (TensorManager::digest); seals stay byte-wise.
+    void mix_words(const void* data, std::size_t len)
+    {
+        const auto* p = static_cast<const unsigned char*>(data);
+        const std::size_t n_words = len / sizeof(uint64_t);
+        for (std::size_t i = 0; i < n_words; ++i) {
+            uint64_t w = 0;
+            std::memcpy(&w, p + i * sizeof(uint64_t), sizeof(w));
+            h_ ^= w;
+            h_ *= kPrime;
+        }
+        mix_bytes(p + n_words * sizeof(uint64_t), len % sizeof(uint64_t));
     }
 
     void mix(std::string_view s)
@@ -46,6 +67,8 @@ class Fnv1a {
     uint64_t value() const { return h_; }
 
   private:
+    static constexpr uint64_t kPrime = 0x100000001b3ull; // FNV-1a 64-bit prime
+
     uint64_t h_ = 0xcbf29ce484222325ull; // FNV offset basis
 };
 

@@ -197,7 +197,7 @@ TensorManager::digest() const
             continue;
         }
         h.mix_pod(t.numel());
-        h.mix_bytes(t.impl()->storage->data(), static_cast<std::size_t>(t.nbytes()));
+        h.mix_words(t.impl()->storage->data(), static_cast<std::size_t>(t.nbytes()));
     }
     return h.value();
 }

@@ -78,6 +78,9 @@ class TensorManager {
     /// bindings_ is an ordered map).  The differential oracle compares it
     /// across replays of the same plan: equal digests mean bit-identical
     /// numerics regardless of the execution schedule that produced them.
+    /// Storage bytes are mixed a word at a time (Fnv1a::mix_words), so two
+    /// sets of bindings that differ in one word always digest differently;
+    /// the value is a witness for comparisons, not a seal.
     uint64_t digest() const;
 
   private:

@@ -1,15 +1,65 @@
-/// CachedHash (common/hash.h): computed once, kept by a copy, carried by a
-/// move that leaves the source to compute again.
+/// common/hash.h: Fnv1a::mix_words sees every byte of its input, and
+/// CachedHash is computed once, kept by a copy, carried by a move that
+/// leaves the source to compute again.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/hash.h"
 
 namespace mystique {
 namespace {
+
+uint64_t
+words_hash(const std::vector<unsigned char>& bytes)
+{
+    Fnv1a h;
+    h.mix_words(bytes.data(), bytes.size());
+    return h.value();
+}
+
+TEST(Fnv1aMixWords, EveryBitOfEveryByteChangesTheValue)
+{
+    for (const std::size_t len : {0, 1, 7, 8, 9, 15, 16, 100}) {
+        std::vector<unsigned char> bytes(len);
+        for (std::size_t i = 0; i < len; ++i)
+            bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+        const uint64_t base = words_hash(bytes);
+        EXPECT_EQ(words_hash(std::vector<unsigned char>(bytes)), base) << "len " << len;
+        for (std::size_t i = 0; i < len; ++i) {
+            for (int bit = 0; bit < 8; ++bit) {
+                std::vector<unsigned char> flipped = bytes;
+                flipped[i] ^= static_cast<unsigned char>(1u << bit);
+                EXPECT_NE(words_hash(flipped), base)
+                    << "len " << len << " byte " << i << " bit " << bit;
+            }
+        }
+    }
+}
+
+TEST(Fnv1aMixWords, MixesWholeWordsThenTheTailBytewise)
+{
+    // Under eight bytes there is no word: mix_words is mix_bytes.
+    const std::vector<unsigned char> bytes = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+    Fnv1a tail_only;
+    tail_only.mix_bytes(bytes.data(), 7);
+    Fnv1a words;
+    words.mix_words(bytes.data(), 7);
+    EXPECT_EQ(words.value(), tail_only.value());
+
+    // Eleven bytes: one word step (xor, multiply), then three byte steps.
+    uint64_t w = 0;
+    std::memcpy(&w, bytes.data(), sizeof(w));
+    uint64_t expected = (0xcbf29ce484222325ull ^ w) * 0x100000001b3ull;
+    for (std::size_t i = 8; i < bytes.size(); ++i)
+        expected = (expected ^ bytes[i]) * 0x100000001b3ull;
+    EXPECT_EQ(words_hash(bytes), expected);
+}
 
 TEST(CachedHash, CopiesKeepAndMovesCarryTheCachedValue)
 {

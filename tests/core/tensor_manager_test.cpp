@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "core/tensor_manager.h"
 #include "framework/op_registry.h"
 
@@ -183,6 +186,47 @@ TEST(TensorManager, ZipfConfigSkewsIndices)
     const double zipf_head = head_mass(tm_z.resolve(meta(2, {20000}, "int64")));
     const double uni_head = head_mass(tm_u.resolve(meta(2, {20000}, "int64")));
     EXPECT_GT(zipf_head, uni_head * 5.0);
+}
+
+TEST(TensorManager, DigestSeesEveryWordAndTheTail)
+{
+    // A 5-word int64 tensor and a 7-float tensor (three words and a 4-byte
+    // tail), bound as op outputs of a numeric session.
+    fw::SessionOptions opts;
+    opts.mode = fw::ExecMode::kNumeric;
+    fw::Session numeric(opts);
+    TensorManager tm(numeric, {});
+    tm.analyze({});
+    fw::Tensor idx = numeric.alloc({5}, fw::DType::kInt64);
+    for (int64_t i = 0; i < idx.numel(); ++i)
+        idx.i64()[i] = 1000 + i;
+    fw::Tensor val = numeric.alloc({7});
+    ASSERT_TRUE(val.materialized());
+    for (int64_t i = 0; i < val.numel(); ++i)
+        val.f32()[i] = 0.5f * static_cast<float>(i);
+    tm.bind_output(meta(1, {5}, "int64"), idx);
+    tm.bind_output(meta(2, {7}), val);
+    const uint64_t base = tm.digest();
+
+    auto* idx_bytes = reinterpret_cast<unsigned char*>(idx.i64());
+    auto* val_bytes = reinterpret_cast<unsigned char*>(val.f32());
+    const std::pair<const char*, unsigned char*> flips[] = {
+        {"int64 first word", idx_bytes + 3},
+        {"int64 middle word", idx_bytes + 16},
+        {"float 4-byte tail", val_bytes + 26},
+    };
+    for (const auto& [where, byte] : flips) {
+        *byte ^= 0x10;
+        EXPECT_NE(tm.digest(), base) << where;
+        *byte ^= 0x10;
+        EXPECT_EQ(tm.digest(), base) << where;
+    }
+
+    // Rebinding an identical copy leaves the digest unchanged.
+    fw::Tensor copy = numeric.alloc({7});
+    std::memcpy(copy.f32(), val.f32(), static_cast<std::size_t>(val.nbytes()));
+    tm.bind_output(meta(2, {7}), copy);
+    EXPECT_EQ(tm.digest(), base);
 }
 
 TEST(TensorManager, UnknownTensorThrows)
