@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 docs=(README.md docs/*.md)
 # Where referenced code/files may legitimately live.  Not this script: a
 # deleted name that its comments quote would pass checks 1, 3 and 6.
-code_roots=(src bench tests examples scripts/ci.sh shared_benchmark CMakeLists.txt .github)
+code_roots=(src bench tests examples tools scripts/ci.sh shared_benchmark CMakeLists.txt .github)
 
 fail=0
 
@@ -104,7 +104,7 @@ while IFS= read -r line; do
                       sed -E 's/^(\.|->|::)//; s/\($//'); do
         [ -n "${call_checked[$name]:-}" ] && continue
         call_checked[$name]=1
-        grep -rqw -- "$name" src tests bench examples tools ||
+        grep -rqw -- "$name" "${code_roots[@]}" ||
             say_missing "call '$name' in a code block: ${line}"
     done
 done < <(awk 'FNR == 1 { fence = 0 }

@@ -29,13 +29,15 @@ class Fnv1a {
         }
     }
 
-    /// FNV-1a over 8-byte words: each native-endian word is xored in whole
-    /// and followed by one multiply, then the last `len % 8` bytes are mixed
-    /// as mix_bytes does.  Not equal to mix_bytes of the same bytes, but
-    /// each step is a bijection of the state for a fixed word and of the
-    /// word for a fixed state, so inputs of one length that differ in one
-    /// word always hash differently.  For bulk tensor bytes
-    /// (TensorManager::digest); seals stay byte-wise.
+    /// FNV-1a over 8-byte words, for bulk tensor bytes
+    /// (TensorManager::digest; seals stay byte-wise): each native-endian
+    /// word is xored in, then the state is multiplied and its high half
+    /// folded into its low half; the last `len % 8` bytes are mixed as
+    /// mix_bytes does.  Each step is a bijection of the state for a fixed
+    /// word and of the word for a fixed state, so inputs of one length that
+    /// differ in one word always hash differently.  The fold is needed
+    /// because a multiply carries a difference only upward: without it a
+    /// bit-63 difference stays bit 63 alone, and two of them cancel.
     void mix_words(const void* data, std::size_t len)
     {
         const auto* p = static_cast<const unsigned char*>(data);
@@ -45,6 +47,7 @@ class Fnv1a {
             std::memcpy(&w, p + i * sizeof(uint64_t), sizeof(w));
             h_ ^= w;
             h_ *= kPrime;
+            h_ ^= h_ >> 32;
         }
         mix_bytes(p + n_words * sizeof(uint64_t), len % sizeof(uint64_t));
     }

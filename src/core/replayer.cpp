@@ -200,30 +200,14 @@ run_async_iteration(fw::Session& session, const ReplayPlan& plan, TensorManager&
     return session.cpu_now();
 }
 
-/// The session in @p slot, ready for a fresh replay under @p opts: built
-/// when the slot is empty or its options differ, otherwise rewound with
-/// reset_for_replay(), which keeps the session's StorageArena so the replay
-/// recycles the previous one's buffers.  A reset session replays exactly
-/// like a new one, whatever state the last replay left it in (an abandoned
-/// CancelledError included).  The one rebuild-or-rewind rule: run() applies
-/// it to a per-thread slot, run_distributed to its rank slots.
-fw::Session&
-rewound_session(std::unique_ptr<fw::Session>& slot, fw::SessionOptions opts)
-{
-    if (slot == nullptr || slot->options() != opts)
-        slot = std::make_unique<fw::Session>(std::move(opts));
-    else
-        slot->reset_for_replay();
-    return *slot;
-}
-
 /// Process-wide executor state for run_distributed: one shared ThreadPool
 /// (grown to the largest world size seen, then reused) plus one cached
 /// Session per rank slot.  Repeated distributed replays — the §7.3 scale-down
 /// sweeps and every bench that replays the same job N times — stop paying
 /// one OS-thread spawn and one cold Session (device tables, arena, autograd
-/// engine) per rank per call: each slot goes through rewound_session, so
-/// rank r's second replay recycles rank r's buffers.
+/// engine) per rank per call: sessions are rewound with reset_for_replay(),
+/// which deliberately keeps each rank's StorageArena, so rank r's second
+/// replay recycles rank r's buffers.
 ///
 /// Sessions are exclusive state, so concurrent run_distributed calls
 /// serialize on `mu` (they used to interleave on private ad-hoc threads; a
@@ -252,14 +236,21 @@ class DistributedReplayPool {
         return *pool_;
     }
 
-    /// The cached session for @p rank under the options @p cfg gives for
-    /// (rank, world), rewound or rebuilt by rewound_session.
+    /// The cached session for @p rank, rewound for a fresh replay.  Rebuilt
+    /// only when the slot's session options differ from the ones @p cfg
+    /// gives for (rank, world); a rebuild drops that rank's arena, a reuse
+    /// keeps it.
     fw::Session& rank_session(int rank, int world, const ReplayConfig& cfg)
     {
+        fw::SessionOptions opts = cfg.session_options(rank, world);
         if (sessions_.size() < static_cast<std::size_t>(world))
             sessions_.resize(static_cast<std::size_t>(world));
-        return rewound_session(sessions_[static_cast<std::size_t>(rank)],
-                               cfg.session_options(rank, world));
+        std::unique_ptr<fw::Session>& slot = sessions_[static_cast<std::size_t>(rank)];
+        if (slot == nullptr || slot->options() != opts)
+            slot = std::make_unique<fw::Session>(std::move(opts));
+        else
+            slot->reset_for_replay();
+        return *slot;
     }
 
   private:
@@ -316,11 +307,9 @@ Replayer::register_process_groups(fw::Session& session,
 ReplayResult
 Replayer::run(const CancelToken* cancel)
 {
-    // One session per calling thread, so concurrent run() calls neither
-    // share nor wait for one; it lives until the thread exits.
-    thread_local std::unique_ptr<fw::Session> session;
+    fw::Session session(cfg_.session_options(0, 1));
     auto fabric = std::make_shared<comm::CommFabric>(1);
-    return run_with(rewound_session(session, cfg_.session_options(0, 1)), fabric, cancel);
+    return run_with(session, fabric, cancel);
 }
 
 ReplayResult

@@ -31,21 +31,11 @@
 /// disk tier (core/plan_store.h), extending the same reuse across process
 /// restarts: a rank's plan miss loads the persisted entry instead of
 /// building.  Direct `Replayer(trace, prof, cfg)` construction still builds
-/// a private, uncached plan, retained by nothing past the Replayer.  That
-/// plan is built like any other: it copies the trace and carries its full
-/// key.  Cache entries are LRU-evicted; executors keep plans alive via
-/// shared_ptr, so eviction never invalidates a running replay.
-///
-/// ## Session lifecycle
-///
-/// Sessions outlive the replays they run.  run() keeps one Session per
-/// calling thread and run_distributed one per rank slot; each replay
-/// rewinds its session with reset_for_replay() and rebuilds it only when
-/// the config's session options differ from the ones it was built with.
-/// A rewound session replays bit-identically to a new one and recycles the
-/// previous replay's buffers from its StorageArena, which caches at most
-/// StorageArena::kDefaultMaxCachedBytes (256 MiB) of freed blocks until the
-/// next rebuild of that session or the exit of its thread.
+/// a private, uncached plan: one-shot tools keep their no-global-state
+/// behavior, and nothing is retained past the Replayer.  That plan is built
+/// like any other: it copies the trace and carries its full key.  Cache
+/// entries are LRU-evicted; executors keep plans alive via shared_ptr, so
+/// eviction never invalidates a running replay.
 ///
 /// The use-case knobs of §7 (subtrace replay, operator-type filtering,
 /// scaled-down emulation) live in ReplayConfig and participate in the cache
@@ -97,11 +87,7 @@ class Replayer {
     /// (guaranteed for cache fetches; enforced with a check here).
     Replayer(std::shared_ptr<const ReplayPlan> plan, ReplayConfig cfg);
 
-    /// Runs a single-rank replay on a private fabric and this thread's
-    /// session (see "Session lifecycle" above): rewound, or rebuilt when
-    /// cfg.session_options(0, 1) changed since the thread's last run().
-    /// Calls on different threads never share or wait for a session, and a
-    /// replay abandoned by a throw is rewound by the thread's next run().
+    /// Runs a single-rank replay with a private session/fabric.
     /// @param cancel  optional cooperative cancellation/deadline token
     ///        (see run_with).
     ReplayResult run(const CancelToken* cancel = nullptr);

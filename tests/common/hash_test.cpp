@@ -52,13 +52,41 @@ TEST(Fnv1aMixWords, MixesWholeWordsThenTheTailBytewise)
     words.mix_words(bytes.data(), 7);
     EXPECT_EQ(words.value(), tail_only.value());
 
-    // Eleven bytes: one word step (xor, multiply), then three byte steps.
+    // Eleven bytes: one word step (xor, multiply, fold), then three byte
+    // steps.
     uint64_t w = 0;
     std::memcpy(&w, bytes.data(), sizeof(w));
     uint64_t expected = (0xcbf29ce484222325ull ^ w) * 0x100000001b3ull;
+    expected ^= expected >> 32;
     for (std::size_t i = 8; i < bytes.size(); ++i)
         expected = (expected ^ bytes[i]) * 0x100000001b3ull;
     EXPECT_EQ(words_hash(bytes), expected);
+}
+
+TEST(Fnv1aMixWords, EqualFlipsInTwoWordsDoNotCancel)
+{
+    // Flipping the same bit of two different words: a multiply alone keeps
+    // a bit-63 difference at bit 63, so two of them would cancel.
+    constexpr std::size_t kWords = 12;
+    std::vector<uint64_t> words(kWords);
+    for (std::size_t i = 0; i < kWords; ++i)
+        words[i] = 0x9e3779b97f4a7c15ull * (i + 1);
+    const auto hash = [](const std::vector<uint64_t>& ws) {
+        Fnv1a h;
+        h.mix_words(ws.data(), ws.size() * sizeof(uint64_t));
+        return h.value();
+    };
+    const uint64_t base = hash(words);
+    for (int bit = 0; bit < 64; ++bit) {
+        for (std::size_t i = 0; i < kWords; ++i) {
+            for (std::size_t j = i + 1; j < kWords; ++j) {
+                std::vector<uint64_t> flipped = words;
+                flipped[i] ^= uint64_t{1} << bit;
+                flipped[j] ^= uint64_t{1} << bit;
+                EXPECT_NE(hash(flipped), base) << "bit " << bit << " words " << i << ", " << j;
+            }
+        }
+    }
 }
 
 TEST(CachedHash, CopiesKeepAndMovesCarryTheCachedValue)

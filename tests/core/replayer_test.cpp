@@ -5,10 +5,7 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <map>
 #include <string>
-#include <thread>
-#include <tuple>
 #include <vector>
 
 #include "core/codegen.h"
@@ -347,113 +344,6 @@ TEST(Replayer, NumericReplayRejectsAShrunkSecondOperand)
     ASSERT_EQ(shrunk_nodes, 1);
 
     EXPECT_ANY_THROW((void)Replayer(shrunk, nullptr, tiny_replay()).run());
-}
-
-/// Per-stream (name, ts, dur) kernel sequences of a replay.
-std::map<int, std::vector<std::tuple<std::string, double, double>>>
-kernels_per_stream(const ReplayResult& r)
-{
-    std::map<int, std::vector<std::tuple<std::string, double, double>>> out;
-    for (const prof::KernelEvent& ev : r.prof.kernels())
-        out[ev.stream].emplace_back(ev.name, ev.ts, ev.dur);
-    return out;
-}
-
-void
-expect_same_replay(const ReplayResult& want, const ReplayResult& got, const std::string& label)
-{
-    EXPECT_EQ(got.iter_us, want.iter_us) << label;
-    EXPECT_EQ(kernels_per_stream(got), kernels_per_stream(want)) << label;
-    EXPECT_EQ(got.metrics.window_us, want.metrics.window_us) << label;
-    EXPECT_EQ(got.metrics.sm_util_pct, want.metrics.sm_util_pct) << label;
-    EXPECT_EQ(got.metrics.hbm_gbps, want.metrics.hbm_gbps) << label;
-    EXPECT_EQ(got.metrics.power_w, want.metrics.power_w) << label;
-    EXPECT_EQ(got.metrics.busy_pct, want.metrics.busy_pct) << label;
-    EXPECT_EQ(got.metrics.kernel_time_us, want.metrics.kernel_time_us) << label;
-    EXPECT_EQ(got.numeric_digest, want.numeric_digest) << label;
-}
-
-/// The replay of @p plan on a freshly constructed session: what run() on a
-/// reused thread session must reproduce.
-ReplayResult
-fresh_session_replay(const std::shared_ptr<const ReplayPlan>& plan, const ReplayConfig& cfg)
-{
-    fw::Session session(cfg.session_options(0, 1));
-    return Replayer(plan, cfg).run_with(session, std::make_shared<comm::CommFabric>(1));
-}
-
-/// rm at its tiny preset, replayed numerically: its int64 index tensors are
-/// materialized, so the digest covers generated externals.
-const wl::RankResult&
-rm_tiny()
-{
-    static const wl::RunResult orig = wl::run_original("rm", tiny_opts(), tiny_cfg());
-    return orig.rank0();
-}
-
-TEST(ReplayerSession, RewoundThreadSessionReplaysLikeAFreshOne)
-{
-    const wl::RankResult& r0 = rm_tiny();
-    const ReplayConfig a100 = tiny_replay();
-    const auto plan = ReplayPlan::build(r0.trace, &r0.prof, a100);
-    const ReplayResult want = fresh_session_replay(plan, a100);
-    ASSERT_FALSE(want.prof.kernels().empty());
-    ASSERT_NE(want.numeric_digest, 0u);
-
-    expect_same_replay(want, Replayer(plan, a100).run(), "first run");
-    expect_same_replay(want, Replayer(plan, a100).run(), "second run");
-
-    // Other session options rebuild the thread's session: the V100 replay
-    // is V100's, not A100's on a rewound session.
-    ReplayConfig v100 = a100;
-    v100.platform = "V100";
-    Replayer on_v100(r0.trace, &r0.prof, v100);
-    const ReplayResult v100_result = on_v100.run();
-    expect_same_replay(fresh_session_replay(on_v100.plan(), v100), v100_result, "V100 run");
-    EXPECT_NE(v100_result.iter_us, want.iter_us);
-
-    // A replay abandoned at its first unit, after instantiating externals,
-    // is rewound by the next run().
-    CancelToken expired;
-    expired.set_deadline_after_ms(0);
-    EXPECT_THROW((void)Replayer(plan, a100).run(&expired), CancelledError);
-    expect_same_replay(want, Replayer(plan, a100).run(), "run after a cancelled run");
-}
-
-TEST(ReplayerSession, ConcurrentRunsOnOnePlanUseTheirOwnSessions)
-{
-    const wl::RankResult& r0 = rm_tiny();
-    const ReplayConfig cfg = tiny_replay();
-    const auto plan = ReplayPlan::build(r0.trace, &r0.prof, cfg);
-    const ReplayResult want = fresh_session_replay(plan, cfg);
-
-    // Each thread runs twice, so the second run rewinds its own session
-    // while the other thread replays.
-    constexpr int kThreads = 2;
-    constexpr int kRuns = 2;
-    std::vector<std::vector<ReplayResult>> got(kThreads);
-    std::vector<std::string> errors(kThreads);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            try {
-                for (int i = 0; i < kRuns; ++i)
-                    got[static_cast<std::size_t>(t)].push_back(Replayer(plan, cfg).run());
-            } catch (const std::exception& e) {
-                errors[static_cast<std::size_t>(t)] = e.what();
-            }
-        });
-    }
-    for (std::thread& th : threads)
-        th.join();
-    for (int t = 0; t < kThreads; ++t) {
-        const auto ti = static_cast<std::size_t>(t);
-        ASSERT_EQ(errors[ti], "") << "thread " << t;
-        ASSERT_EQ(got[ti].size(), static_cast<std::size_t>(kRuns));
-        for (int i = 0; i < kRuns; ++i)
-            expect_same_replay(want, got[ti][static_cast<std::size_t>(i)],
-                               "thread " + std::to_string(t) + " run " + std::to_string(i));
-    }
 }
 
 TEST(Similarity, ReportsSmallErrorsForFaithfulReplay)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "core/tensor_manager.h"
@@ -221,6 +222,22 @@ TEST(TensorManager, DigestSeesEveryWordAndTheTail)
         *byte ^= 0x10;
         EXPECT_EQ(tm.digest(), base) << where;
     }
+
+    // Two sign flips, each of which moves only bit 63 of its word, must not
+    // cancel: float lanes 1 and 3 are the high halves of words 0 and 1 on a
+    // little-endian host, and int64 elements 0 and 2 are whole words.
+    val.f32()[1] = -val.f32()[1];
+    val.f32()[3] = -val.f32()[3];
+    EXPECT_NE(tm.digest(), base) << "two odd float lanes negated";
+    val.f32()[1] = -val.f32()[1];
+    val.f32()[3] = -val.f32()[3];
+    constexpr int64_t kSignBit = std::numeric_limits<int64_t>::min();
+    idx.i64()[0] ^= kSignBit;
+    idx.i64()[2] ^= kSignBit;
+    EXPECT_NE(tm.digest(), base) << "two int64 sign bits flipped";
+    idx.i64()[0] ^= kSignBit;
+    idx.i64()[2] ^= kSignBit;
+    EXPECT_EQ(tm.digest(), base);
 
     // Rebinding an identical copy leaves the digest unchanged.
     fw::Tensor copy = numeric.alloc({7});
